@@ -26,6 +26,7 @@ from .solvers import (
     chain_minmax_exact,
     min_arborescence,
     min_sum_optimum,
+    min_sum_value,
     shortest_path,
 )
 from .vcg import MechanismOutcome, clarke_payments, run_vcg, vcg_allocate

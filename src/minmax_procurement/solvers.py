@@ -2,7 +2,19 @@
 
 Min-sum solvers (Dijkstra shortest path, contraction-based minimum
 arborescence) plus brute-force min-max oracles for desk-scale ground truth.
-Everything runs on exact rationals; witnesses are deterministic.
+Everything is exact. Each min-sum solve scales the costs once to integers
+over their common denominator L, compares only those integers, and turns its
+results back into rationals with Fraction(x, L). Witnesses are deterministic.
+
+Cost of the min-sum layer, for V nodes and E edges:
+- `shortest_path`: two Dijkstra runs, O(E log V), and a witness walk that is
+  linear except inside zero-cost plateaus. Nodes are walked in nondecreasing
+  distance from the source, so only a step within a plateau needs a
+  reachability search, and that search never leaves the plateau.
+- `min_sum_value`: the value alone; one forward Dijkstra for paths.
+- `min_arborescence`: iterative Chu-Liu/Edmonds in O(E log^2 V), with no
+  recursion; a contraction recomputes only the new super-node's best
+  in-edge, from its members' in-edge heaps merged smaller into larger.
 
 Tie-breaking: the brute-force oracles return, among equal-value optima, the
 solution whose sorted edge-id sequence is lexicographically smallest. The
@@ -14,10 +26,11 @@ arborescence contraction); same instance bytes always give the same witness.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import (
     ARBORESCENCE,
@@ -60,32 +73,42 @@ class OptimumReport:
 # -- shortest path ----------------------------------------------------------
 
 
-def _adjacency(inst: Instance, reverse: bool = False):
-    adj: list[list[tuple[int, Edge]]] = [[] for _ in range(inst.node_count)]
-    for e in inst.edges:
-        if inst.directed:
-            if reverse:
-                adj[e.head].append((e.tail, e))
-            else:
-                adj[e.tail].append((e.head, e))
-        else:
-            adj[e.tail].append((e.head, e))
-            adj[e.head].append((e.tail, e))
+def _scaled_costs(inst: Instance) -> tuple[int, list[int]]:
+    """The costs' common denominator L and each edge's cost times L.
+
+    The list follows `inst.edges`. A solve compares only these integers and
+    turns a result x back into a rational with Fraction(x, L).
+    """
+    scale = math.lcm(*{e.cost.denominator for e in inst.edges})
+    return scale, [e.cost.numerator * (scale // e.cost.denominator) for e in inst.edges]
+
+
+def _adjacency(inst: Instance, reverse: bool = False) -> list[list[tuple[int, int]]]:
+    """Per node, (neighbour, index into inst.edges) along usable directions."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
+    for i, e in enumerate(inst.edges):
+        u, v = (e.head, e.tail) if reverse else (e.tail, e.head)
+        adj[u].append((v, i))
+        if not inst.directed:
+            adj[v].append((u, i))
     return adj
 
 
-def _dijkstra(inst: Instance, start: int, reverse: bool = False) -> list[Optional[Fraction]]:
-    adj = _adjacency(inst, reverse=reverse)
-    dist: list[Optional[Fraction]] = [None] * inst.node_count
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), start)]
+def _dijkstra(adj: list[list[tuple[int, int]]], costs: list[int], start: int,
+              stop: Optional[int] = None) -> list[Optional[int]]:
+    """Scaled distances from `start`; stops early once `stop` is settled."""
+    dist: list[Optional[int]] = [None] * len(adj)
+    heap: list[tuple[int, int]] = [(0, start)]
     while heap:
         d, u = heapq.heappop(heap)
         if dist[u] is not None:
             continue
         dist[u] = d
-        for v, e in adj[u]:
+        if u == stop:
+            break
+        for v, i in adj[u]:
             if dist[v] is None:
-                heapq.heappush(heap, (d + e.cost, v))
+                heapq.heappush(heap, (d + costs[i], v))
     return dist
 
 
@@ -96,60 +119,79 @@ def shortest_path(inst: Instance) -> OptimumReport:
     some minimum-cost path: at each node take the smallest-id usable edge from
     whose head the target is still reachable without revisiting nodes. Every
     walk inside that subgraph has total cost equal to the optimum.
+
+    Along a subgraph edge u -> v, dist_s[v] = dist_s[u] + cost. So the walk
+    visits nodes in nondecreasing dist_s order, and every subgraph node
+    reaches the target along nondecreasing dist_s. A head with dist_s above
+    the current node's therefore reaches the target without revisiting a
+    visited node, and is taken at once. Only a head on the current node's
+    zero-cost plateau needs a reachability search. That search stays on the
+    plateau and succeeds as soon as it steps past it. Nodes a failed search
+    explored can never reach the target later, so they are skipped from then
+    on. Without zero-cost edges the walk is linear and the solve O(E log V).
     """
     if inst.mode != PATH:
         raise ValueError("shortest_path requires a path-mode instance")
     s, t = inst.source, inst.target_or_root
-    dist_s = _dijkstra(inst, s)
+    scale, costs = _scaled_costs(inst)
+    adj = _adjacency(inst)
+    dist_s = _dijkstra(adj, costs, s)
     if dist_s[t] is None:
         raise NoFeasibleSolutionError("source and target are disconnected")
-    dist_t = _dijkstra(inst, t, reverse=True)
-    sp = dist_s[t]
     if s == t:
         return OptimumReport(MIN_SUM, Fraction(0), Solution(()))
+    dist_t = _dijkstra(_adjacency(inst, reverse=True) if inst.directed else adj, costs, t)
+    sp = dist_s[t]
 
     # Oriented shortest-path subgraph: u -> v allowed iff some optimal path
-    # uses the edge in that direction.
-    sub: list[list[tuple[int, Edge]]] = [[] for _ in range(inst.node_count)]
-    for e in inst.edges:
+    # uses the edge in that direction. Entries (edge id, head, scaled cost).
+    sub: list[list[tuple[int, int, int]]] = [[] for _ in range(inst.node_count)]
+    for e, c in zip(inst.edges, costs):
         ends = [(e.tail, e.head)] if inst.directed else [(e.tail, e.head), (e.head, e.tail)]
         for u, v in ends:
             if dist_s[u] is not None and dist_t[v] is not None \
-                    and dist_s[u] + e.cost + dist_t[v] == sp:
-                sub[u].append((v, e))
+                    and dist_s[u] + c + dist_t[v] == sp:
+                sub[u].append((e.id, v, c))
     for lst in sub:
-        lst.sort(key=lambda pair: pair[1].id)
+        lst.sort()
 
-    def reaches_target(start: int, blocked: set[int]) -> bool:
-        if start == t:
+    blocked = bytearray(inst.node_count)  # on the walk, or shown unable to reach t
+
+    def reaches_target(start: int, level: int) -> bool:
+        """Whether the unblocked `start`, at dist_s `level`, reaches t."""
+        if start == t or dist_s[start] > level:
             return True
         stack = [start]
         seen = {start}
         while stack:
             u = stack.pop()
-            for v, _ in sub[u]:
-                if v == t:
+            for _, v, _ in sub[u]:
+                if v == t or dist_s[v] > level:
                     return True
-                if v not in seen and v not in blocked:
+                if v not in seen and not blocked[v]:
                     seen.add(v)
                     stack.append(v)
+        for u in seen:
+            blocked[u] = 1
         return False
 
-    path_edges: list[Edge] = []
-    visited = {s}
+    path_ids: list[int] = []
+    total = 0
+    blocked[s] = 1
     node = s
     while node != t:
-        for v, e in sub[node]:
-            if v not in visited and reaches_target(v, visited):
-                path_edges.append(e)
-                visited.add(v)
-                node = v
+        level = dist_s[node]
+        for eid, v, c in sub[node]:
+            if not blocked[v] and reaches_target(v, level):
                 break
         else:  # pragma: no cover - the subgraph always admits a continuation
             raise AssertionError("greedy walk got stuck in the shortest-path subgraph")
-    witness = Solution(e.id for e in path_edges)
-    assert solution_cost(inst, witness) == sp
-    return OptimumReport(MIN_SUM, sp, witness)
+        path_ids.append(eid)
+        total += c
+        blocked[v] = 1
+        node = v
+    assert total == sp
+    return OptimumReport(MIN_SUM, Fraction(sp, scale), Solution(path_ids))
 
 
 # -- minimum arborescence ---------------------------------------------------
@@ -159,89 +201,131 @@ def min_arborescence(inst: Instance) -> OptimumReport:
     """Min-sum spanning arborescence via cycle contraction (Chu-Liu/Edmonds).
 
     Ties on incoming-edge selection break toward the smaller edge id, which
-    makes the witness deterministic.
+    makes the witness deterministic. The contraction is iterative, so no
+    instance size reaches a recursion limit. It runs in O(E log^2 V): each
+    contraction merges its members' in-edge heaps smaller into larger and
+    recomputes only the new super-node's best in-edge.
     """
     if inst.mode != ARBORESCENCE:
         raise ValueError("min_arborescence requires an arborescence-mode instance")
-    root = inst.target_or_root
+    scale, costs = _scaled_costs(inst)
     chosen = _edmonds(
-        nodes=list(range(inst.node_count)),
-        root=root,
-        edges=[(e.tail, e.head, e.cost, e.id) for e in inst.edges],
+        node_count=inst.node_count,
+        root=inst.target_or_root,
+        edges=[(e.tail, e.head, c, e.id) for e, c in zip(inst.edges, costs)],
     )
-    witness = Solution(chosen)
-    value = solution_cost(inst, witness)
-    return OptimumReport(MIN_SUM, value, witness)
+    witness = Solution(inst.edges[i].id for i in chosen)
+    return OptimumReport(MIN_SUM, Fraction(sum(costs[i] for i in chosen), scale), witness)
 
 
-def _edmonds(nodes: list[int], root: int, edges: list[tuple[int, int, Fraction, int]]) -> set[int]:
-    """Return the set of original edge ids forming a min-cost arborescence."""
-    # recursion on contracted graphs; edges carry their original id through
-    best_in: dict[int, tuple[int, int, Fraction, int]] = {}
-    for tail, head, cost, eid in edges:
-        if head == root or tail == head:
-            continue
-        cur = best_in.get(head)
-        if cur is None or (cost, eid) < (cur[2], cur[3]):
-            best_in[head] = (tail, head, cost, eid)
-    for v in nodes:
-        if v != root and v not in best_in:
+def _edmonds(node_count: int, root: int, edges: list[tuple[int, int, int, int]]) -> list[int]:
+    """Indices into `edges` ((tail, head, cost, id) tuples) of a min-cost arborescence.
+
+    Each live node's best in-edge is the smallest by (reduced cost, id). The
+    next cycle to contract is the one reached by following best in-edges
+    from the first live node, in id order, that does not reach the root. The
+    cycle becomes a super-node with the next free id, and an edge entering
+    it at member m has its reduced cost lowered by the cost of m's best
+    in-edge. A contraction changes no best in-edge outside the cycle, so
+    nodes that reach the root keep doing so: the scan resumes at the node
+    whose walk found the cycle, and continues that walk from the super-node
+    when the walk started outside the cycle. The contractions are undone in
+    reverse order at the end.
+    """
+    # In-edge heap per live node: (reduced cost + a per-heap constant, id, index).
+    heaps: list[list[tuple[int, int, int]]] = [[] for _ in range(node_count)]
+    for i, (tail, head, cost, eid) in enumerate(edges):
+        if head != root and tail != head:
+            heaps[head].append((cost, eid, i))
+    for v in range(node_count):
+        if v != root and not heaps[v]:
             raise NoFeasibleSolutionError(f"node {v} is unreachable from the root")
+        heapq.heapify(heaps[v])
+    rep = list(range(node_count))  # union-find; a live node is its own rep
+    cycles: list[tuple[list[int], list[int]]] = []  # members and their best in-edges
+    reached = {root}  # nodes known to reach the root along best in-edges
 
-    # find a cycle among the chosen in-edges
-    color = {v: 0 for v in nodes}  # 0 unvisited, 1 in progress, 2 done
-    cycle: list[int] = []
-    for start in nodes:
-        if color[start] or start == root:
+    def find(v: int) -> int:
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]  # path halving
+            v = rep[v]
+        return v
+
+    def contract(cycle: list[int]) -> int:
+        s = len(rep)
+        for v in cycle:
+            rep[v] = s
+        rep.append(s)
+        cycles.append((cycle, [heaps[v][0][2] for v in cycle]))
+        # Entries into member m drop by the cost of m's best in-edge, the top
+        # of m's heap. Only order inside a heap matters, so entries keep
+        # their stored values in the largest member's heap and the others
+        # move over shifted by the difference of the two tops.
+        big = max(cycle, key=lambda v: len(heaps[v]))
+        heap = heaps[big]
+        top = heap[0][0]
+        for v in cycle:
+            if v != big:
+                delta = top - heaps[v][0][0]
+                for cost, eid, i in heaps[v]:
+                    if find(edges[i][0]) != s:
+                        heapq.heappush(heap, (cost + delta, eid, i))
+            heaps[v] = []
+        while heap and find(edges[heap[0][2]][0]) == s:
+            heapq.heappop(heap)
+        if not heap:
+            raise NoFeasibleSolutionError(f"node {s} is unreachable from the root")
+        heaps.append(heap)
+        return s
+
+    start = 0
+    while start < len(rep):
+        if rep[start] != start or start in reached:
+            start += 1
             continue
-        path = []
+        path: list[int] = []
+        on_path: dict[int, int] = {}  # node -> its position in `path`
         v = start
-        while v != root and color[v] == 0:
-            color[v] = 1
+        while v not in reached:
+            if v in on_path:
+                cut = on_path[v]
+                s = contract(path[cut:])
+                del path[cut:]
+                if not path:  # `start` itself was contracted
+                    break
+                v = s
+                continue
+            on_path[v] = len(path)
             path.append(v)
-            v = best_in[v][0]
-        if v != root and color[v] == 1:  # found a new cycle through v
-            idx = path.index(v)
-            cycle = path[idx:]
-        for u in path:
-            color[u] = 2
-        if cycle:
-            break
-
-    if not cycle:
-        return {rec[3] for rec in best_in.values()}
-
-    cycle_set = set(cycle)
-    cycle_in = {v: best_in[v] for v in cycle}
-    # contract the cycle into a fresh super-node
-    super_node = max(nodes) + 1
-    mapping = {v: (super_node if v in cycle_set else v) for v in nodes}
-    contracted: list[tuple[int, int, Fraction, int]] = []
-    for tail, head, cost, eid in edges:
-        ct, ch = mapping[tail], mapping[head]
-        if ct == ch:
-            continue
-        if ch == super_node:
-            # entering the cycle at `head`: discount by the cycle edge replaced
-            contracted.append((ct, ch, cost - cycle_in[head][2], eid))
+            v = find(edges[heaps[v][0][2]][0])
         else:
-            contracted.append((ct, ch, cost, eid))
-    sub_nodes = [v for v in nodes if v not in cycle_set] + [super_node]
-    sub_ids = _edmonds(sub_nodes, mapping[root], contracted)
+            reached.update(path)
+        start += 1
 
-    by_id = {eid: (tail, head) for tail, head, _, eid in edges}
-    chosen = set(sub_ids)
-    entering_head = None
-    for eid in sub_ids:
-        head = by_id[eid][1]
-        if head in cycle_set:
-            entering_head = head
-            break
-    assert entering_head is not None
-    for v in cycle:
-        if v != entering_head:
-            chosen.add(cycle_in[v][3])
-    return chosen
+    # Undo the contractions: a super-node's chosen in-edge goes to the member
+    # it enters, and every other member takes back its best in-edge. Original
+    # nodes under a node form one range of this leaf order.
+    chosen = [heaps[v][0][2] if rep[v] == v and v != root else -1 for v in range(len(rep))]
+    size = [1] * node_count  # original nodes under each node
+    for members, _ in cycles:
+        size.append(sum(size[m] for m in members))
+    first = [0] * len(rep)
+    pos = 0
+    for v in range(len(rep)):
+        if rep[v] == v:
+            first[v] = pos
+            pos += size[v]
+    for k in reversed(range(len(cycles))):
+        pos = first[node_count + k]
+        for m in cycles[k][0]:
+            first[m] = pos
+            pos += size[m]
+    for k in reversed(range(len(cycles))):
+        entering = chosen[node_count + k]
+        leaf = first[edges[entering][1]]
+        for m, best in zip(*cycles[k]):
+            chosen[m] = entering if first[m] <= leaf < first[m] + size[m] else best
+    return [chosen[v] for v in range(node_count) if v != root]
 
 
 # -- brute-force min-max ----------------------------------------------------
@@ -258,11 +342,11 @@ def _enumerate_paths(inst: Instance):
         if u == t:
             yield tuple(path)
             return
-        for v, e in adj[u]:
+        for v, i in adj[u]:
             if v in visited:
                 continue
             visited.add(v)
-            path.append(e.id)
+            path.append(inst.edges[i].id)
             yield from rec(v)
             path.pop()
             visited.remove(v)
@@ -310,38 +394,29 @@ def brute_minmax(inst: Instance, limit: int = BRUTE_NODE_BUDGET) -> OptimumRepor
     nodes; pass a larger limit to override for structured instances known to
     enumerate cheaply.
     """
-    if inst.node_count > limit:
-        raise BudgetExceededError(
-            f"{inst.node_count} nodes exceeds the enumeration budget {limit}")
-    enumerator = _enumerate_paths if inst.mode == PATH else _enumerate_arborescences
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-    for ids in enumerator(inst):
-        sol = Solution(ids)
-        value = cost_summary(inst, sol).max_cost
-        key = (value, tuple(sorted(ids)))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise NoFeasibleSolutionError("no feasible solution exists")
-    return OptimumReport(MIN_MAX, best[0], Solution(best[1]))
+    return _brute_optimum(inst, limit, MIN_MAX, lambda inst, sol: cost_summary(inst, sol).max_cost)
 
 
 def brute_minsum(inst: Instance, limit: int = BRUTE_NODE_BUDGET) -> OptimumReport:
     """Exhaustive min-sum counterpart of brute_minmax (testing oracle)."""
+    return _brute_optimum(inst, limit, MIN_SUM, solution_cost)
+
+
+def _brute_optimum(inst: Instance, limit: int, objective: str,
+                   value_of: Callable[[Instance, Solution], Fraction]) -> OptimumReport:
+    """The feasible solution with the smallest (value, sorted edge ids)."""
     if inst.node_count > limit:
         raise BudgetExceededError(
             f"{inst.node_count} nodes exceeds the enumeration budget {limit}")
     enumerator = _enumerate_paths if inst.mode == PATH else _enumerate_arborescences
     best: Optional[tuple[Fraction, tuple[int, ...]]] = None
     for ids in enumerator(inst):
-        sol = Solution(ids)
-        value = solution_cost(inst, sol)
-        key = (value, tuple(sorted(ids)))
+        key = (value_of(inst, Solution(ids)), tuple(sorted(ids)))
         if best is None or key < best:
             best = key
     if best is None:
         raise NoFeasibleSolutionError("no feasible solution exists")
-    return OptimumReport(MIN_SUM, best[0], Solution(best[1]))
+    return OptimumReport(objective, best[0], Solution(best[1]))
 
 
 # -- chain-structured exact min-max -----------------------------------------
@@ -417,3 +492,20 @@ def min_sum_optimum(inst: Instance) -> OptimumReport:
     if inst.mode == PATH:
         return shortest_path(inst)
     return min_arborescence(inst)
+
+
+def min_sum_value(inst: Instance) -> Fraction:
+    """The min-sum optimum's value alone (SC), as Clarke payments need it.
+
+    Paths take one forward Dijkstra that stops at the target; arborescences
+    take `min_arborescence`'s value. Raises NoFeasibleSolutionError exactly
+    where `min_sum_optimum` does.
+    """
+    if inst.mode != PATH:
+        return min_arborescence(inst).value
+    s, t = inst.source, inst.target_or_root
+    scale, costs = _scaled_costs(inst)
+    dist = _dijkstra(_adjacency(inst), costs, s, stop=t)
+    if dist[t] is None:
+        raise NoFeasibleSolutionError("source and target are disconnected")
+    return Fraction(dist[t], scale)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .graphs import Instance, Solution, agent_cost, solution_cost
-from .solvers import NoFeasibleSolutionError, min_sum_optimum
+from .solvers import NoFeasibleSolutionError, min_sum_optimum, min_sum_value
 
 # Any deterministic allocation rule under audit satisfies this signature and
 # must return a feasible solution for every instance it accepts.
@@ -50,9 +50,9 @@ def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
     """Clarke pivot payments for the given min-sum allocation.
 
     P_i = SC_{-i} - (SC - t_i(alloc)), where SC_{-i} is the min-sum optimum
-    with agent i's edges deleted. Agents with no edge in the graph, and more
-    generally agents whose removal leaves the optimum unchanged and who have
-    no selected edge, are paid 0.
+    with agent i's edges deleted (its value only, from `min_sum_value`).
+    Agents with no edge in the graph, and more generally agents whose removal
+    leaves the optimum unchanged and who have no selected edge, are paid 0.
     """
     sc = solution_cost(inst, alloc)
     payments = []
@@ -62,7 +62,7 @@ def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
             payments.append(Fraction(0))
             continue
         try:
-            sc_without = min_sum_optimum(inst.without_agent(agent)).value
+            sc_without = min_sum_value(inst.without_agent(agent))
         except NoFeasibleSolutionError:
             raise PivotalInfeasibleError(agent) from None
         payments.append(sc_without - (sc - share))
