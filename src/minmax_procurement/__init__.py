@@ -30,7 +30,7 @@ from .solvers import (
     shortest_path,
 )
 from .vcg import MechanismOutcome, clarke_payments, run_vcg, vcg_allocate
-from .pareto import encode_objectives, minmax_ptas, pareto_eps, preprocess
+from .pareto import PtasReport, encode_objectives, minmax_ptas, pareto_eps, preprocess
 from .audit import (
     Perturbation,
     ViolationWitness,
@@ -51,4 +51,24 @@ from .adversary import (
     run_adversary,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # graphs
+    "ARBORESCENCE", "CostSummary", "Edge", "Instance", "PATH", "Solution",
+    "agent_cost", "cost_summary", "load_instance", "dump_instance",
+    "validate_solution",
+    # solvers
+    "OptimumReport", "brute_minmax", "chain_minmax_exact", "min_arborescence",
+    "min_sum_optimum", "min_sum_value", "shortest_path",
+    # vcg
+    "MechanismOutcome", "clarke_payments", "run_vcg", "vcg_allocate",
+    # pareto
+    "PtasReport", "encode_objectives", "minmax_ptas", "pareto_eps", "preprocess",
+    # audit
+    "Perturbation", "ViolationWitness", "check_edge_stability",
+    "check_truthfulness", "check_weak_monotonicity",
+    "edge_stability_perturbation",
+    # adversary
+    "AdversaryReport", "BlockIndexing", "ChainSpec", "chain_exact_allocator",
+    "expand_chain", "gen_chain", "gen_dmst_chain", "opt_upper_bound",
+    "run_adversary",
+]

@@ -160,19 +160,18 @@ def cmd_vcg(args) -> int:
 
 def cmd_ptas(args) -> int:
     inst = _load(args.instance)
-    pruned, weights, config = pareto.preprocess(inst, args.epsilon)
-    report = pareto.minmax_ptas(inst, args.epsilon)
-    labels = None
-    if not config.short_circuit:
-        labels = len(pareto.pareto_eps(pruned, weights, config.epsilon))
+    try:
+        report = pareto.minmax_ptas(inst, args.epsilon)
+    except ValueError as exc:  # epsilon <= 0 or not a path instance
+        raise UsageError(str(exc)) from exc
     doc = {
         "command": "ptas",
         "config": {"instance": args.instance, "epsilon": args.epsilon},
         "value": report.value,
         "witness": report.witness,
-        "delta": config.delta,
-        "baseline_shortest_path": config.baseline_sp,
-        "label_count_at_target": labels,
+        "delta": report.delta,
+        "baseline_shortest_path": report.baseline_sp,
+        "label_count_at_target": report.label_count,
     }
     status = 0
     if args.check_against_bruteforce:

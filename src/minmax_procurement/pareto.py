@@ -8,16 +8,26 @@ a (1+eps)-Pareto set of the target; minimizing the maximum coordinate over
 that set, re-evaluated under the original costs, gives a (1+eps)^2
 approximation of the min-max optimum.
 
-Geometric bucketing uses a rational base b with b^(nodes-1) <= 1+eps, so the
-coverage factor is certified in exact arithmetic; only the initial bucket
-index estimate uses floating point, and it is corrected exactly.
+Geometric bucketing uses a rational base b = p/q with b^(nodes-1) <= 1+eps,
+so the coverage factor is certified in exact arithmetic. The DP scales the
+floored weights once to integers over their common denominator L and runs on
+integer tuples. An integer value V lies in the smallest cell k >= 0 with
+V <= floor(D * p^k / q^k), where D = delta * L. That floor comes from a
+certified fixed-point bracket lo <= 2^g * b^k <= hi, built by
+square-and-multiply rounding lo down and hi up: when floor(D * lo / 2^g) and
+floor(D * hi / 2^g) agree, that is the exact floor; otherwise it is computed
+from the exact powers. Floating point only guesses k, and the guess is
+corrected exactly. No table of exact powers is kept, so memory does not grow
+with 1/eps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .graphs import Instance, PATH, Solution, cost_summary
@@ -31,6 +41,16 @@ class PtasConfig:
     ratio_bound: Fraction  # max/min modified weight ratio, <= n^2/eps
     baseline_sp: Fraction
     short_circuit: bool  # SP == 0: the shortest path itself is optimal
+
+
+@dataclass(frozen=True, kw_only=True)
+class PtasReport(OptimumReport):
+    """The scheme's answer with its floor delta, the baseline shortest-path
+    value and the number of labels at the target (None when SP = 0 made the
+    shortest path itself optimal)."""
+    delta: Fraction
+    baseline_sp: Fraction
+    label_count: Optional[int]
 
 
 @dataclass
@@ -114,26 +134,65 @@ def _bucket_base(epsilon: Fraction, node_count: int) -> Fraction:
     return base
 
 
+GUARD_BITS = 64  # bits of a power bracket beyond 2 * bitlen(k)
+
+
+def _power_bracket(p: int, q: int, k: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits * (p/q)^k <= hi.
+
+    Square-and-multiply in fixed point with `bits` fractional bits, rounding
+    every product down for lo and up for hi.
+    """
+    base_lo = (p << bits) // q
+    base_hi = -(-(p << bits) // q)
+    lo = hi = 1 << bits
+    for bit in bin(k)[2:]:
+        lo = lo * lo >> bits
+        hi = -(-(hi * hi) >> bits)
+        if bit == "1":
+            lo = lo * base_lo >> bits
+            hi = -(-(hi * base_hi) >> bits)
+    return lo, hi
+
+
+def _floor_scaled_power(d: int, p: int, q: int, k: int) -> int:
+    """floor(d * (p/q)^k), exactly, for integers d >= 0, p >= q >= 1, k >= 0."""
+    bits = GUARD_BITS + 2 * k.bit_length()
+    lo, hi = _power_bracket(p, q, k, bits)
+    floor = d * lo >> bits
+    if floor == d * hi >> bits:
+        return floor
+    return d * p**k // q**k
+
+
 class _Bucketizer:
-    def __init__(self, base: Fraction, delta: Fraction):
+    def __init__(self, base: Fraction, delta):
         self.base = base
-        self.delta = delta
-        self._log_base = math.log(float(base))
-        self._powers = [Fraction(1)]
+        self.delta = delta  # a Fraction, or an int in the DP's scaled units
+        self._log_base = math.log1p(float(base - 1))  # accurate for base near 1
+        self._floors: dict[tuple[int, int], int] = {}
 
-    def _power(self, k: int) -> Fraction:
-        while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] * self.base)
-        return self._powers[k]
+    def _floor(self, d: int, k: int) -> int:
+        floor = self._floors.get((d, k))
+        if floor is None:
+            floor = _floor_scaled_power(d, self.base.numerator, self.base.denominator, k)
+            self._floors[d, k] = floor
+        return floor
 
-    def index(self, value: Fraction) -> int:
-        """Smallest k >= 0 with value <= delta * base^k (0 for value <= delta)."""
-        if value <= self.delta:
+    def index(self, value) -> int:
+        """Smallest k >= 0 with value <= delta * base^k (0 for value <= delta).
+
+        With value / delta = m / d in integers this is the smallest k with
+        m <= floor(d * base^k).
+        """
+        m = value.numerator * self.delta.denominator
+        d = value.denominator * self.delta.numerator
+        if m <= d:
             return 0
-        k = max(int(math.log(float(value / self.delta)) / self._log_base), 0)
-        while self.delta * self._power(k) < value:
+        k = max(int((math.log(m) - math.log(d)) / self._log_base), 0)
+        while m > self._floor(d, k):
             k += 1
-        while k > 0 and self.delta * self._power(k - 1) >= value:
+        while k > 0 and m <= self._floor(d, k - 1):
             k -= 1
         return k
 
@@ -150,8 +209,12 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
     epsilon = Fraction(epsilon)
     n = inst.agent_count
     s, t = inst.source, inst.target_or_root
-    bucketizer = _Bucketizer(_bucket_base(epsilon, inst.node_count),
-                             _min_positive(weights))
+    scale = math.lcm(*{w.denominator for vec in weights.values() for w in vec})
+    scaled = {eid: tuple(w.numerator * (scale // w.denominator) for w in vec)
+              for eid, vec in weights.items()}
+    least = min((w for vec in scaled.values() for w in vec if w > 0), default=scale)
+    # few distinct values recur across many relaxations: remember each one's cell
+    index = functools.cache(_Bucketizer(_bucket_base(epsilon, inst.node_count), least).index)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
     for e in inst.edges:
         if e.id not in weights:
@@ -162,34 +225,46 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
     for lst in incident:
         lst.sort(key=lambda pair: pair[1])
 
-    def cell_key(node: int, vec: tuple[Fraction, ...]) -> tuple:
-        return (node, tuple(bucketizer.index(v) for v in vec[:-1]))
-
-    start = ParetoLabel(s, (0,) * (n - 1), tuple(Fraction(0) for _ in range(n)), None)
-    cells: dict[tuple, ParetoLabel] = {cell_key(s, start.vector): start}
+    # a label is (node, cell, scaled vector, predecessor label, edge id)
+    start = (s, (0,) * (n - 1), (0,) * n, None, None)
+    cells: dict[tuple, tuple] = {(s, start[1]): start}
     frontier = [start]
     for _ in range(max(inst.node_count - 1, 1)):
-        new_frontier: list[ParetoLabel] = []
+        new_frontier = []
         for label in frontier:
-            for head, eid in incident[label.node]:
-                vec = tuple(a + b for a, b in zip(label.vector, weights[eid]))
-                key = cell_key(head, vec)
-                kept = cells.get(key)
-                if kept is None or vec[-1] < kept.vector[-1]:
-                    new = ParetoLabel(head, key[1], vec, (label, eid))
-                    cells[key] = new
+            vec = label[2]
+            for head, eid in incident[label[0]]:
+                new_vec = tuple(map(add, vec, scaled[eid]))
+                cell = tuple(map(index, new_vec[:-1]))
+                kept = cells.get((head, cell))
+                if kept is None or new_vec[-1] < kept[2][-1]:
+                    new = (head, cell, new_vec, label, eid)
+                    cells[head, cell] = new
                     new_frontier.append(new)
         frontier = new_frontier
         if not frontier:
             break
-    return [label for key, label in sorted(cells.items()) if label.node == t]
+    exported: dict[int, ParetoLabel] = {}
+    return [_export(cells[key], scale, exported) for key in sorted(cells) if key[0] == t]
 
 
-def _min_positive(weights: dict[int, tuple[Fraction, ...]]) -> Fraction:
-    values = [w for vec in weights.values() for w in vec if w > 0]
-    if not values:
-        return Fraction(1)
-    return min(values)
+def _export(label: tuple, scale: int, exported: dict[int, ParetoLabel]) -> ParetoLabel:
+    """The ParetoLabel of a DP label and its predecessors, vectors over Fractions.
+
+    `exported` maps id(DP label) to its ParetoLabel, so shared prefixes are
+    converted once.
+    """
+    chain = []
+    while label is not None and id(label) not in exported:
+        chain.append(label)
+        label = label[3]
+    out = None if label is None else exported[id(label)]
+    for label in reversed(chain):
+        node, cell, vec, pred, eid = label
+        out = ParetoLabel(node, cell, tuple(Fraction(x, scale) for x in vec),
+                          None if pred is None else (out, eid))
+        exported[id(label)] = out
+    return out
 
 
 def _simplify_path(inst: Instance, edge_ids: list[int]) -> list[int]:
@@ -215,7 +290,7 @@ def _simplify_path(inst: Instance, edge_ids: list[int]) -> list[int]:
     return kept
 
 
-def minmax_ptas(inst: Instance, epsilon: Fraction) -> OptimumReport:
+def minmax_ptas(inst: Instance, epsilon: Fraction) -> PtasReport:
     """(1+eps)^2-approximate min-max s-t path.
 
     Runs the approximate Pareto DP on the floored weights, then re-evaluates
@@ -226,7 +301,9 @@ def minmax_ptas(inst: Instance, epsilon: Fraction) -> OptimumReport:
     pruned, weights, config = preprocess(inst, epsilon)
     if config.short_circuit:
         witness = shortest_path(inst).witness
-        return OptimumReport(MIN_MAX, cost_summary(inst, witness).max_cost, witness)
+        return PtasReport(MIN_MAX, cost_summary(inst, witness).max_cost, witness,
+                          delta=config.delta, baseline_sp=config.baseline_sp,
+                          label_count=None)
 
     labels = pareto_eps(pruned, weights, config.epsilon)
     best: Optional[tuple[Fraction, tuple[int, ...]]] = None
@@ -239,4 +316,5 @@ def minmax_ptas(inst: Instance, epsilon: Fraction) -> OptimumReport:
             best = key
     if best is None:
         raise NoFeasibleSolutionError("no source-target path survived preprocessing")
-    return OptimumReport(MIN_MAX, best[0], Solution(best[1]))
+    return PtasReport(MIN_MAX, best[0], Solution(best[1]), delta=config.delta,
+                      baseline_sp=config.baseline_sp, label_count=len(labels))

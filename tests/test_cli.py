@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from minmax_procurement import load_instance
+from minmax_procurement import load_instance, minmax_ptas
 from minmax_procurement.cli import main
 
 F = Fraction
@@ -120,6 +120,34 @@ def test_ptas_rejects_bad_epsilon(tmp_path, capsys):
     inst = tmp_path / "exp.json"
     main(["gen", "chain", "--agents", "2", "--blocks", "2", "--out", str(inst)])
     assert main(["ptas", "--instance", str(inst), "--epsilon", "zero"]) == 2
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1/2"])
+def test_ptas_non_positive_epsilon_is_usage_error(tmp_path, capsys, epsilon):
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "2", "--out", str(inst)])
+    assert main(["ptas", "--instance", str(inst), f"--epsilon={epsilon}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be positive" in err
+
+
+def test_ptas_on_arborescence_instance_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "dmst.json"
+    main(["gen", "dmst-chain", "--agents", "2", "--blocks", "2", "--out", str(inst)])
+    assert main(["ptas", "--instance", str(inst), "--epsilon", "1/4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "path instances only" in err
+
+
+def test_ptas_reports_label_count_from_one_run(tmp_path, capsys):
+    inst = tmp_path / "exp.json"
+    main(["gen", "expandedchain", "--agents", "2", "--blocks", "2",
+          "--eps", "1/8", "--out", str(inst)])
+    code, doc = run(capsys, "ptas", "--instance", str(inst), "--epsilon", "1/16")
+    assert code == 0
+    report = minmax_ptas(load_instance(inst), F(1, 16))
+    assert doc["label_count_at_target"] == report.label_count > 0
+    assert (F(doc["delta"]), F(doc["baseline_shortest_path"])) == (report.delta, report.baseline_sp)
 
 
 # -- audit --------------------------------------------------------------------
