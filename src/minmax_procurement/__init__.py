@@ -38,6 +38,7 @@ from .audit import (
     check_truthfulness,
     check_weak_monotonicity,
     edge_stability_perturbation,
+    edge_stability_witness,
 )
 from .adversary import (
     AdversaryReport,
@@ -66,7 +67,7 @@ __all__ = [
     # audit
     "Perturbation", "ViolationWitness", "check_edge_stability",
     "check_truthfulness", "check_weak_monotonicity",
-    "edge_stability_perturbation",
+    "edge_stability_perturbation", "edge_stability_witness",
     # adversary
     "AdversaryReport", "BlockIndexing", "ChainSpec", "chain_exact_allocator",
     "expand_chain", "gen_chain", "gen_dmst_chain", "opt_upper_bound",

@@ -34,8 +34,7 @@ from .audit import (
     InfeasibleAllocationError,
     Perturbation,
     ViolationWitness,
-    _agent_cost_table,
-    _monotonicity_terms,
+    edge_stability_witness,
     is_strict_edge_stability,
 )
 from .solvers import chain_minmax_exact
@@ -352,7 +351,7 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec,
                                   prefix=n - step)
         trace.append(AdversaryStep(agent, new_sol, stable))
         if not stable:
-            witness = _violation_witness(cur_inst, pert, cur_sol, new_sol)
+            witness = edge_stability_witness(cur_inst, new_inst, pert, cur_sol, new_sol)
             return AdversaryReport(mode, spec, tuple(counts), heavy,
                                    tuple(trace), None, witness)
         cur_inst, cur_sol = new_inst, new_sol
@@ -377,22 +376,6 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec,
     )
     return AdversaryReport(mode, spec, tuple(counts), heavy, tuple(trace),
                            witness, None)
-
-
-def _violation_witness(inst: Instance, pert: Perturbation, x: Solution,
-                       x_prime: Solution) -> ViolationWitness:
-    from .audit import EDGE_STABILITY
-
-    terms = _monotonicity_terms(inst, pert, x, x_prime)
-    witness = ViolationWitness(
-        EDGE_STABILITY, pert.agent,
-        _agent_cost_table(inst, pert.agent),
-        _agent_cost_table(pert.apply(inst), pert.agent),
-        x, x_prime, terms,
-    )
-    assert witness.is_strict(), \
-        "instability without a strict monotonicity violation"
-    return witness
 
 
 def _dmst_stable(indexing: BlockIndexing, heavy: int, heavy_blocks: list[int],

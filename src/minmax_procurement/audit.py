@@ -92,10 +92,8 @@ class ViolationWitness:
         return self.reverify()
 
 
-def _monotonicity_terms(inst: Instance, pert: Perturbation,
+def _monotonicity_terms(inst: Instance, perturbed: Instance, i: int,
                         x: Solution, x_prime: Solution):
-    i = pert.agent
-    perturbed = pert.apply(inst)
     return (
         agent_cost(inst, x, i),
         agent_cost(perturbed, x_prime, i),
@@ -118,7 +116,7 @@ def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
         if not validate_solution(probe_inst, sol):
             raise InfeasibleAllocationError(
                 f"algorithm returned an infeasible solution {sorted(sol.edge_ids)}")
-    terms = _monotonicity_terms(inst, pert, x, x_prime)
+    terms = _monotonicity_terms(inst, perturbed, pert.agent, x, x_prime)
     if terms[0] + terms[1] <= terms[2] + terms[3]:
         return None
     return ViolationWitness(
@@ -129,7 +127,8 @@ def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
     )
 
 
-Mechanism = Callable[[Instance], MechanismOutcome]
+# string names keep the package's classes out of typing's caches (see vcg)
+Mechanism = Callable[["Instance"], "MechanismOutcome"]
 
 
 def check_truthfulness(mech: Mechanism, inst: Instance, agent: int,
@@ -219,16 +218,26 @@ def check_edge_stability(alg: AllocationAlgorithm, inst: Instance,
     owned = {e.id for e in inst.agent_edges(pert.agent)}
     if x.edge_ids & owned == x_prime.edge_ids & owned:
         return None
-    terms = _monotonicity_terms(inst, pert, x, x_prime)
+    return edge_stability_witness(inst, perturbed, pert, x, x_prime)
+
+
+def edge_stability_witness(inst: Instance, perturbed: Instance, pert: Perturbation,
+                           x: Solution, x_prime: Solution) -> ViolationWitness:
+    """The witness that x = A(inst) and x' = A(perturbed) violate weak monotonicity.
+
+    `perturbed` is `pert.apply(inst)`, and `pert` is a strict edge-stability
+    perturbation for x under which the agent's selected edges changed. Such
+    a change certifies a strict violation: the witness carries the agent's
+    cost tables under both profiles and the four terms, and re-verifies.
+    """
+    agent = pert.agent
     witness = ViolationWitness(
-        EDGE_STABILITY, pert.agent,
-        _agent_cost_table(inst, pert.agent),
-        _agent_cost_table(perturbed, pert.agent),
-        x, x_prime, terms,
+        EDGE_STABILITY, agent,
+        _agent_cost_table(inst, agent),
+        _agent_cost_table(perturbed, agent),
+        x, x_prime, _monotonicity_terms(inst, perturbed, agent, x, x_prime),
     )
-    # a selection change under a strict perturbation certifies a strict
-    # violation of the monotonicity inequality
-    assert witness.is_strict()
+    assert witness.is_strict(), "instability without a strict monotonicity violation"
     return witness
 
 

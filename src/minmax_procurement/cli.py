@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -330,10 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first `main` call, not at import; parsing does not change it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -283,23 +283,50 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def _integer(record: dict, key: str, where: str = "") -> int:
+    """`record[key]` if it is an integer (not a bool); no other type is coerced."""
+    value = record[key]
+    if type(value) is not int:
+        raise InstanceFormatError(f"{where}{key} must be an integer, got {value!r}")
+    return value
+
+
+def _file_cost(edge: dict, where: str) -> Fraction:
+    """An edge's cost from an int or a "p/q" string; floats are refused."""
+    value = edge["cost"]
+    if type(value) is not int and not isinstance(value, str):
+        raise InstanceFormatError(
+            f"{where}cost must be an integer or a \"p/q\" string, got {value!r}")
+    return as_cost(value)
+
+
+def _file_edge(edge: dict, where: str) -> Edge:
+    return Edge(_integer(edge, "id", where), _integer(edge, "tail", where),
+                _integer(edge, "head", where), _integer(edge, "owner", where),
+                _file_cost(edge, where))
+
+
 def instance_from_dict(data: dict) -> Instance:
+    """The instance a file's JSON document describes.
+
+    Integers must be JSON integers, `directed` a JSON bool and costs ints or
+    "p/q" strings; anything else raises InstanceFormatError.
+    """
     try:
-        if data["version"] != FILE_FORMAT_VERSION:
+        if _integer(data, "version") != FILE_FORMAT_VERSION:
             raise InstanceFormatError(f"unsupported version {data['version']!r}")
-        edges = tuple(
-            Edge(int(e["id"]), int(e["tail"]), int(e["head"]), int(e["owner"]),
-                 as_cost(e["cost"]))
-            for e in data["edges"]
-        )
+        if type(data["directed"]) is not bool:
+            raise InstanceFormatError(
+                f"directed must be true or false, got {data['directed']!r}")
+        edges = tuple(_file_edge(e, f"edge {k} ") for k, e in enumerate(data["edges"]))
         return Instance(
-            directed=bool(data["directed"]),
-            node_count=int(data["nodes"]),
+            directed=data["directed"],
+            node_count=_integer(data, "nodes"),
             edges=edges,
-            agent_count=int(data["agents"]),
+            agent_count=_integer(data, "agents"),
             mode=data["mode"],
-            source=int(data["source"]),
-            target_or_root=int(data["target_or_root"]),
+            source=_integer(data, "source"),
+            target_or_root=_integer(data, "target_or_root"),
         )
     except (KeyError, ValueError, TypeError) as exc:
         if isinstance(exc, InstanceFormatError):

@@ -16,6 +16,12 @@ Cost of the min-sum layer, for V nodes and E edges:
   recursion; a contraction recomputes only the new super-node's best
   in-edge, from its members' in-edge heaps merged smaller into larger.
 
+The chain DP (`chain_minmax_exact`) runs on integers over the block costs'
+common denominator and keeps only Pareto-minimal load vectors. With S
+states, a block costs O(S log S) for n <= 3 agents: one sort and a sweep
+over a staircase of the last two coordinates. For n >= 4 the prune is a
+pairwise scan, O(S^2) per block.
+
 Tie-breaking: the brute-force oracles return, among equal-value optima, the
 solution whose sorted edge-id sequence is lexicographically smallest. The
 polynomial solvers use a deterministic smallest-edge-id preference (greedy
@@ -27,6 +33,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -430,9 +438,16 @@ def chain_minmax_exact(
     """Exact min-max over per-block path choices (makespan-style DP).
 
     `block_cost_vectors[k][c][i]` is the cost agent i+1 pays when choice `c`
-    is taken in block k. Dominated load vectors are pruned, so the state count
-    stays small on the chain families; still exponential in n in the worst
-    case (intended for n <= 3).
+    is taken in block k, an int or a Fraction (floats are refused). Dominated
+    load vectors are pruned, so the state count stays small on the chain
+    families; still exponential in n in the worst case (intended for n <= 3).
+    The costs are scaled once to integers over their common denominator.
+    With S states, a block costs O(S log S) for n <= 3 (a sort and a
+    staircase sweep) and O(S^2) for n >= 4 (a pairwise scan).
+
+    Among optimal load vectors the one whose per-block pick sequence is
+    lexicographically smallest wins, and each load vector keeps the smallest
+    pick sequence that reaches it.
 
     When `block_edges` is given (edge ids per block and choice), the witness
     Solution is assembled from the chosen blocks.
@@ -448,40 +463,86 @@ def chain_minmax_exact(
             if len(vec) != n:
                 raise StructureError(
                     f"block {k} choice {c} has {len(vec)} agent costs, expected {n}")
+            if any(isinstance(x, float) for x in vec):
+                raise StructureError(
+                    f"block {k} choice {c} has a float cost; use ints or Fractions")
 
-    zero = tuple(Fraction(0) for _ in range(n))
-    # load vector -> per-block choice indices (deterministic: first-found wins,
-    # blocks processed left to right, choices in ascending index order)
-    states: dict[tuple[Fraction, ...], tuple[int, ...]] = {zero: ()}
-    for block in block_cost_vectors:
-        nxt: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-        for load, picks in sorted(states.items(), key=lambda kv: (kv[1], kv[0])):
-            for c, vec in enumerate(block):
-                new_load = tuple(a + Fraction(b) for a, b in zip(load, vec))
-                if new_load not in nxt:
-                    nxt[new_load] = picks + (c,)
-        states = _prune_dominated(nxt)
+    blocks = [[tuple(Fraction(x) for x in vec) for vec in block]
+              for block in block_cost_vectors]
+    scale = math.lcm(*{x.denominator for block in blocks for vec in block for x in vec})
+    pad = (0,) * (3 - n)  # loads of up to three agents get three coordinates
+    # States are kept in lexicographic order of their pick sequences, each
+    # with a parent pointer (choice, parent state's pointer). Expanding them
+    # in that order, choices ascending, keeps the order, so of the candidates
+    # with equal loads the first has the smallest pick sequence.
+    loads: list[tuple[int, ...]] = [(0,) * max(n, 3)]
+    parents: list[Optional[tuple]] = [None]
+    for block in blocks:
+        scaled = [tuple(x.numerator * (scale // x.denominator) for x in vec) + pad
+                  for vec in block]
+        m = len(scaled)
+        if n <= 3:
+            candidates = [(a + x, b + y, c + z) for a, b, c in loads for x, y, z in scaled]
+        else:
+            candidates = [tuple(map(operator.add, load, vec)) for load in loads for vec in scaled]
+        kept = _pareto_minimal(candidates)
+        parents = [(i % m, parents[i // m]) for i in kept]
+        loads = [candidates[i] for i in kept]
 
-    best_load, best_picks = min(
-        states.items(), key=lambda kv: (max(kv[0]), kv[1]))
-    value = max(best_load)
+    # min returns the first of equal keys: the smallest pick sequence
+    best = min(range(len(loads)), key=lambda i: max(loads[i][:n]))
+    picks: list[int] = []
+    node = parents[best]
+    while node is not None:
+        c, node = node
+        picks.append(c)
+    picks.reverse()
     witness = None
     if block_edges is not None:
         ids: list[int] = []
-        for k, c in enumerate(best_picks):
+        for k, c in enumerate(picks):
             ids.extend(block_edges[k][c])
         witness = Solution(ids)
-    return OptimumReport(MIN_MAX, value, witness, choices=best_picks)
+    return OptimumReport(MIN_MAX, Fraction(max(loads[best][:n]), scale), witness,
+                         choices=tuple(picks))
 
 
-def _prune_dominated(states: dict[tuple[Fraction, ...], tuple[int, ...]]):
-    items = sorted(states.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    kept: list[tuple[tuple[Fraction, ...], tuple[int, ...]]] = []
-    for load, picks in items:
-        if any(all(a <= b for a, b in zip(k, load)) for k, _ in kept):
+def _pareto_minimal(loads: list[tuple[int, ...]]) -> list[int]:
+    """Indices, ascending, of the first copy of each Pareto-minimal load.
+
+    A load is dropped when another one, or an earlier equal one, is <= it
+    everywhere. Any such load precedes it in a stable lexicographic sort, so
+    a sweep in that order only asks whether an earlier load dominates. For
+    three coordinates (a, b, c) the earlier loads have a <= the current a,
+    and the sweep keeps the Pareto staircase of their (b, c): b ascending,
+    c strictly descending. The current load is dominated iff the staircase
+    point with the largest b' <= b has c' <= c. More coordinates take a
+    pairwise scan.
+    """
+    order = sorted(range(len(loads)), key=loads.__getitem__)
+    kept: list[int] = []
+    if len(loads[0]) > 3:
+        for i in order:
+            load = loads[i]
+            if not any(all(a <= b for a, b in zip(loads[k], load)) for k in kept):
+                kept.append(i)
+        return sorted(kept)
+    bs: list[int] = []  # staircase, b ascending
+    cs: list[int] = []  # c strictly descending
+    for i in order:
+        _, b, c = loads[i]
+        pos = bisect_right(bs, b)
+        if pos and cs[pos - 1] <= c:
             continue
-        kept.append((load, picks))
-    return dict(kept)
+        kept.append(i)
+        # drop the points (b' >= b, c' >= c) the new one dominates
+        end = pos
+        while end < len(bs) and cs[end] >= c:
+            end += 1
+        start = pos - 1 if pos and bs[pos - 1] == b else pos
+        bs[start:end] = [b]
+        cs[start:end] = [c]
+    return sorted(kept)
 
 
 # -- convenience ------------------------------------------------------------

@@ -19,8 +19,10 @@ from .graphs import Instance, Solution, agent_cost, solution_cost
 from .solvers import NoFeasibleSolutionError, min_sum_optimum, min_sum_value
 
 # Any deterministic allocation rule under audit satisfies this signature and
-# must return a feasible solution for every instance it accepts.
-AllocationAlgorithm = Callable[[Instance], Solution]
+# must return a feasible solution for every instance it accepts. The names
+# are strings: typing caches a subscripted alias, and with the classes in it
+# the cache would keep every discarded import of the package alive.
+AllocationAlgorithm = Callable[["Instance"], "Solution"]
 
 
 class PivotalInfeasibleError(ValueError):

@@ -236,3 +236,31 @@ def test_witnesses_reverify_from_their_own_data():
     if witness is not None:
         a, b, c, d = witness.terms
         assert (a + b > c + d) == witness.reverify()
+
+
+def test_edge_stability_witness_is_the_probe_and_adversary_witness():
+    from minmax_procurement import edge_stability_witness
+    from minmax_procurement.adversary import (
+        MODE_PATH, build_adversary_instance, chain_exact_allocator, run_adversary)
+
+    inst = parallel_instance([1, 1])
+
+    def perverse(i):
+        a, b = i.edge_by_id(0).cost, i.edge_by_id(1).cost
+        return Solution([0]) if a >= b else Solution([1])
+
+    pert, _ = edge_stability_perturbation(inst, perverse(inst), 1, F(1, 2), F(1, 8))
+    perturbed = pert.apply(inst)
+    witness = edge_stability_witness(inst, perturbed, pert, perverse(inst), perverse(perturbed))
+    assert witness == check_edge_stability(perverse, inst, pert)
+    assert witness.terms == (F(1), F(0), F(0), F(1, 2))
+    assert witness.base_costs == ((0, F(1)),) and witness.perturbed_costs == ((0, F(1, 2)),)
+
+    # with two agents the adversary's one step perturbs its starting instance
+    spec = ChainSpec(2, 12)
+    start, indexing = build_adversary_instance(spec, MODE_PATH)
+    alg = chain_exact_allocator(indexing)
+    violation = run_adversary(alg, spec, MODE_PATH).violation
+    pert = Perturbation(violation.agent, dict(violation.perturbed_costs))
+    perturbed = pert.apply(start)
+    assert violation == edge_stability_witness(start, perturbed, pert, alg(start), alg(perturbed))

@@ -1,0 +1,215 @@
+"""The chain DP against the implementation it replaced.
+
+`old_chain_minmax_exact` is the former DP: Fraction load vectors in a dict,
+a pick tuple copied per state, a re-sort of the states by their picks at
+every block, and a quadratic dominance scan. It is kept here only as an
+oracle: `chain_minmax_exact` must return the same value, choices and
+witness on every input.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from minmax_procurement import adversary, chain_minmax_exact, run_adversary
+from minmax_procurement.adversary import ChainSpec, MODE_PATH, build_adversary_instance
+from minmax_procurement.graphs import Solution
+from minmax_procurement.solvers import MIN_MAX, OptimumReport, StructureError
+
+F = Fraction
+
+
+# -- the former implementation -------------------------------------------------
+
+
+def old_chain_minmax_exact(n, block_cost_vectors, block_edges=None):
+    if n < 1:
+        raise StructureError("need at least one agent")
+    if not block_cost_vectors:
+        raise StructureError("need at least one block")
+    for k, block in enumerate(block_cost_vectors):
+        if not block:
+            raise StructureError(f"block {k} offers no choices")
+        for c, vec in enumerate(block):
+            if len(vec) != n:
+                raise StructureError(
+                    f"block {k} choice {c} has {len(vec)} agent costs, expected {n}")
+
+    zero = tuple(Fraction(0) for _ in range(n))
+    # load vector -> per-block choice indices (deterministic: first-found wins,
+    # blocks processed left to right, choices in ascending index order)
+    states = {zero: ()}
+    for block in block_cost_vectors:
+        nxt = {}
+        for load, picks in sorted(states.items(), key=lambda kv: (kv[1], kv[0])):
+            for c, vec in enumerate(block):
+                new_load = tuple(a + Fraction(b) for a, b in zip(load, vec))
+                if new_load not in nxt:
+                    nxt[new_load] = picks + (c,)
+        states = _old_prune_dominated(nxt)
+
+    best_load, best_picks = min(
+        states.items(), key=lambda kv: (max(kv[0]), kv[1]))
+    value = max(best_load)
+    witness = None
+    if block_edges is not None:
+        ids = []
+        for k, c in enumerate(best_picks):
+            ids.extend(block_edges[k][c])
+        witness = Solution(ids)
+    return OptimumReport(MIN_MAX, value, witness, choices=best_picks)
+
+
+def _old_prune_dominated(states):
+    items = sorted(states.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    kept = []
+    for load, picks in items:
+        if any(all(a <= b for a, b in zip(k, load)) for k, _ in kept):
+            continue
+        kept.append((load, picks))
+    return dict(kept)
+
+
+# -- helpers -----------------------------------------------------------------------
+
+
+def assert_same(n, vectors, edges=None):
+    new = chain_minmax_exact(n, vectors, edges)
+    old = old_chain_minmax_exact(n, vectors, edges)
+    assert new == old  # objective, value, witness and choices
+    assert type(new.value) is Fraction
+    return new
+
+
+def random_vectors(rng, n):
+    """Blocks of small rational vectors with zeros, repeats and one-choice blocks."""
+    denominators = rng.choice([(1,), (1, 2), (1, 2, 3, 6), (4, 7)])
+    zero_share = rng.choice([0.0, 0.3, 0.7])
+
+    def cost():
+        if rng.random() < zero_share:
+            return F(0)
+        return F(rng.randint(0, 6), rng.choice(denominators))
+
+    blocks = []
+    for _ in range(rng.randint(1, 9 if n <= 3 else 6)):
+        block = [tuple(cost() for _ in range(n)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:  # a repeated vector
+            block.insert(rng.randrange(len(block) + 1), rng.choice(block))
+        if rng.random() < 0.2:  # mixed int and Fraction entries
+            block = [tuple(int(x) if x.denominator == 1 else x for x in vec) for vec in block]
+        blocks.append(block)
+    return blocks
+
+
+def edge_ids(vectors):
+    ids, next_id = [], 0
+    for block in vectors:
+        ids.append([])
+        for _ in block:
+            ids[-1].append((next_id, next_id + 1))
+            next_id += 2
+    return ids
+
+
+# -- random inputs -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_inputs_match_the_former_dp(n):
+    rng = random.Random(f"chain-dp/{n}")
+    for _ in range(400):
+        vectors = random_vectors(rng, n)
+        assert_same(n, vectors, edge_ids(vectors) if rng.random() < 0.5 else None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_negative_costs_match_the_former_dp(n):
+    # no cost is negative on a graph, but the DP does not refuse them, and
+    # they show whether the padded coordinates leak into the value
+    rng = random.Random(f"chain-dp-negative/{n}")
+    for _ in range(100):
+        vectors = [[tuple(F(rng.randint(-4, 2), rng.choice((1, 3))) for _ in range(n))
+                    for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 6))]
+        assert_same(n, vectors)
+
+
+def test_ties_on_the_max_load_take_the_smallest_picks():
+    # every route gives max load 1; the picks (0, 1) and (1, 0) tie on value
+    vectors = [[(F(1), F(0)), (F(0), F(1))]] * 2
+    report = assert_same(2, vectors)
+    assert report.value == 1 and report.choices == (0, 1)
+    # all-zero costs: every sequence ties, the all-zero picks win
+    report = assert_same(3, [[(0, 0, 0)] * 3] * 4)
+    assert report.value == 0 and report.choices == (0, 0, 0, 0)
+
+
+def test_the_first_pick_sequence_keeps_a_shared_load():
+    # (2, 0) is reached by picks (0, 1) and (1, 0); the first one keeps it
+    vectors = [[(F(1), F(0)), (F(1), F(0))], [(F(5), F(5)), (F(1), F(0))]]
+    report = assert_same(2, vectors)
+    assert report.choices == (0, 1)
+
+
+def test_dominated_and_equal_padded_coordinates():
+    # loads that differ only in the second coordinate, for each n <= 3
+    for n in (1, 2, 3):
+        vectors = [[tuple(F(c + (i == n - 1)) for i in range(n)) for c in range(3)]
+                   for _ in range(3)]
+        assert_same(n, vectors)
+    # a staircase point with the same b and a larger c is replaced
+    assert_same(3, [[(0, 1, 5), (1, 1, 2), (2, 0, 9)], [(0, 0, 0), (3, 1, 0)]])
+
+
+# -- every input the adversary gives the allocator ----------------------------
+
+
+@pytest.fixture
+def differential_allocator(monkeypatch):
+    """Route the adversary's chain-exact allocator through `assert_same`."""
+    calls = []
+
+    def checked(n, vectors, edges=None):
+        calls.append(len(vectors))
+        return assert_same(n, vectors, edges)
+
+    monkeypatch.setattr(adversary, "chain_minmax_exact", checked)
+    return calls
+
+
+def run_chain_exact(agents, blocks, eps=None):
+    spec = ChainSpec(agents, blocks, helper_eps=eps)
+    _, indexing = build_adversary_instance(spec, MODE_PATH)
+    return run_adversary(adversary.chain_exact_allocator(indexing), spec, MODE_PATH)
+
+
+@pytest.mark.parametrize("agents,sizes", [(2, range(1, 82)), (3, range(1, 13))])
+def test_adversary_inputs_match_the_former_dp(differential_allocator, agents, sizes):
+    for blocks in sizes:
+        run_chain_exact(agents, blocks)
+    assert len(differential_allocator) >= 2 * len(sizes)
+
+
+@pytest.mark.parametrize("agents,blocks,eps", [
+    (2, 7, F(1, 3)), (2, 20, F(2, 5)), (2, 33, F(1, 1000)), (3, 6, F(1, 7)),
+    (3, 9, F(3, 10)),
+])
+def test_non_default_eps_matches_the_former_dp(differential_allocator, agents, blocks, eps):
+    run_chain_exact(agents, blocks, eps)
+    assert differential_allocator
+
+
+def test_large_two_agent_run_is_fast():
+    # the former DP scans its states pairwise at every block: minutes here
+    start = time.process_time()
+    report = run_chain_exact(2, 400)
+    assert time.process_time() - start < 3.0
+    assert report.outcome == "monotonicity-violation"
+    assert report.violation.reverify()
+
+
+def test_float_costs_are_refused():
+    with pytest.raises(StructureError, match="float"):
+        chain_minmax_exact(2, [[(F(1), 0.5)]])

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from minmax_procurement import load_instance, minmax_ptas
+from minmax_procurement import cli, load_instance, minmax_ptas
 from minmax_procurement.cli import main
 
 F = Fraction
@@ -223,3 +223,67 @@ def test_reports_carry_no_floats(capsys):
                 walk(v)
 
     walk(doc)
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_reused_parser_gives_the_bytes_of_fresh_parsers(tmp_path, capsys):
+    inst = tmp_path / "chain.json"
+    assert main(["gen", "chain", "--agents", "2", "--blocks", "3", "--out", str(inst)]) == 0
+    calls = [
+        ["solve", "--instance", str(inst)],
+        ["vcg", "--instance", str(inst)],
+        ["ptas", "--instance", str(inst), "--epsilon", "1/4"],
+        ["audit", "monotonicity", "--trials", "5", "--seed", "2"],
+        ["adversary", "run", "--alg", "chain-exact", "--agents", "2", "--blocks", "5"],
+        ["vcg"],  # usage error: --instance is required
+        ["audit", "truthfulness", "--trials", "zero"],  # usage error
+        ["frobnicate"],  # usage error
+        ["solve", "--instance", str(inst), "--objective", "minmax"],
+        ["--help"],
+        ["adversary", "run", "--agents", "2", "--blocks", "4", "--mode", "dmst"],
+    ]
+
+    def outputs(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    reused = outputs(fresh=False)
+    assert cli._parser.cache_info().misses <= 1
+    assert outputs(fresh=True) == reused
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 0]
+    assert all(err.startswith("usage:") for _, _, err in reused[5:8])
+
+
+# -- strict instance files ----------------------------------------------------
+
+
+@pytest.mark.parametrize("field,value", [
+    ("directed", "false"), ("nodes", 2.0), ("agents", True), ("source", "0"),
+])
+def test_coerced_instance_fields_are_usage_errors(tmp_path, capsys, field, value):
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "1", "--out", str(inst)])
+    data = json.loads(inst.read_text())
+    data[field] = value
+    inst.write_text(json.dumps(data))
+    assert main(["solve", "--instance", str(inst)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("tail", 0.9), ("cost", 0.1), ("owner", True)])
+def test_coerced_edge_fields_are_usage_errors(tmp_path, capsys, field, value):
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "1", "--out", str(inst)])
+    data = json.loads(inst.read_text())
+    data["edges"][0][field] = value
+    inst.write_text(json.dumps(data))
+    assert main(["vcg", "--instance", str(inst)]) == 2
+    assert field in capsys.readouterr().err

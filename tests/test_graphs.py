@@ -302,3 +302,48 @@ def test_without_agent_drops_all_owned_edges():
     rest = inst.without_agent(1)
     assert all(e.owner == 2 for e in rest.edges)
     assert rest.agent_count == inst.agent_count
+
+
+# -- no silent coercion -------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_directed_must_be_a_json_bool(value):
+    data = instance_to_dict(parallel_instance([1]))
+    data["directed"] = value
+    with pytest.raises(InstanceFormatError, match="directed"):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["nodes", "agents", "source", "target_or_root", "version"])
+@pytest.mark.parametrize("value", [1.0, 0.9, True, "1"])
+def test_instance_integers_are_not_coerced(field, value):
+    data = instance_to_dict(parallel_instance([1]))
+    data[field] = value
+    with pytest.raises(InstanceFormatError, match=field):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["id", "tail", "head", "owner"])
+@pytest.mark.parametrize("value", [0.9, 1.0, False, "1"])
+def test_edge_integers_are_not_coerced(field, value):
+    data = instance_to_dict(parallel_instance([1, 2]))
+    data["edges"][1][field] = value
+    with pytest.raises(InstanceFormatError, match=f"edge 1 {field}"):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, None, [1, 2]])
+def test_costs_are_ints_or_rational_strings(value):
+    data = instance_to_dict(parallel_instance([1]))
+    data["edges"][0]["cost"] = value
+    with pytest.raises(InstanceFormatError, match="cost"):
+        instance_from_dict(data)
+
+
+def test_int_and_decimal_string_costs_still_load():
+    data = instance_to_dict(parallel_instance([1, 2]))
+    data["edges"][0]["cost"] = 3
+    data["edges"][1]["cost"] = "0.25"
+    inst = instance_from_dict(data)
+    assert [e.cost for e in inst.edges] == [3, F(1, 4)]
