@@ -302,19 +302,20 @@ def _transformation(inst: Instance, agent: int, sol: Solution,
     return Perturbation(agent, new_costs)
 
 
-def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec,
-                  mode: str) -> AdversaryReport:
+def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
+                  built: Optional[tuple[Instance, BlockIndexing]] = None) -> AdversaryReport:
     """Execute the lower-bound argument against `alg`.
 
     Either returns a ratio witness (certified approximation ratio, at least
     n - 4n^3/l under the default helper cost) or a strictly re-verifiable
     weak-monotonicity violation. Requires the all-ones start (base cost 1).
+    `built` is `build_adversary_instance(spec, mode)` when the caller has it.
     """
     if Fraction(spec.base_cost) != 1:
         raise ValueError("the lower-bound argument starts from unit base costs")
     eps = spec.eps_for(mode)
     default_eps = eps == ChainSpec(spec.agents, spec.blocks).eps_for(mode)
-    inst, indexing = build_adversary_instance(spec, mode)
+    inst, indexing = built or build_adversary_instance(spec, mode)
     n, l = spec.agents, spec.blocks
 
     sol = alg(inst)

@@ -56,17 +56,21 @@ class Perturbation:
     agent: int
     new_costs: Mapping[int, Fraction]
 
-    def validate(self, inst: Instance) -> None:
+    def validate(self, inst: Instance) -> dict[int, Fraction]:
+        """The new costs as Fractions, each checked once against `inst`."""
         owned = {e.id for e in inst.agent_edges(self.agent)}
+        costs = {}
         for eid, cost in self.new_costs.items():
             if eid not in owned:
                 raise ValueError(f"edge {eid} is not owned by agent {self.agent}")
-            if Fraction(cost) < 0:
+            cost = cost if type(cost) is Fraction else Fraction(cost)
+            if cost.numerator < 0:
                 raise ValueError(f"perturbed cost of edge {eid} is negative")
+            costs[eid] = cost
+        return costs
 
     def apply(self, inst: Instance) -> Instance:
-        self.validate(inst)
-        return inst.with_costs({eid: Fraction(c) for eid, c in self.new_costs.items()})
+        return inst.with_costs(self.validate(inst))
 
 
 @dataclass(frozen=True)
@@ -245,10 +249,13 @@ def edge_stability_witness(inst: Instance, perturbed: Instance, pert: Perturbati
 
 MAX_NUMERATOR = 20
 MAX_DENOMINATOR = 4
+# every value random_cost can return, keyed by its (numerator, denominator) draw
+_RANDOM_COSTS = {(p, q): Fraction(p, q) for p in range(MAX_NUMERATOR + 1)
+                 for q in range(1, MAX_DENOMINATOR + 1)}
 
 
 def random_cost(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(0, MAX_NUMERATOR), rng.randint(1, MAX_DENOMINATOR))
+    return _RANDOM_COSTS[rng.randint(0, MAX_NUMERATOR), rng.randint(1, MAX_DENOMINATOR)]
 
 
 def random_path_instance(rng: random.Random, max_nodes: int = 8,

@@ -227,14 +227,16 @@ def cmd_audit(args) -> int:
 
 
 def cmd_adversary(args) -> int:
+    if args.alg == "chain-exact" and args.mode != "path":
+        raise UsageError("chain-exact allocates routes of the path chain; use --mode path")
     try:
         spec = adv.ChainSpec(args.agents, args.blocks, helper_eps=args.eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     mode = adv.MODE_PATH if args.mode == "path" else adv.MODE_DMST
-    _, indexing = adv.build_adversary_instance(spec, mode)
-    alg = _resolve_algorithm(args.alg, indexing)
-    report = adv.run_adversary(alg, spec, mode)
+    built = adv.build_adversary_instance(spec, mode)
+    alg = _resolve_algorithm(args.alg, built[1])
+    report = adv.run_adversary(alg, spec, mode, built)
     doc = {
         "command": "adversary",
         "config": {"alg": args.alg, "agents": args.agents,

@@ -30,9 +30,9 @@ class InstanceFormatError(ValueError):
 
 
 def as_cost(value) -> Fraction:
-    """Coerce ints/strings like "3" or "1/2" to a nonnegative Fraction."""
-    cost = Fraction(value)
-    if cost < 0:
+    """Coerce ints/strings like "3" or "1/2" to a nonnegative Fraction (kept as is)."""
+    cost = value if type(value) is Fraction else Fraction(value)
+    if cost.numerator < 0:
         raise ValueError(f"edge cost must be nonnegative, got {cost}")
     return cost
 
@@ -56,6 +56,9 @@ class Instance:
     `mode` selects the feasible set: simple paths from `source` to
     `target_or_root` (PATH), or spanning arborescences rooted at
     `target_or_root` (ARBORESCENCE; `source` conventionally equals the root).
+
+    Derived copies (`with_costs`, `without_agent`, `without_edges`) skip the
+    constructor's per-edge checks, which their parent passed, and start without caches.
     """
 
     directed: bool
@@ -114,26 +117,27 @@ class Instance:
 
     def with_costs(self, new_costs: Mapping[int, Fraction]) -> "Instance":
         """Copy with the given edge costs replaced (same topology and ids)."""
-        edges = []
-        for e in self.edges:
-            if e.id in new_costs:
-                edges.append(Edge(e.id, e.tail, e.head, e.owner, as_cost(new_costs[e.id])))
-            else:
-                edges.append(e)
-        return Instance(self.directed, self.node_count, tuple(edges),
-                        self.agent_count, self.mode, self.source, self.target_or_root)
+        return self._derive(tuple(
+            Edge(e.id, e.tail, e.head, e.owner, as_cost(new_costs[e.id]))
+            if e.id in new_costs else e
+            for e in self.edges))
 
     def without_agent(self, agent: int) -> "Instance":
         """Copy with all of `agent`'s edges deleted (agent ids unchanged)."""
-        edges = tuple(e for e in self.edges if e.owner != agent)
-        return Instance(self.directed, self.node_count, edges,
-                        self.agent_count, self.mode, self.source, self.target_or_root)
+        return self._derive(tuple(e for e in self.edges if e.owner != agent))
 
     def without_edges(self, edge_ids: Iterable[int]) -> "Instance":
         drop = set(edge_ids)
-        edges = tuple(e for e in self.edges if e.id not in drop)
-        return Instance(self.directed, self.node_count, edges,
-                        self.agent_count, self.mode, self.source, self.target_or_root)
+        return self._derive(tuple(e for e in self.edges if e.id not in drop))
+
+    def _derive(self, edges: tuple[Edge, ...]) -> "Instance":
+        """This instance with `edges`, unvalidated and without caches."""
+        copy = object.__new__(Instance)
+        copy.__dict__.update(
+            directed=self.directed, node_count=self.node_count, edges=edges,
+            agent_count=self.agent_count, mode=self.mode, source=self.source,
+            target_or_root=self.target_or_root)
+        return copy
 
 
 @dataclass(frozen=True)
@@ -297,7 +301,10 @@ def _file_cost(edge: dict, where: str) -> Fraction:
     if type(value) is not int and not isinstance(value, str):
         raise InstanceFormatError(
             f"{where}cost must be an integer or a \"p/q\" string, got {value!r}")
-    return as_cost(value)
+    try:
+        return as_cost(value)
+    except ZeroDivisionError:
+        raise InstanceFormatError(f"{where}cost {value!r} has a zero denominator") from None
 
 
 def _file_edge(edge: dict, where: str) -> Edge:

@@ -549,10 +549,12 @@ def _pareto_minimal(loads: list[tuple[int, ...]]) -> list[int]:
 
 
 def min_sum_optimum(inst: Instance) -> OptimumReport:
-    """Dispatch to the mode's exact min-sum solver (SC oracle)."""
-    if inst.mode == PATH:
-        return shortest_path(inst)
-    return min_arborescence(inst)
+    """Dispatch to the mode's exact min-sum solver (SC oracle); memoized on the instance."""
+    report = inst.__dict__.get("_min_sum_cache")
+    if report is None:
+        report = shortest_path(inst) if inst.mode == PATH else min_arborescence(inst)
+        object.__setattr__(inst, "_min_sum_cache", report)
+    return report
 
 
 def min_sum_value(inst: Instance) -> Fraction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graphs import Instance, Solution, agent_cost, solution_cost
+from .graphs import Instance, Solution, agent_cost, cost_summary
 from .solvers import NoFeasibleSolutionError, min_sum_optimum, min_sum_value
 
 # Any deterministic allocation rule under audit satisfies this signature and
@@ -56,18 +56,18 @@ def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
     Agents with no edge in the graph, and more generally agents whose removal
     leaves the optimum unchanged and who have no selected edge, are paid 0.
     """
-    sc = solution_cost(inst, alloc)
+    summary = cost_summary(inst, alloc)
+    owners = {e.owner for e in inst.edges}
     payments = []
     for agent in range(1, inst.agent_count + 1):
-        share = agent_cost(inst, alloc, agent)
-        if not inst.agent_edges(agent):
+        if agent not in owners:
             payments.append(Fraction(0))
             continue
         try:
             sc_without = min_sum_value(inst.without_agent(agent))
         except NoFeasibleSolutionError:
             raise PivotalInfeasibleError(agent) from None
-        payments.append(sc_without - (sc - share))
+        payments.append(sc_without - (summary.sum_cost - summary.per_agent[agent - 1]))
     return tuple(payments)
 
 

@@ -287,3 +287,29 @@ def test_coerced_edge_fields_are_usage_errors(tmp_path, capsys, field, value):
     inst.write_text(json.dumps(data))
     assert main(["vcg", "--instance", str(inst)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_zero_denominator_cost_is_a_usage_error(tmp_path, capsys):
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "1", "--out", str(inst)])
+    data = json.loads(inst.read_text())
+    data["edges"][1]["cost"] = "1/0"
+    inst.write_text(json.dumps(data))
+    assert main(["solve", "--instance", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: edge 1 cost '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("agents, blocks", [(2, 3), (3, 2)])
+def test_chain_exact_on_dmst_is_refused_before_any_work(monkeypatch, capsys, agents, blocks):
+    def no_build(*args):
+        raise AssertionError("the adversary instance was built")
+
+    monkeypatch.setattr(cli.adv, "build_adversary_instance", no_build)
+    code = main(["adversary", "run", "--alg", "chain-exact", "--mode", "dmst",
+                 "--agents", str(agents), "--blocks", str(blocks)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: chain-exact") and "--mode path" in captured.err

@@ -347,3 +347,11 @@ def test_int_and_decimal_string_costs_still_load():
     data["edges"][1]["cost"] = "0.25"
     inst = instance_from_dict(data)
     assert [e.cost for e in inst.edges] == [3, F(1, 4)]
+
+
+@pytest.mark.parametrize("value", ["1/0", "0/0", "-3/0"])
+def test_zero_denominator_cost_names_the_edge(value):
+    data = instance_to_dict(parallel_instance([1, 2]))
+    data["edges"][1]["cost"] = value
+    with pytest.raises(InstanceFormatError, match=f"^edge 1 cost '{value}' has a zero denominator$"):
+        instance_from_dict(data)
