@@ -92,9 +92,6 @@ class ViolationWitness:
             return a < b
         return a + b > c + d
 
-    def is_strict(self) -> bool:
-        return self.reverify()
-
 
 def _monotonicity_terms(inst: Instance, perturbed: Instance, i: int,
                         x: Solution, x_prime: Solution):
@@ -106,8 +103,13 @@ def _monotonicity_terms(inst: Instance, perturbed: Instance, i: int,
     )
 
 
-def _agent_cost_table(inst: Instance, agent: int):
-    return tuple((e.id, e.cost) for e in inst.agent_edges(agent))
+def _witness(kind: str, inst: Instance, perturbed: Instance, agent: int,
+             x: Solution, x_prime: Solution, terms) -> ViolationWitness:
+    """The witness of `kind` for x under `inst` and x' under `perturbed`,
+    with the agent's cost table under each profile."""
+    base, changed = (tuple((e.id, e.cost) for e in profile.agent_edges(agent))
+                     for profile in (inst, perturbed))
+    return ViolationWitness(kind, agent, base, changed, x, x_prime, terms)
 
 
 def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
@@ -123,12 +125,7 @@ def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
     terms = _monotonicity_terms(inst, perturbed, pert.agent, x, x_prime)
     if terms[0] + terms[1] <= terms[2] + terms[3]:
         return None
-    return ViolationWitness(
-        WEAK_MONOTONICITY, pert.agent,
-        _agent_cost_table(inst, pert.agent),
-        _agent_cost_table(perturbed, pert.agent),
-        x, x_prime, terms,
-    )
+    return _witness(WEAK_MONOTONICITY, inst, perturbed, pert.agent, x, x_prime, terms)
 
 
 # string names keep the package's classes out of typing's caches (see vcg)
@@ -147,17 +144,12 @@ def check_truthfulness(mech: Mechanism, inst: Instance, agent: int,
     reported = misreport.apply(inst)
     truthful = mech(inst)
     deviated = mech(reported)
-    u_truth = truthful.payments[agent - 1] - agent_cost(inst, truthful.allocation, agent)
-    u_dev = deviated.payments[agent - 1] - agent_cost(inst, deviated.allocation, agent)
+    u_truth = truthful.utility(inst, agent)
+    u_dev = deviated.utility(inst, agent)
     if u_truth >= u_dev:
         return None
-    return ViolationWitness(
-        TRUTHFULNESS, agent,
-        _agent_cost_table(inst, agent),
-        _agent_cost_table(reported, agent),
-        truthful.allocation, deviated.allocation,
-        (u_truth, u_dev, Fraction(0), Fraction(0)),
-    )
+    return _witness(TRUTHFULNESS, inst, reported, agent, truthful.allocation,
+                    deviated.allocation, (u_truth, u_dev, Fraction(0), Fraction(0)))
 
 
 def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,
@@ -234,14 +226,9 @@ def edge_stability_witness(inst: Instance, perturbed: Instance, pert: Perturbati
     a change certifies a strict violation: the witness carries the agent's
     cost tables under both profiles and the four terms, and re-verifies.
     """
-    agent = pert.agent
-    witness = ViolationWitness(
-        EDGE_STABILITY, agent,
-        _agent_cost_table(inst, agent),
-        _agent_cost_table(perturbed, agent),
-        x, x_prime, _monotonicity_terms(inst, perturbed, agent, x, x_prime),
-    )
-    assert witness.is_strict(), "instability without a strict monotonicity violation"
+    terms = _monotonicity_terms(inst, perturbed, pert.agent, x, x_prime)
+    witness = _witness(EDGE_STABILITY, inst, perturbed, pert.agent, x, x_prime, terms)
+    assert witness.reverify(), "instability without a strict monotonicity violation"
     return witness
 
 

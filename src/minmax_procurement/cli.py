@@ -16,7 +16,6 @@ import functools
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import adversary as adv
@@ -30,7 +29,6 @@ from .graphs import (
     PATH,
     Instance,
     Solution,
-    agent_cost,
     cost_summary,
     dump_instance,
     load_instance,
@@ -100,8 +98,7 @@ def _resolve_algorithm(name: str, indexing=None):
 
 def cmd_gen(args) -> int:
     try:
-        spec = adv.ChainSpec(args.agents, args.blocks, Fraction(args.base),
-                             args.eps)
+        spec = adv.ChainSpec(args.agents, args.blocks, args.base, args.eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.kind == "chain":
@@ -134,25 +131,23 @@ def cmd_solve(args) -> int:
 def cmd_vcg(args) -> int:
     inst = _load(args.instance)
     outcome = vcg_mod.run_vcg(inst)
-    per_agent = []
-    for agent in range(1, inst.agent_count + 1):
-        selected = sorted(
-            eid for eid in outcome.allocation.edge_ids
-            if inst.edge_by_id(eid).owner == agent)
-        cost = agent_cost(inst, outcome.allocation, agent)
-        payment = outcome.payments[agent - 1]
-        per_agent.append({
-            "agent": agent,
-            "selected_edge_ids": selected,
-            "cost": cost,
-            "payment": payment,
-            "utility": payment - cost,
-        })
+    summary = cost_summary(inst, outcome.allocation)
+    selected = [[] for _ in range(inst.agent_count)]
+    for eid in outcome.allocation.sorted_ids():
+        selected[inst.edge_by_id(eid).owner - 1].append(eid)
+    per_agent = [{
+        "agent": agent,
+        "selected_edge_ids": ids,
+        "cost": cost,
+        "payment": payment,
+        "utility": payment - cost,
+    } for agent, (ids, cost, payment)
+        in enumerate(zip(selected, summary.per_agent, outcome.payments), 1)]
     _emit({
         "command": "vcg",
         "config": {"instance": args.instance},
         "allocation": outcome.allocation,
-        "max_agent_cost": cost_summary(inst, outcome.allocation).max_cost,
+        "max_agent_cost": summary.max_cost,
         "agents": per_agent,
         "tie_break": "deterministic smallest-edge-id preference",
     }, args.out)
@@ -205,18 +200,14 @@ def _audit_one(kind: str, seed: int, index: int):
 def cmd_audit(args) -> int:
     if args.alg != "vcg":
         raise UsageError("the audit harness probes the built-in vcg algorithm")
-    indices = range(args.trials)
-    worker = lambda i: _audit_one(args.kind, args.seed, i)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(worker, indices))
-    else:
-        results = [worker(i) for i in indices]
+    if args.trials < 0:
+        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
+    results = [_audit_one(args.kind, args.seed, i) for i in range(args.trials)]
     witnesses = [(i, w) for i, w in enumerate(results) if w is not None]
     _emit({
         "command": "audit",
         "config": {"kind": args.kind, "alg": args.alg, "trials": args.trials,
-                   "seed": args.seed, "jobs": args.jobs},
+                   "seed": args.seed},
         "passes": args.trials - len(witnesses),
         "violations": [
             {"trial": i, "witness": w, "reverified": w.reverify()}
@@ -283,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["chain", "expandedchain", "dmst-chain"])
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--blocks", type=int, required=True)
-    p.add_argument("--base", default="1")
+    p.add_argument("--base", type=_fraction, default="1")
     p.add_argument("--eps", type=_fraction, default=None,
                    help="helper cost (default: the mode's standard choice)")
     p.add_argument("--out", required=True)
@@ -314,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", default="vcg")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_audit)
 

@@ -11,6 +11,7 @@ All costs are `fractions.Fraction`. No floating point enters any comparison.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -35,6 +36,17 @@ def as_cost(value) -> Fraction:
     if cost.numerator < 0:
         raise ValueError(f"edge cost must be nonnegative, got {cost}")
     return cost
+
+
+def scale_to_integers(values: Iterable[int | Fraction]) -> tuple[int, list[int]]:
+    """The values' common denominator L and each value times L, in order.
+
+    Reads `values` once, so a generator will do. Exact solvers compare only
+    these integers and turn a result x back into a rational with Fraction(x, L).
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*{q for _, q in ratios})
+    return scale, [p * (scale // q) for p, q in ratios]
 
 
 @dataclass(frozen=True)
@@ -184,7 +196,7 @@ def cost_summary(inst: Instance, sol: Solution) -> CostSummary:
 
 def solution_cost(inst: Instance, sol: Solution) -> Fraction:
     """Total (min-sum) cost of a solution."""
-    return sum((inst.edge_by_id(i).cost for i in sol.edge_ids), Fraction(0))
+    return cost_summary(inst, sol).sum_cost
 
 
 # -- feasibility ------------------------------------------------------------

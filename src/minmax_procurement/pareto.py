@@ -27,10 +27,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import add
 from typing import Optional
 
-from .graphs import Instance, PATH, Solution, cost_summary
+from .graphs import Instance, PATH, Solution, cost_summary, scale_to_integers
 from .solvers import MIN_MAX, NoFeasibleSolutionError, OptimumReport, shortest_path
 
 
@@ -59,10 +60,6 @@ class ParetoLabel:
     bucket_index: tuple[int, ...]  # objectives 1..n-1
     vector: tuple[Fraction, ...]  # exact costs under the modified weights
     predecessor: Optional[tuple["ParetoLabel", int]]  # (label, edge id)
-
-    @property
-    def best_last_cost(self) -> Fraction:
-        return self.vector[-1]
 
     def edge_ids(self) -> list[int]:
         ids: list[int] = []
@@ -209,10 +206,10 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
     epsilon = Fraction(epsilon)
     n = inst.agent_count
     s, t = inst.source, inst.target_or_root
-    scale = math.lcm(*{w.denominator for vec in weights.values() for w in vec})
-    scaled = {eid: tuple(w.numerator * (scale // w.denominator) for w in vec)
-              for eid, vec in weights.items()}
-    least = min((w for vec in scaled.values() for w in vec if w > 0), default=scale)
+    scale, flat = scale_to_integers(w for vec in weights.values() for w in vec)
+    least = min((w for w in flat if w > 0), default=scale)
+    values = iter(flat)
+    scaled = {eid: tuple(islice(values, len(vec))) for eid, vec in weights.items()}
     # few distinct values recur across many relaxations: remember each one's cell
     index = functools.cache(_Bucketizer(_bucket_base(epsilon, inst.node_count), least).index)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]

@@ -32,12 +32,11 @@ arborescence contraction); same instance bytes always give the same witness.
 from __future__ import annotations
 
 import heapq
-import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Optional, Sequence
 
 from .graphs import (
@@ -48,6 +47,7 @@ from .graphs import (
     Instance,
     Solution,
     cost_summary,
+    scale_to_integers,
     solution_cost,
     validate_solution,
 )
@@ -82,13 +82,8 @@ class OptimumReport:
 
 
 def _scaled_costs(inst: Instance) -> tuple[int, list[int]]:
-    """The costs' common denominator L and each edge's cost times L.
-
-    The list follows `inst.edges`. A solve compares only these integers and
-    turns a result x back into a rational with Fraction(x, L).
-    """
-    scale = math.lcm(*{e.cost.denominator for e in inst.edges})
-    return scale, [e.cost.numerator * (scale // e.cost.denominator) for e in inst.edges]
+    """The costs' common denominator L and each edge's cost times L, in edge order."""
+    return scale_to_integers(e.cost for e in inst.edges)
 
 
 def _adjacency(inst: Instance, reverse: bool = False) -> list[list[tuple[int, int]]]:
@@ -340,29 +335,34 @@ def _edmonds(node_count: int, root: int, edges: list[tuple[int, int, int, int]])
 
 
 def _enumerate_paths(inst: Instance):
-    """Yield edge-id tuples of all simple source-target paths."""
-    adj = _adjacency(inst)
+    """Yield edge-id tuples of all simple source-target paths, depth first.
+
+    The search keeps an explicit stack, so no path length reaches a
+    recursion limit.
+    """
     s, t = inst.source, inst.target_or_root
-    path: list[int] = []
-    visited = {s}
-
-    def rec(u):
-        if u == t:
-            yield tuple(path)
-            return
-        for v, i in adj[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            path.append(inst.edges[i].id)
-            yield from rec(v)
-            path.pop()
-            visited.remove(v)
-
     if s == t:
         yield ()
-    else:
-        yield from rec(s)
+        return
+    adj = _adjacency(inst)
+    path: list[int] = []  # edge ids from s to the node on top of the stack
+    visited = {s}
+    stack = [(s, iter(adj[s]))]  # nodes of the path, each with its unexplored edges
+    while stack:
+        u, todo = stack[-1]
+        for v, i in todo:
+            if v == t:
+                yield (*path, inst.edges[i].id)
+            elif v not in visited:
+                visited.add(v)
+                path.append(inst.edges[i].id)
+                stack.append((v, iter(adj[v])))
+                break
+        else:
+            stack.pop()
+            visited.remove(u)
+            if path:
+                path.pop()
 
 
 def _enumerate_arborescences(inst: Instance):
@@ -438,9 +438,10 @@ def chain_minmax_exact(
     """Exact min-max over per-block path choices (makespan-style DP).
 
     `block_cost_vectors[k][c][i]` is the cost agent i+1 pays when choice `c`
-    is taken in block k, an int or a Fraction (floats are refused). Dominated
-    load vectors are pruned, so the state count stays small on the chain
-    families; still exponential in n in the worst case (intended for n <= 3).
+    is taken in block k, an int or a Fraction; any other entry raises
+    StructureError. Dominated load vectors are pruned, so the state count
+    stays small on the chain families; still exponential in n in the worst
+    case (intended for n <= 3).
     The costs are scaled once to integers over their common denominator.
     With S states, a block costs O(S log S) for n <= 3 (a sort and a
     staircase sweep) and O(S^2) for n >= 4 (a pairwise scan).
@@ -463,14 +464,16 @@ def chain_minmax_exact(
             if len(vec) != n:
                 raise StructureError(
                     f"block {k} choice {c} has {len(vec)} agent costs, expected {n}")
-            if any(isinstance(x, float) for x in vec):
-                raise StructureError(
-                    f"block {k} choice {c} has a float cost; use ints or Fractions")
+            for x in vec:
+                if not isinstance(x, (int, Fraction)):
+                    raise StructureError(f"block {k} choice {c} has a cost {x!r} of "
+                                         f"type {type(x).__name__}; use ints or Fractions")
 
-    blocks = [[tuple(Fraction(x) for x in vec) for vec in block]
-              for block in block_cost_vectors]
-    scale = math.lcm(*{x.denominator for block in blocks for vec in block for x in vec})
+    scale, scaled = scale_to_integers(
+        x for block in block_cost_vectors for vec in block for x in vec)
+    costs = iter(scaled)
     pad = (0,) * (3 - n)  # loads of up to three agents get three coordinates
+    blocks = [[tuple(islice(costs, n)) + pad for _ in block] for block in block_cost_vectors]
     # States are kept in lexicographic order of their pick sequences, each
     # with a parent pointer (choice, parent state's pointer). Expanding them
     # in that order, choices ascending, keeps the order, so of the candidates
@@ -478,13 +481,11 @@ def chain_minmax_exact(
     loads: list[tuple[int, ...]] = [(0,) * max(n, 3)]
     parents: list[Optional[tuple]] = [None]
     for block in blocks:
-        scaled = [tuple(x.numerator * (scale // x.denominator) for x in vec) + pad
-                  for vec in block]
-        m = len(scaled)
+        m = len(block)
         if n <= 3:
-            candidates = [(a + x, b + y, c + z) for a, b, c in loads for x, y, z in scaled]
+            candidates = [(a + x, b + y, c + z) for a, b, c in loads for x, y, z in block]
         else:
-            candidates = [tuple(map(operator.add, load, vec)) for load in loads for vec in scaled]
+            candidates = [tuple(map(operator.add, load, vec)) for load in loads for vec in block]
         kept = _pareto_minimal(candidates)
         parents = [(i % m, parents[i // m]) for i in kept]
         loads = [candidates[i] for i in kept]

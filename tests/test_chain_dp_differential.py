@@ -213,3 +213,9 @@ def test_large_two_agent_run_is_fast():
 def test_float_costs_are_refused():
     with pytest.raises(StructureError, match="float"):
         chain_minmax_exact(2, [[(F(1), 0.5)]])
+
+
+@pytest.mark.parametrize("entry", ["1/2", 0.5])
+def test_costs_other_than_ints_and_fractions_are_refused(entry):
+    with pytest.raises(StructureError, match=type(entry).__name__):
+        chain_minmax_exact(2, [[(F(1), entry)]])

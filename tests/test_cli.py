@@ -51,6 +51,25 @@ def test_gen_invalid_spec_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_gen_zero_denominator_base_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = main(["gen", "chain", "--agents", "2", "--blocks", "3", "--base", "1/0",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not a rational" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gen_base_is_read_as_a_rational(tmp_path):
+    from minmax_procurement import ChainSpec, dump_instance, gen_chain
+    cli_out, lib_out = tmp_path / "cli.json", tmp_path / "lib.json"
+    assert main(["gen", "chain", "--agents", "2", "--blocks", "3", "--base", "3/2",
+                 "--out", str(cli_out)]) == 0
+    dump_instance(gen_chain(ChainSpec(2, 3, F(3, 2))), lib_out)
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
 # -- solve --------------------------------------------------------------------
 
 
@@ -75,6 +94,17 @@ def test_solve_minmax(tmp_path, capsys):
 def test_solve_missing_file_is_usage_error(capsys):
     code = main(["solve", "--instance", "/nonexistent.json"])
     assert code == 2
+
+
+def test_solve_minmax_on_a_1500_node_path(tmp_path, capsys):
+    from minmax_procurement import Edge, Instance, PATH, dump_instance
+    path = tmp_path / "long.json"
+    edges = tuple(Edge(i, i, i + 1, 1, F(1)) for i in range(1499))
+    dump_instance(Instance(False, 1500, edges, 1, PATH, 0, 1499), path)
+    code, doc = run(capsys, "solve", "--instance", str(path), "--objective", "minmax",
+                    "--limit", "1500")
+    assert code == 0
+    assert doc["value"] == "1499" and doc["witness"] == list(range(1499))
 
 
 # -- vcg ----------------------------------------------------------------------
@@ -160,11 +190,28 @@ def test_audit_monotonicity(capsys):
     assert doc["passes"] == 40 and doc["violations"] == []
 
 
-def test_audit_truthfulness_parallel_jobs(capsys):
+def test_audit_truthfulness(capsys):
     code, doc = run(capsys, "audit", "truthfulness", "--alg", "vcg",
-                    "--trials", "40", "--seed", "7", "--jobs", "4")
+                    "--trials", "40", "--seed", "7")
     assert code == 0
     assert doc["passes"] == 40
+
+
+def test_audit_jobs_is_a_usage_error(capsys):
+    assert main(["audit", "truthfulness", "--trials", "4", "--jobs", "4"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_audit_config_echoes_exactly_kind_alg_trials_and_seed(capsys):
+    _, doc = run(capsys, "audit", "monotonicity", "--trials", "3", "--seed", "5")
+    assert doc["config"] == {"alg": "vcg", "kind": "monotonicity", "seed": 5, "trials": 3}
+
+
+def test_audit_negative_trials_is_a_usage_error(capsys):
+    assert main(["audit", "truthfulness", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials" in captured.err and "Traceback" not in captured.err
 
 
 def test_audit_is_seed_reproducible(capsys):

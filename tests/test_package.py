@@ -1,10 +1,12 @@
 """The package's public surface."""
 
+import ast
 import gc
 import importlib
 import sys
 import types
 import weakref
+from pathlib import Path
 
 import minmax_procurement
 
@@ -51,3 +53,56 @@ def test_discarded_imports_of_the_package_are_collected():
     gc.collect()
     alive = [r() for r in refs if r() is not None]
     assert alive == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_sibling_uses(source: str, siblings: set[str]) -> list[str]:
+    """`_`-prefixed names that `source` imports from, or reads through an
+    alias of, a module of the package."""
+    tree = ast.parse(source)
+    aliases = set()  # local names bound to modules of the package
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("minmax_procurement"):
+                continue
+            from_package = module in ("", "minmax_procurement")
+            for alias in node.names:
+                if from_package and alias.name in siblings:
+                    aliases.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("minmax_procurement.") and alias.asname:
+                    aliases.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_a_private_name_of_a_sibling():
+    files = sorted(Path(minmax_procurement.__file__).parent.glob("*.py"))
+    siblings = {f.stem for f in files}
+    found = {f.name: uses for f in files
+             if (uses := _private_sibling_uses(f.read_text(), siblings))}
+    assert found == {}
+
+
+def test_the_private_name_check_sees_both_forms():
+    siblings = {"solvers", "graphs"}
+    assert _private_sibling_uses("from .solvers import _scaled_costs", siblings)
+    assert _private_sibling_uses(
+        "from minmax_procurement.graphs import _file_cost", siblings)
+    assert _private_sibling_uses("from . import solvers as s\ns._adjacency(x)", siblings)
+    assert _private_sibling_uses(
+        "import minmax_procurement.solvers as s\ns._adjacency(x)", siblings)
+    assert not _private_sibling_uses(
+        "from .graphs import scale_to_integers\nfrom . import solvers\n"
+        "solvers.min_sum_value(x)\nsolvers.__name__", siblings)

@@ -161,6 +161,58 @@ def test_brute_budget_guard():
     assert brute_minmax(inst, limit=16).value == 8
 
 
+def _recursive_paths(inst):
+    """The former recursive path enumerator, kept as the yield-order oracle."""
+    adj = [[] for _ in range(inst.node_count)]
+    for e in inst.edges:
+        adj[e.tail].append((e.head, e.id))
+        if not inst.directed:
+            adj[e.head].append((e.tail, e.id))
+    s, t = inst.source, inst.target_or_root
+    path, visited = [], {s}
+
+    def rec(u):
+        if u == t:
+            yield tuple(path)
+            return
+        for v, eid in adj[u]:
+            if v in visited:
+                continue
+            visited.add(v)
+            path.append(eid)
+            yield from rec(v)
+            path.pop()
+            visited.remove(v)
+
+    if s == t:
+        yield ()
+    else:
+        yield from rec(s)
+
+
+def test_path_enumeration_order_matches_the_former_recursion():
+    rng = random.Random(11)
+    for _ in range(60):
+        inst = random_path_instance(rng)
+        directed = Instance(True, inst.node_count, inst.edges, inst.agent_count,
+                            PATH, inst.source, inst.target_or_root)
+        loop = Instance(False, inst.node_count, inst.edges, inst.agent_count,
+                        PATH, inst.source, inst.source)
+        for probe in (inst, directed, loop):
+            assert list(_enumerate_paths(probe)) == list(_recursive_paths(probe))
+
+
+def long_single_path(nodes=1500):
+    edges = tuple(Edge(i, i, i + 1, 1, F(1)) for i in range(nodes - 1))
+    return Instance(False, nodes, edges, 1, PATH, 0, nodes - 1)
+
+
+def test_brute_minmax_on_a_1500_node_path_reaches_no_recursion_limit():
+    report = brute_minmax(long_single_path(), limit=1500)
+    assert report.value == 1499
+    assert report.witness.sorted_ids() == tuple(range(1499))
+
+
 def test_brute_minsum_agrees_with_polynomial_solvers():
     for seed in range(30):
         rng = random.Random(seed)
