@@ -17,7 +17,7 @@ converted into an exactly re-verifiable weak-monotonicity violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -27,6 +27,7 @@ from .graphs import (
     Edge,
     Instance,
     Solution,
+    as_rational,
     cost_summary,
     validate_solution,
 )
@@ -56,15 +57,17 @@ class ChainSpec:
             raise ValueError("the constructions need at least two agents")
         if self.blocks < 1:
             raise ValueError("need at least one block")
-        if Fraction(self.base_cost) <= 0:
+        object.__setattr__(self, "base_cost", as_rational(self.base_cost))
+        if self.base_cost <= 0:
             raise ValueError("base cost must be positive")
-        if self.helper_eps is not None and not (
-                0 < Fraction(self.helper_eps) < Fraction(self.base_cost)):
-            raise ValueError("helper cost must lie strictly between 0 and the base cost")
+        if self.helper_eps is not None:
+            object.__setattr__(self, "helper_eps", as_rational(self.helper_eps))
+            if not 0 < self.helper_eps < self.base_cost:
+                raise ValueError("helper cost must lie strictly between 0 and the base cost")
 
     def eps_for(self, mode: str) -> Fraction:
         if self.helper_eps is not None:
-            return Fraction(self.helper_eps)
+            return self.helper_eps
         if mode == MODE_PATH:
             return Fraction(1, 2 * self.blocks)
         if mode == MODE_DMST:
@@ -91,15 +94,11 @@ class BlockIndexing:
     def route(self, block: int, agent: int) -> BlockPath:
         return self.blocks[block][agent - 1]
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
 
 def gen_chain(spec: ChainSpec) -> Instance:
     """Plain chain: l+1 nodes, n parallel edges per block, path mode."""
     n, l = spec.agents, spec.blocks
-    base = Fraction(spec.base_cost)
+    base = spec.base_cost
     edges = []
     eid = 0
     for k in range(l):
@@ -163,7 +162,7 @@ def gen_dmst_chain(spec: ChainSpec) -> tuple[Instance, BlockIndexing]:
     paired opposite edge of cost eps with the same owner.
     """
     n, l = spec.agents, spec.blocks
-    base = Fraction(spec.base_cost)
+    base = spec.base_cost
     eps = spec.eps_for(MODE_DMST)
     edges: list[Edge] = []
     blocks: list[tuple[BlockPath, ...]] = []
@@ -268,8 +267,7 @@ class AdversaryReport:
         return "ratio" if self.ratio is not None else "monotonicity-violation"
 
 
-def _selected_routes(inst: Instance, indexing: BlockIndexing,
-                     sol: Solution) -> list[list[BlockPath]]:
+def _selected_routes(indexing: BlockIndexing, sol: Solution) -> list[list[BlockPath]]:
     """Per block, the routes all of whose rightward edges are selected."""
     per_block = []
     for routes in indexing.blocks:
@@ -279,15 +277,6 @@ def _selected_routes(inst: Instance, indexing: BlockIndexing,
                 "allocation selects no complete route in some block")
         per_block.append(chosen)
     return per_block
-
-
-def _count_selections(inst: Instance, indexing: BlockIndexing,
-                      sol: Solution) -> list[int]:
-    counts = [0] * inst.agent_count
-    for chosen in _selected_routes(inst, indexing, sol):
-        for route in chosen:
-            counts[route.agent - 1] += 1
-    return counts
 
 
 def _transformation(inst: Instance, agent: int, sol: Solution,
@@ -311,7 +300,7 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
     weak-monotonicity violation. Requires the all-ones start (base cost 1).
     `built` is `build_adversary_instance(spec, mode)` when the caller has it.
     """
-    if Fraction(spec.base_cost) != 1:
+    if spec.base_cost != 1:
         raise ValueError("the lower-bound argument starts from unit base costs")
     eps = spec.eps_for(mode)
     default_eps = eps == ChainSpec(spec.agents, spec.blocks).eps_for(mode)
@@ -321,13 +310,15 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
     sol = alg(inst)
     if not validate_solution(inst, sol):
         raise InfeasibleAllocationError("initial allocation is infeasible")
-    counts = _count_selections(inst, indexing, sol)
+    initial_routes = _selected_routes(indexing, sol)
+    counts = [0] * n
+    for chosen in initial_routes:
+        for route in chosen:
+            counts[route.agent - 1] += 1
     heavy = max(range(1, n + 1), key=lambda a: (counts[a - 1], -a))
     assert counts[heavy - 1] * n >= l, "pigeonhole bound violated"
-    heavy_blocks = [
-        k for k, chosen in enumerate(_selected_routes(inst, indexing, sol))
-        if any(r.agent == heavy for r in chosen)
-    ]
+    heavy_blocks = [k for k, chosen in enumerate(initial_routes)
+                    if any(r.agent == heavy for r in chosen)]
 
     if mode == MODE_PATH:
         order = [a for a in range(1, n + 1) if a != heavy]
@@ -360,7 +351,7 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
     alg_cost = cost_summary(cur_inst, cur_sol).max_cost
     assert alg_cost >= counts[heavy - 1]
     ub_sol, ub_value = opt_upper_bound(
-        cur_inst, indexing, mode, heavy, heavy_blocks, sol, eps,
+        cur_inst, indexing, mode, heavy, heavy_blocks, initial_routes, eps,
         default_eps=default_eps)
     ratio = alg_cost / ub_value
     guaranteed_bound = None
@@ -391,21 +382,23 @@ def _dmst_stable(indexing: BlockIndexing, heavy: int, heavy_blocks: list[int],
 
 
 def opt_upper_bound(inst: Instance, indexing: BlockIndexing, mode: str,
-                    heavy: int, heavy_blocks: list[int], initial_sol: Solution,
+                    heavy: int, heavy_blocks: list[int],
+                    initial_routes: list[list[BlockPath]],
                     eps: Fraction, default_eps: bool) -> tuple[Solution, Fraction]:
     """Explicit cheap solution under the final costs t*.
 
     The heavy agent's blocks are redistributed round-robin over all agents;
-    every other block keeps a route whose cost collapsed to helper scale.
+    every other block keeps a route of `initial_routes` (the initial
+    allocation's, per block) not owned by the heavy agent, whose cost
+    collapsed to helper scale.
     Returns the solution and its exact max agent cost, checked against the
     closed-form bound ceil(l1/n)(1+eps) + 2*eps*l (path) respectively
     + 4*eps*n*l (directed), and against l1/n + 4 under the default eps.
     """
     n = inst.agent_count
-    l = indexing.block_count
+    l = len(indexing.blocks)
     l1 = len(heavy_blocks)
     heavy_set = set(heavy_blocks)
-    initial_routes = _selected_routes(inst, indexing, initial_sol)
 
     ids: list[int] = []
     rr = 0

@@ -30,6 +30,7 @@ from .graphs import (
     Instance,
     Solution,
     agent_cost,
+    as_rational,
     validate_solution,
 )
 from .vcg import AllocationAlgorithm, MechanismOutcome
@@ -63,7 +64,7 @@ class Perturbation:
         for eid, cost in self.new_costs.items():
             if eid not in owned:
                 raise ValueError(f"edge {eid} is not owned by agent {self.agent}")
-            cost = cost if type(cost) is Fraction else Fraction(cost)
+            cost = as_rational(cost)
             if cost.numerator < 0:
                 raise ValueError(f"perturbed cost of edge {eid} is negative")
             costs[eid] = cost
@@ -153,37 +154,28 @@ def check_truthfulness(mech: Mechanism, inst: Instance, agent: int,
 
 
 def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,
-                        shrink: Fraction, bump: Fraction) -> tuple[Perturbation, bool]:
+                                shrink: Fraction, bump: Fraction) -> Perturbation:
     """Scale the agent's selected edges by `shrink`, raise the rest by `bump`.
 
-    Returns (perturbation, strict). `strict` is False when a selected edge
-    already costs 0, in which case its cost cannot strictly decrease and the
-    perturbation must not be used to claim an edge-stability witness.
+    A selected edge that already costs 0 stays at 0, so the perturbation is
+    then not strict; `is_strict_edge_stability` says whether it may be used
+    to claim an edge-stability witness.
     """
-    shrink = Fraction(shrink)
-    bump = Fraction(bump)
+    shrink = as_rational(shrink)
+    bump = as_rational(bump)
     if not (0 < shrink < 1):
         raise ValueError("shrink must lie strictly between 0 and 1")
     if bump <= 0:
         raise ValueError("bump must be positive")
-    new_costs = {}
-    strict = True
-    for e in inst.agent_edges(agent):
-        if e.id in alloc.edge_ids:
-            if e.cost == 0:
-                strict = False
-                new_costs[e.id] = Fraction(0)
-            else:
-                new_costs[e.id] = e.cost * shrink
-        else:
-            new_costs[e.id] = e.cost + bump
-    return Perturbation(agent, new_costs), strict
+    return Perturbation(agent, {
+        e.id: e.cost * shrink if e.id in alloc.edge_ids else e.cost + bump
+        for e in inst.agent_edges(agent)})
 
 
 def is_strict_edge_stability(inst: Instance, alloc: Solution, pert: Perturbation) -> bool:
     """True iff selected costs strictly drop and unselected strictly rise."""
     for e in inst.agent_edges(pert.agent):
-        new = Fraction(pert.new_costs.get(e.id, e.cost))
+        new = as_rational(pert.new_costs.get(e.id, e.cost))
         if e.id in alloc.edge_ids:
             if not new < e.cost:
                 return False
@@ -257,13 +249,10 @@ def random_path_instance(rng: random.Random, max_nodes: int = 8,
     n = agents if agents is not None else rng.randint(1, 3)
     nodes = rng.randint(3, max_nodes)
     edges: list[Edge] = []
-    eid = 0
 
     def add(u, v, owner=None):
-        nonlocal eid
-        edges.append(Edge(eid, u, v, owner if owner else rng.randint(1, n),
+        edges.append(Edge(len(edges), u, v, owner if owner else rng.randint(1, n),
                           random_cost(rng)))
-        eid += 1
 
     order = list(range(nodes))
     rng.shuffle(order)
@@ -289,13 +278,10 @@ def random_arborescence_instance(rng: random.Random, max_nodes: int = 8,
     nodes = rng.randint(3, max_nodes)
     root = 0
     edges: list[Edge] = []
-    eid = 0
 
     def add(u, v, owner=None):
-        nonlocal eid
-        edges.append(Edge(eid, u, v, owner if owner else rng.randint(1, n),
+        edges.append(Edge(len(edges), u, v, owner if owner else rng.randint(1, n),
                           random_cost(rng)))
-        eid += 1
 
     for v in range(1, nodes):
         u = rng.randint(0, v - 1)
@@ -318,6 +304,5 @@ def random_perturbation(rng: random.Random, inst: Instance, agent: int,
     if alloc is not None and rng.random() < 0.5:
         shrink = Fraction(rng.randint(1, 3), 4)
         bump = Fraction(1, rng.randint(1, 8))
-        pert, _ = edge_stability_perturbation(inst, alloc, agent, shrink, bump)
-        return pert
+        return edge_stability_perturbation(inst, alloc, agent, shrink, bump)
     return Perturbation(agent, {e.id: random_cost(rng) for e in owned})

@@ -29,6 +29,7 @@ from .graphs import (
     PATH,
     Instance,
     Solution,
+    as_rational,
     cost_summary,
     dump_instance,
     load_instance,
@@ -68,9 +69,9 @@ def _emit(report: dict, out: str | None) -> None:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a rational p/q or decimal: {text!r}") from exc
 
 
 def _load(path: str) -> Instance:
@@ -81,16 +82,6 @@ def _load(path: str) -> Instance:
 
 
 ALGORITHMS = ("vcg", "chain-exact")
-
-
-def _resolve_algorithm(name: str, indexing=None):
-    if name == "vcg":
-        return vcg_mod.vcg_allocate
-    if name == "chain-exact":
-        if indexing is None:
-            raise UsageError("chain-exact needs a generated chain instance")
-        return adv.chain_exact_allocator(indexing)
-    raise UsageError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
 
 
 # -- subcommands ------------------------------------------------------------
@@ -198,8 +189,6 @@ def _audit_one(kind: str, seed: int, index: int):
 
 
 def cmd_audit(args) -> int:
-    if args.alg != "vcg":
-        raise UsageError("the audit harness probes the built-in vcg algorithm")
     if args.trials < 0:
         raise UsageError(f"--trials must be nonnegative, got {args.trials}")
     results = [_audit_one(args.kind, args.seed, i) for i in range(args.trials)]
@@ -224,15 +213,14 @@ def cmd_adversary(args) -> int:
         spec = adv.ChainSpec(args.agents, args.blocks, helper_eps=args.eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    mode = adv.MODE_PATH if args.mode == "path" else adv.MODE_DMST
-    built = adv.build_adversary_instance(spec, mode)
-    alg = _resolve_algorithm(args.alg, built[1])
-    report = adv.run_adversary(alg, spec, mode, built)
+    built = adv.build_adversary_instance(spec, args.mode)
+    alg = vcg_mod.vcg_allocate if args.alg == "vcg" else adv.chain_exact_allocator(built[1])
+    report = adv.run_adversary(alg, spec, args.mode, built)
     doc = {
         "command": "adversary",
         "config": {"alg": args.alg, "agents": args.agents,
                    "blocks": args.blocks, "mode": args.mode,
-                   "eps": spec.eps_for(mode)},
+                   "eps": spec.eps_for(args.mode)},
         "outcome": report.outcome,
         "selections_per_agent": list(report.selections_per_agent),
         "heavy_agent": report.heavy_agent,
@@ -256,7 +244,7 @@ def cmd_adversary(args) -> int:
         with open(args.csv, "a") as fh:
             ratio = report.ratio.certified_ratio if report.ratio else ""
             fh.write(f"{args.mode},{args.agents},{args.blocks},"
-                     f"{spec.eps_for(mode)},{report.outcome},{ratio}\n")
+                     f"{spec.eps_for(args.mode)},{report.outcome},{ratio}\n")
     return 0
 
 
@@ -302,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="random truthfulness/monotonicity probes")
     p.add_argument("kind", choices=["monotonicity", "truthfulness"])
-    p.add_argument("--alg", default="vcg")
+    p.add_argument("--alg", choices=["vcg"], default="vcg")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -311,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adversary", help="execute the lower-bound construction")
     adv_sub = p.add_subparsers(dest="subcommand", required=True)
     pr = adv_sub.add_parser("run")
-    pr.add_argument("--alg", default="vcg")
+    pr.add_argument("--alg", choices=ALGORITHMS, default="vcg")
     pr.add_argument("--agents", type=int, required=True)
     pr.add_argument("--blocks", type=int, required=True)
     pr.add_argument("--mode", choices=["path", "dmst"], default="path")

@@ -30,9 +30,23 @@ class InstanceFormatError(ValueError):
     """An instance file or dict does not conform to the on-disk schema."""
 
 
+def as_rational(value) -> Fraction:
+    """`value` as an exact Fraction: a Fraction as it is, anything else through
+    Fraction(), so ints and strings such as "1/2" or "0.25". Floats and bools
+    raise TypeError, and strings in exponent notation ValueError, before
+    Fraction("1e100000000") could build a huge integer."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{type(value).__name__} {value!r} is not an exact rational")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent notation is not accepted: {value!r}")
+    return Fraction(value)
+
+
 def as_cost(value) -> Fraction:
-    """Coerce ints/strings like "3" or "1/2" to a nonnegative Fraction (kept as is)."""
-    cost = value if type(value) is Fraction else Fraction(value)
+    """`as_rational(value)`, refused when negative."""
+    cost = as_rational(value)
     if cost.numerator < 0:
         raise ValueError(f"edge cost must be nonnegative, got {cost}")
     return cost
@@ -56,9 +70,6 @@ class Edge:
     head: int
     owner: int
     cost: Fraction
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.tail, self.head)
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,8 @@ class Instance:
                 raise ValueError(f"edge {e.id} has endpoints outside 0..{self.node_count - 1}")
             if not (1 <= e.owner <= self.agent_count):
                 raise ValueError(f"edge {e.id} owner {e.owner} outside 1..{self.agent_count}")
+            if type(e.cost) not in (int, Fraction):
+                raise TypeError(f"edge {e.id} cost {e.cost!r} is not an int or a Fraction")
             if e.cost < 0:
                 raise ValueError(f"edge {e.id} has negative cost")
         for node in (self.source, self.target_or_root):
@@ -308,7 +321,8 @@ def _integer(record: dict, key: str, where: str = "") -> int:
 
 
 def _file_cost(edge: dict, where: str) -> Fraction:
-    """An edge's cost from an int or a "p/q" string; floats are refused."""
+    """An edge's cost from an int or a "p/q" string; floats and exponent
+    notation are refused."""
     value = edge["cost"]
     if type(value) is not int and not isinstance(value, str):
         raise InstanceFormatError(

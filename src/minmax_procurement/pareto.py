@@ -31,8 +31,8 @@ from itertools import islice
 from operator import add
 from typing import Optional
 
-from .graphs import Instance, PATH, Solution, cost_summary, scale_to_integers
-from .solvers import MIN_MAX, NoFeasibleSolutionError, OptimumReport, shortest_path
+from .graphs import Instance, PATH, Solution, as_rational, cost_summary, scale_to_integers
+from .solvers import MIN_MAX, NoFeasibleSolutionError, OptimumReport, min_sum_optimum
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,13 @@ def preprocess(inst: Instance, epsilon: Fraction):
     When SP = 0 the shortest path is already min-max optimal and the config
     carries the short-circuit flag.
     """
-    epsilon = Fraction(epsilon)
+    if inst.mode != PATH:
+        raise ValueError("the approximation scheme handles path instances only")
+    epsilon = as_rational(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     n = inst.agent_count
-    sp = shortest_path(inst).value
+    sp = min_sum_optimum(inst).value
     if sp == 0:
         config = PtasConfig(epsilon, Fraction(0), Fraction(1), sp, True)
         return inst, encode_objectives(inst), config
@@ -117,8 +119,18 @@ def preprocess(inst: Instance, epsilon: Fraction):
     return pruned, weights, config
 
 
+MIN_EPSILON = Fraction(1, 2**48)
+
+
 def _bucket_base(epsilon: Fraction, node_count: int) -> Fraction:
-    """A rational b > 1 with b^(node_count-1) <= 1 + epsilon, certified exactly."""
+    """A rational b > 1 with b^(node_count-1) <= 1 + epsilon, certified exactly.
+
+    Epsilon below MIN_EPSILON raises ValueError: the float guesses of b and of
+    each cell lose bits as epsilon shrinks, so their exact correction slows
+    without bound (2^-64 ran past 40 s); below ~1e-308 they overflow or divide by zero.
+    """
+    if epsilon < MIN_EPSILON:
+        raise ValueError("epsilon must be at least 2^-48")
     steps = max(node_count - 1, 1)
     approx = (1.0 + float(epsilon)) ** (1.0 / steps)
     base = Fraction(approx).limit_denominator(10**6)
@@ -203,7 +215,7 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
     Pareto-optimal path p there is a returned label y with
     vector(y) <= (1+eps) * vector(p) componentwise, exactly.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = as_rational(epsilon)
     n = inst.agent_count
     s, t = inst.source, inst.target_or_root
     scale, flat = scale_to_integers(w for vec in weights.values() for w in vec)
@@ -293,11 +305,9 @@ def minmax_ptas(inst: Instance, epsilon: Fraction) -> PtasReport:
     Runs the approximate Pareto DP on the floored weights, then re-evaluates
     every candidate under the original costs and returns the best.
     """
-    if inst.mode != PATH:
-        raise ValueError("the approximation scheme handles path instances only")
     pruned, weights, config = preprocess(inst, epsilon)
     if config.short_circuit:
-        witness = shortest_path(inst).witness
+        witness = min_sum_optimum(inst).witness
         return PtasReport(MIN_MAX, cost_summary(inst, witness).max_cost, witness,
                           delta=config.delta, baseline_sp=config.baseline_sp,
                           label_count=None)

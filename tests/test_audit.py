@@ -145,19 +145,19 @@ def test_pay_your_bid_mechanism_is_untruthful():
 def test_edge_stability_perturbation_shapes():
     inst = parallel_instance([1, 1])
     alloc = Solution([0])
-    pert, strict = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
-    assert strict
+    pert = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
+    assert is_strict_edge_stability(inst, alloc, pert)
     assert pert.new_costs == {0: F(1, 2)}
-    pert2, strict2 = edge_stability_perturbation(inst, alloc, 2, F(1, 2), F(1, 8))
-    assert strict2
+    pert2 = edge_stability_perturbation(inst, alloc, 2, F(1, 2), F(1, 8))
+    assert is_strict_edge_stability(inst, alloc, pert2)
     assert pert2.new_costs == {1: F(9, 8)}  # no selected edges: bump only
 
 
 def test_edge_stability_perturbation_on_expanded_chain_agent_two():
     inst, indexing = expand_chain(gen_chain(ChainSpec(2, 1)), F(1, 8))
     alloc = vcg_allocate(inst)
-    pert, strict = edge_stability_perturbation(inst, alloc, 2, F(1, 2), F(1, 8))
-    assert strict
+    pert = edge_stability_perturbation(inst, alloc, 2, F(1, 2), F(1, 8))
+    assert is_strict_edge_stability(inst, alloc, pert)
     selected_helper = next(
         e for e in inst.agent_edges(2) if e.id in alloc.edge_ids)
     unselected_main = next(
@@ -169,8 +169,8 @@ def test_edge_stability_perturbation_on_expanded_chain_agent_two():
 def test_zero_cost_selected_edge_makes_perturbation_non_strict():
     inst = parallel_instance([0, 3])
     alloc = Solution([0])
-    pert, strict = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
-    assert not strict
+    pert = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
+    assert pert.new_costs == {0: F(0)}
     assert not is_strict_edge_stability(inst, alloc, pert)
     with pytest.raises(NonStrictPerturbationError):
         check_edge_stability(vcg_allocate, inst, pert)
@@ -182,8 +182,8 @@ def test_vcg_passes_stability_probes():
         inst = random_path_instance(rng, agents=rng.randint(2, 3))
         agent = rng.randint(1, inst.agent_count)
         alloc = vcg_allocate(inst)
-        pert, strict = edge_stability_perturbation(inst, alloc, agent, F(1, 2), F(1, 8))
-        if not strict:
+        pert = edge_stability_perturbation(inst, alloc, agent, F(1, 2), F(1, 8))
+        if not is_strict_edge_stability(inst, alloc, pert):
             continue
         assert check_edge_stability(vcg_allocate, inst, pert) is None
 
@@ -196,8 +196,8 @@ def test_stability_failure_is_a_strict_monotonicity_violation():
         return Solution([0]) if a >= b else Solution([1])
 
     alloc = perverse(inst)
-    pert, strict = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
-    assert strict
+    pert = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
+    assert is_strict_edge_stability(inst, alloc, pert)
     witness = check_edge_stability(perverse, inst, pert)
     assert witness is not None
     assert witness.reverify()
@@ -249,7 +249,7 @@ def test_edge_stability_witness_is_the_probe_and_adversary_witness():
         a, b = i.edge_by_id(0).cost, i.edge_by_id(1).cost
         return Solution([0]) if a >= b else Solution([1])
 
-    pert, _ = edge_stability_perturbation(inst, perverse(inst), 1, F(1, 2), F(1, 8))
+    pert = edge_stability_perturbation(inst, perverse(inst), 1, F(1, 2), F(1, 8))
     perturbed = pert.apply(inst)
     witness = edge_stability_witness(inst, perturbed, pert, perverse(inst), perverse(perturbed))
     assert witness == check_edge_stability(perverse, inst, pert)

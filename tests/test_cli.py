@@ -360,3 +360,40 @@ def test_chain_exact_on_dmst_is_refused_before_any_work(monkeypatch, capsys, age
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: chain-exact") and "--mode path" in captured.err
+
+
+# -- refused rational inputs ---------------------------------------------------
+
+
+@pytest.mark.parametrize("epsilon", ["1/1" + "0" * 3000, "1e-310", "1/" + str(2**64)])
+def test_ptas_refuses_a_tiny_epsilon(tmp_path, capsys, epsilon):
+    inst = tmp_path / "exp.json"
+    assert main(["gen", "expandedchain", "--agents", "2", "--blocks", "2",
+                 "--out", str(inst)]) == 0
+    assert main(["ptas", "--instance", str(inst), "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "2^-48" in captured.err or "not a rational" in captured.err
+
+
+def test_an_exponent_cost_in_a_file_is_a_usage_error(tmp_path, capsys):
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "1", "--out", str(inst)])
+    data = json.loads(inst.read_text())
+    data["edges"][1]["cost"] = "1e3"
+    inst.write_text(json.dumps(data))
+    assert main(["solve", "--instance", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad instance data: exponent notation is not accepted: '1e3'\n"
+
+
+@pytest.mark.parametrize("option", ["--eps", "--base"])
+def test_gen_refuses_exponent_arguments(tmp_path, capsys, option):
+    out = tmp_path / "x.json"
+    code = main(["gen", "chain", "--agents", "2", "--blocks", "3", option, "1e-3",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "not a rational" in err and "Traceback" not in err
+    assert not out.exists()

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from minmax_procurement import adversary, cli, solvers
+from minmax_procurement import adversary, cli, pareto, solvers
 from minmax_procurement.audit import (
     Perturbation,
     random_arborescence_instance,
@@ -21,6 +21,7 @@ from minmax_procurement.audit import (
     random_perturbation,
 )
 from minmax_procurement.graphs import ARBORESCENCE, PATH, Edge, Instance
+from minmax_procurement.pareto import minmax_ptas
 from minmax_procurement.solvers import NoFeasibleSolutionError, min_sum_optimum
 
 F = Fraction
@@ -140,6 +141,13 @@ def test_perturbation_apply_keeps_its_messages(new_costs, message):
         Perturbation(1, new_costs).apply(two_agents())
 
 
+@pytest.mark.parametrize("cost, error", [(0.3, TypeError), (True, TypeError),
+                                         ("1e3", ValueError)])
+def test_perturbation_apply_refuses_floats_and_exponent_strings(cost, error):
+    with pytest.raises(error):
+        Perturbation(2, {1: cost}).apply(two_agents())
+
+
 def test_perturbation_apply_coerces_each_cost_once():
     perturbed = Perturbation(2, {1: "3/6"}).apply(two_agents())
     assert perturbed.edge_by_id(1).cost == F(1, 2)
@@ -179,3 +187,29 @@ def test_adversary_builds_its_instance_once_per_op(monkeypatch, tmp_path, alg):
                          "--out", str(tmp_path / "adv.json")])
         assert code == 0
     assert len(calls) == 2
+
+
+def test_an_unknown_adversary_algorithm_is_refused_before_the_build(monkeypatch, capsys):
+    calls = counting(monkeypatch, adversary, "build_adversary_instance")
+    code = cli.main(["adversary", "run", "--alg", "typo", "--agents", "2", "--blocks", "4"])
+    assert code == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "invalid choice: 'typo'" in err and "Traceback" not in err
+
+
+def test_ptas_with_a_zero_shortest_path_solves_it_once(monkeypatch):
+    calls = []
+
+    def counted(inst, _original=solvers.shortest_path):
+        calls.append(inst)
+        return _original(inst)
+
+    # wherever a module of the package binds the solver, the count sees it
+    for module in (solvers, pareto):
+        monkeypatch.setattr(module, "shortest_path", counted, raising=False)
+    inst = Instance(False, 3, edges((0, 1, 1, 0), (1, 2, 2, 0), (0, 2, 1, 5)), 2, PATH, 0, 2)
+    report = minmax_ptas(inst, F(1, 4))
+    assert report.label_count is None and report.value == 0
+    assert report.witness.edge_ids == {0, 1}
+    assert len(calls) == 1

@@ -24,6 +24,8 @@ from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen
 from minmax_procurement.graphs import (
     InstanceFormatError,
     MalformedSolutionError,
+    as_cost,
+    as_rational,
     instance_from_dict,
     instance_to_dict,
     solution_cost,
@@ -355,3 +357,68 @@ def test_zero_denominator_cost_names_the_edge(value):
     data["edges"][1]["cost"] = value
     with pytest.raises(InstanceFormatError, match=f"^edge 1 cost '{value}' has a zero denominator$"):
         instance_from_dict(data)
+
+
+# -- one coercion for costs and rational arguments ----------------------------
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, False])
+def test_as_rational_refuses_floats_and_bools(value):
+    with pytest.raises(TypeError, match="is not an exact rational"):
+        as_rational(value)
+
+
+@pytest.mark.parametrize("value", ["1e3", "1E3", "2.5e-1", " 1e1"])
+def test_as_rational_refuses_exponent_notation(value):
+    with pytest.raises(ValueError, match="^exponent notation is not accepted"):
+        as_rational(value)
+
+
+def test_as_rational_keeps_fractions_and_reads_ints_and_strings():
+    half = F(1, 2)
+    assert as_rational(half) is half
+    assert [as_rational(x) for x in (3, "3", "1/2", "0.25")] == [3, 3, half, F(1, 4)]
+    assert type(as_rational(3)) is Fraction
+
+
+@pytest.mark.parametrize("value", [0.1, True])
+def test_as_cost_refuses_floats_and_bools(value):
+    with pytest.raises(TypeError):
+        as_cost(value)
+
+
+@pytest.mark.parametrize("cost", [0.1, 1.0, True])
+def test_constructor_refuses_a_cost_that_is_not_an_int_or_a_fraction(cost):
+    edges = (Edge(0, 0, 1, 1, F(1)), Edge(1, 0, 1, 1, cost))
+    with pytest.raises(TypeError, match=f"^edge 1 cost {cost!r} is not an int or a Fraction$"):
+        Instance(False, 2, edges, 1, PATH, 0, 1)
+
+
+def test_constructor_keeps_int_costs():
+    assert Instance(False, 2, (Edge(0, 0, 1, 1, 2),), 1, PATH, 0, 1).edges[0].cost == 2
+
+
+def test_with_costs_refuses_floats_and_exponent_strings():
+    inst = parallel_instance([1, 2])
+    with pytest.raises(TypeError):
+        inst.with_costs({1: 0.3})
+    with pytest.raises(ValueError, match="exponent"):
+        inst.with_costs({1: "1e3"})
+
+
+@pytest.mark.parametrize("value", ["1e3", "1E-3"])
+def test_exponent_cost_strings_are_format_errors(value):
+    data = instance_to_dict(parallel_instance([1, 2]))
+    data["edges"][1]["cost"] = value
+    with pytest.raises(InstanceFormatError, match="exponent notation"):
+        instance_from_dict(data)
+
+
+def test_chain_spec_coerces_its_costs_once():
+    spec = ChainSpec(2, 3, 2, "1/4")
+    assert type(spec.base_cost) is Fraction and spec.base_cost == 2
+    assert type(spec.helper_eps) is Fraction and spec.eps_for("path") == F(1, 4)
+    with pytest.raises(TypeError):
+        ChainSpec(2, 3, 1.5)
+    with pytest.raises(TypeError):
+        ChainSpec(2, 3, helper_eps=0.25)

@@ -106,3 +106,34 @@ def test_the_private_name_check_sees_both_forms():
     assert not _private_sibling_uses(
         "from .graphs import scale_to_integers\nfrom . import solvers\n"
         "solvers.min_sum_value(x)\nsolvers.__name__", siblings)
+
+
+MIN_SUM_SOLVERS = {"shortest_path", "min_arborescence"}
+
+
+def _min_sum_solver_calls(source: str) -> list[str]:
+    """Calls of a min-sum solver in `source`, by bare name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in MIN_SUM_SOLVERS:
+                found.append(f"line {node.lineno}: calls {name}")
+    return found
+
+
+def test_only_solvers_calls_a_min_sum_solver():
+    # min-sum answers elsewhere come from the memoized min_sum_optimum or
+    # from min_sum_value, so one instance is never solved twice
+    files = sorted(Path(minmax_procurement.__file__).parent.glob("*.py"))
+    found = {f.name: calls for f in files
+             if f.stem != "solvers" and (calls := _min_sum_solver_calls(f.read_text()))}
+    assert found == {}
+
+
+def test_the_min_sum_solver_check_sees_both_forms():
+    assert _min_sum_solver_calls("shortest_path(inst).value")
+    assert _min_sum_solver_calls("solvers.min_arborescence(inst)")
+    assert not _min_sum_solver_calls(
+        "from .solvers import shortest_path\nmin_sum_optimum(inst)\nf(shortest_path)")

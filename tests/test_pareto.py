@@ -227,3 +227,27 @@ def test_smaller_epsilon_never_hurts():
     coarse = minmax_ptas(inst, F(1, 2)).value
     fine = minmax_ptas(inst, F(1, 8)).value
     assert fine <= coarse
+
+
+def test_epsilon_below_the_floor_is_refused_before_any_float_guess():
+    from minmax_procurement.pareto import MIN_EPSILON
+    inst, _ = expand_chain(gen_chain(ChainSpec(2, 1)), F(1, 4))
+    pruned, weights, _ = preprocess(inst, F(1, 4))
+    for tiny in (MIN_EPSILON / 2, F(1, 10**3000)):
+        with pytest.raises(ValueError, match="2\\^-48"):
+            pareto_eps(pruned, weights, tiny)
+    base = _bucket_base(MIN_EPSILON, inst.node_count)
+    assert 1 < base and base ** (inst.node_count - 1) <= 1 + MIN_EPSILON
+
+
+def test_preprocess_refuses_an_arborescence_instance_before_solving_it(monkeypatch):
+    from minmax_procurement import solvers
+    from minmax_procurement.adversary import gen_dmst_chain
+
+    def no_solve(inst):
+        raise AssertionError("the instance was solved")
+
+    monkeypatch.setattr(solvers, "min_arborescence", no_solve)
+    inst, _ = gen_dmst_chain(ChainSpec(2, 1))
+    with pytest.raises(ValueError, match="^the approximation scheme handles path instances only$"):
+        preprocess(inst, F(1, 4))
