@@ -33,8 +33,8 @@ from .graphs import (
 )
 from .audit import (
     InfeasibleAllocationError,
-    Perturbation,
     ViolationWitness,
+    edge_stability_perturbation,
     edge_stability_witness,
     is_strict_edge_stability,
 )
@@ -279,18 +279,6 @@ def _selected_routes(indexing: BlockIndexing, sol: Solution) -> list[list[BlockP
     return per_block
 
 
-def _transformation(inst: Instance, agent: int, sol: Solution,
-                    eps: Fraction) -> Perturbation:
-    """Selected edges of `agent` -> 0; unselected gain eps."""
-    new_costs = {}
-    for e in inst.agent_edges(agent):
-        if e.id in sol.edge_ids:
-            new_costs[e.id] = Fraction(0)
-        else:
-            new_costs[e.id] = e.cost + eps
-    return Perturbation(agent, new_costs)
-
-
 def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
                   built: Optional[tuple[Instance, BlockIndexing]] = None) -> AdversaryReport:
     """Execute the lower-bound argument against `alg`.
@@ -329,7 +317,7 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
     trace: list[AdversaryStep] = []
     cur_inst, cur_sol = inst, sol
     for step, agent in enumerate(order, start=1):
-        pert = _transformation(cur_inst, agent, cur_sol, eps)
+        pert = edge_stability_perturbation(cur_inst, cur_sol, agent, 0, eps)
         assert is_strict_edge_stability(cur_inst, cur_sol, pert), \
             "transformation must be a strict edge-stability perturbation"
         new_inst = pert.apply(cur_inst)

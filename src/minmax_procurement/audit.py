@@ -157,14 +157,15 @@ def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,
                                 shrink: Fraction, bump: Fraction) -> Perturbation:
     """Scale the agent's selected edges by `shrink`, raise the rest by `bump`.
 
-    A selected edge that already costs 0 stays at 0, so the perturbation is
-    then not strict; `is_strict_edge_stability` says whether it may be used
-    to claim an edge-stability witness.
+    `shrink` lies in [0, 1); 0 is the adversary's transformation. A selected
+    edge that already costs 0 stays at 0, so the perturbation is then not
+    strict; `is_strict_edge_stability` says whether it may be used to claim
+    an edge-stability witness.
     """
     shrink = as_rational(shrink)
     bump = as_rational(bump)
-    if not (0 < shrink < 1):
-        raise ValueError("shrink must lie strictly between 0 and 1")
+    if not (0 <= shrink < 1):
+        raise ValueError("shrink must lie in [0, 1)")
     if bump <= 0:
         raise ValueError("bump must be positive")
     return Perturbation(agent, {

@@ -108,7 +108,7 @@ def cmd_solve(args) -> int:
     if args.objective == "minsum":
         report = solvers.min_sum_optimum(inst)
     else:
-        report = solvers.brute_minmax(inst, limit=args.limit)
+        report = solvers.brute_minmax(inst)
     _emit({
         "command": "solve",
         "config": {"instance": args.instance, "objective": args.objective},
@@ -162,7 +162,7 @@ def cmd_ptas(args) -> int:
     }
     status = 0
     if args.check_against_bruteforce:
-        opt = solvers.brute_minmax(inst, limit=args.limit).value
+        opt = solvers.brute_minmax(inst).value
         bound = (1 + args.epsilon) ** 2 * opt
         doc["bruteforce_optimum"] = opt
         doc["bound"] = bound
@@ -240,11 +240,6 @@ def cmd_adversary(args) -> int:
         doc["violation"] = report.violation
         doc["violation_reverified"] = report.violation.reverify()
     _emit(doc, args.out)
-    if args.csv:
-        with open(args.csv, "a") as fh:
-            ratio = report.ratio.certified_ratio if report.ratio else ""
-            fh.write(f"{args.mode},{args.agents},{args.blocks},"
-                     f"{spec.eps_for(args.mode)},{report.outcome},{ratio}\n")
     return 0
 
 
@@ -271,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run an exact solver on an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--objective", choices=["minsum", "minmax"], default="minsum")
-    p.add_argument("--limit", type=int, default=solvers.BRUTE_NODE_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
@@ -284,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--check-against-bruteforce", action="store_true")
-    p.add_argument("--limit", type=int, default=solvers.BRUTE_NODE_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ptas)
 
@@ -304,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--blocks", type=int, required=True)
     pr.add_argument("--mode", choices=["path", "dmst"], default="path")
     pr.add_argument("--eps", type=_fraction, default=None)
-    pr.add_argument("--csv", help="append a summary row to this CSV file")
     pr.add_argument("--out")
     pr.set_defaults(func=cmd_adversary)
 

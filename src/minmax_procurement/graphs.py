@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -32,12 +33,12 @@ class InstanceFormatError(ValueError):
 
 def as_rational(value) -> Fraction:
     """`value` as an exact Fraction: a Fraction as it is, anything else through
-    Fraction(), so ints and strings such as "1/2" or "0.25". Floats and bools
-    raise TypeError, and strings in exponent notation ValueError, before
-    Fraction("1e100000000") could build a huge integer."""
+    Fraction(), so ints and strings such as "1/2" or "0.25". Floats, Decimals
+    and bools raise TypeError, and strings in exponent notation ValueError,
+    before Fraction("1e100000000") could build a huge integer."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, (float, bool)):
+    if isinstance(value, (float, bool, Decimal)):
         raise TypeError(f"{type(value).__name__} {value!r} is not an exact rational")
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"exponent notation is not accepted: {value!r}")
@@ -331,6 +332,8 @@ def _file_cost(edge: dict, where: str) -> Fraction:
         return as_cost(value)
     except ZeroDivisionError:
         raise InstanceFormatError(f"{where}cost {value!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise InstanceFormatError(f"{where}cost {value!r}: {exc}") from None
 
 
 def _file_edge(edge: dict, where: str) -> Edge:

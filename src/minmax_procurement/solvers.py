@@ -55,7 +55,7 @@ from .graphs import (
 MIN_SUM = "min-sum"
 MIN_MAX = "min-max"
 
-BRUTE_NODE_BUDGET = 14
+BRUTE_STEP_BUDGET = 2**20  # edges a path search examines, or arborescence candidates
 
 
 class NoFeasibleSolutionError(ValueError):
@@ -344,6 +344,7 @@ def _enumerate_paths(inst: Instance):
     if s == t:
         yield ()
         return
+    steps = BRUTE_STEP_BUDGET  # edges the search may still examine
     adj = _adjacency(inst)
     path: list[int] = []  # edge ids from s to the node on top of the stack
     visited = {s}
@@ -351,6 +352,10 @@ def _enumerate_paths(inst: Instance):
     while stack:
         u, todo = stack[-1]
         for v, i in todo:
+            steps -= 1
+            if steps < 0:
+                raise BudgetExceededError(f"path enumeration passed the brute-force "
+                                          f"budget of {BRUTE_STEP_BUDGET} steps")
             if v == t:
                 yield (*path, inst.edges[i].id)
             elif v not in visited:
@@ -373,9 +378,14 @@ def _enumerate_arborescences(inst: Instance):
         if e.head != root and e.tail != e.head:
             in_edges[e.head].append(e)
     non_root = [v for v in range(inst.node_count) if v != root]
+    candidates = 1  # the product of the in-degrees, capped just past the budget
     for v in non_root:
         if not in_edges[v]:
             raise NoFeasibleSolutionError(f"node {v} is unreachable from the root")
+        candidates = min(candidates * len(in_edges[v]), BRUTE_STEP_BUDGET + 1)
+    if candidates > BRUTE_STEP_BUDGET:
+        raise BudgetExceededError(f"arborescence enumeration would pass the brute-force "
+                                  f"budget of {BRUTE_STEP_BUDGET} steps")
     for combo in product(*(in_edges[v] for v in non_root)):
         parent = {v: e.tail for v, e in zip(non_root, combo)}
         # reachability: follow parents up to the root
@@ -395,27 +405,24 @@ def _enumerate_arborescences(inst: Instance):
             yield tuple(e.id for e in combo)
 
 
-def brute_minmax(inst: Instance, limit: int = BRUTE_NODE_BUDGET) -> OptimumReport:
+def brute_minmax(inst: Instance) -> OptimumReport:
     """Exact min-max optimum by exhaustive enumeration.
 
-    Refuses (BudgetExceededError) when the instance has more than `limit`
-    nodes; pass a larger limit to override for structured instances known to
-    enumerate cheaply.
+    Raises BudgetExceededError once path enumeration has examined more than
+    BRUTE_STEP_BUDGET (2**20) edges, and before arborescence enumeration
+    starts when the product of the non-root in-degrees passes it.
     """
-    return _brute_optimum(inst, limit, MIN_MAX, lambda inst, sol: cost_summary(inst, sol).max_cost)
+    return _brute_optimum(inst, MIN_MAX, lambda inst, sol: cost_summary(inst, sol).max_cost)
 
 
-def brute_minsum(inst: Instance, limit: int = BRUTE_NODE_BUDGET) -> OptimumReport:
+def brute_minsum(inst: Instance) -> OptimumReport:
     """Exhaustive min-sum counterpart of brute_minmax (testing oracle)."""
-    return _brute_optimum(inst, limit, MIN_SUM, solution_cost)
+    return _brute_optimum(inst, MIN_SUM, solution_cost)
 
 
-def _brute_optimum(inst: Instance, limit: int, objective: str,
+def _brute_optimum(inst: Instance, objective: str,
                    value_of: Callable[[Instance, Solution], Fraction]) -> OptimumReport:
     """The feasible solution with the smallest (value, sorted edge ids)."""
-    if inst.node_count > limit:
-        raise BudgetExceededError(
-            f"{inst.node_count} nodes exceeds the enumeration budget {limit}")
     enumerator = _enumerate_paths if inst.mode == PATH else _enumerate_arborescences
     best: Optional[tuple[Fraction, tuple[int, ...]]] = None
     for ids in enumerator(inst):

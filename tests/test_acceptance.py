@@ -281,7 +281,7 @@ def test_criterion_10_chain_solver_agrees_with_bruteforce():
                     vectors.append(vecs)
                     edge_lists.append(ids)
                 dp = chain_minmax_exact(n, vectors, edge_lists)
-                oracle = brute_minmax(pattern, limit=pattern.node_count)
+                oracle = brute_minmax(pattern)
                 checked += 1
                 if dp.value != oracle.value:
                     failures += 1

@@ -206,7 +206,7 @@ def test_upper_bound_dominates_true_optimum_at_small_scale(mode, agents, blocks)
     final = build_adversary_instance(spec, mode)[0].with_costs(
         {eid: c for eid, c in report.ratio.final_costs})
     assert validate_solution(final, report.ratio.upper_bound_solution)
-    true_opt = brute_minmax(final, limit=final.node_count).value
+    true_opt = brute_minmax(final).value
     assert report.ratio.opt_upper_bound >= true_opt
     exact_ratio = report.ratio.algorithm_cost / true_opt
     assert report.ratio.certified_ratio <= exact_ratio

@@ -153,6 +153,21 @@ def test_edge_stability_perturbation_shapes():
     assert pert2.new_costs == {1: F(9, 8)}  # no selected edges: bump only
 
 
+def test_shrink_zero_is_the_adversary_transformation():
+    inst, _ = expand_chain(gen_chain(ChainSpec(2, 2)), F(1, 8))
+    alloc = vcg_allocate(inst)
+    eps = F(1, 8)
+    for agent in (1, 2):
+        pert = edge_stability_perturbation(inst, alloc, agent, 0, eps)
+        assert pert.new_costs == {
+            e.id: F(0) if e.id in alloc.edge_ids else e.cost + eps
+            for e in inst.agent_edges(agent)}
+        assert is_strict_edge_stability(inst, alloc, pert)
+    for shrink in (1, F(-1, 2)):
+        with pytest.raises(ValueError, match="shrink"):
+            edge_stability_perturbation(inst, alloc, 1, shrink, eps)
+
+
 def test_edge_stability_perturbation_on_expanded_chain_agent_two():
     inst, indexing = expand_chain(gen_chain(ChainSpec(2, 1)), F(1, 8))
     alloc = vcg_allocate(inst)

@@ -1,5 +1,6 @@
 """End-to-end command-line harness tests."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -101,10 +102,41 @@ def test_solve_minmax_on_a_1500_node_path(tmp_path, capsys):
     path = tmp_path / "long.json"
     edges = tuple(Edge(i, i, i + 1, 1, F(1)) for i in range(1499))
     dump_instance(Instance(False, 1500, edges, 1, PATH, 0, 1499), path)
-    code, doc = run(capsys, "solve", "--instance", str(path), "--objective", "minmax",
-                    "--limit", "1500")
+    code, doc = run(capsys, "solve", "--instance", str(path), "--objective", "minmax")
     assert code == 0
     assert doc["value"] == "1499" and doc["witness"] == list(range(1499))
+
+
+@pytest.mark.parametrize("nodes, directed", [(14, True), (12, False)])
+def test_solve_minmax_on_a_dense_instance_exits_at_the_budget(
+        tmp_path, capsys, monkeypatch, nodes, directed):
+    from minmax_procurement import ARBORESCENCE, Edge, Instance, PATH, dump_instance
+    pairs = [(u, v) for u in range(nodes) for v in range(nodes)
+             if u != v and (directed or u < v)]
+    edges = tuple(Edge(i, u, v, 1 + i % 2, F(1)) for i, (u, v) in enumerate(pairs))
+    path = tmp_path / "dense.json"
+    dump_instance(Instance(directed, nodes, edges, 2, ARBORESCENCE if directed else PATH,
+                           0, 0 if directed else nodes - 1), path)
+    if not directed:  # the path search stops mid-run; a small budget keeps it quick
+        monkeypatch.setattr(cli.solvers, "BRUTE_STEP_BUDGET", 1000)
+    assert main(["solve", "--instance", str(path), "--objective", "minmax"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "{inst}", "--objective", "minmax", "--limit", "1500"],
+    ["ptas", "--instance", "{inst}", "--epsilon", "1/4", "--check-against-bruteforce",
+     "--limit", "16"],
+    ["adversary", "run", "--agents", "2", "--blocks", "4", "--csv", "{csv}"],
+])
+def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
+    inst, csv = tmp_path / "chain.json", tmp_path / "sweep.csv"
+    main(["gen", "chain", "--agents", "2", "--blocks", "2", "--out", str(inst)])
+    assert main([arg.format(inst=inst, csv=csv) for arg in argv]) == 2
+    assert capsys.readouterr().out == ""
+    assert not csv.exists()
 
 
 # -- vcg ----------------------------------------------------------------------
@@ -227,17 +259,13 @@ def test_audit_unknown_algorithm(capsys):
 # -- adversary ----------------------------------------------------------------
 
 
-def test_adversary_run_vcg(tmp_path, capsys):
-    csv = tmp_path / "sweep.csv"
+def test_adversary_run_vcg(capsys):
     code, doc = run(capsys, "adversary", "run", "--alg", "vcg",
-                    "--agents", "2", "--blocks", "16", "--mode", "path",
-                    "--csv", str(csv))
+                    "--agents", "2", "--blocks", "16", "--mode", "path")
     assert code == 0
     assert doc["outcome"] == "ratio"
     ratio = F(doc["ratio"]["certified_ratio"])
     assert ratio >= F(doc["ratio"]["guaranteed_bound"])
-    row = csv.read_text().strip().split(",")
-    assert row[0] == "path" and row[4] == "ratio"
 
 
 def test_adversary_run_chain_exact_emits_violation(capsys):
@@ -385,7 +413,8 @@ def test_an_exponent_cost_in_a_file_is_a_usage_error(tmp_path, capsys):
     assert main(["solve", "--instance", str(inst)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: bad instance data: exponent notation is not accepted: '1e3'\n"
+    assert captured.err == ("error: edge 1 cost '1e3': "
+                            "exponent notation is not accepted: '1e3'\n")
 
 
 @pytest.mark.parametrize("option", ["--eps", "--base"])
@@ -397,3 +426,28 @@ def test_gen_refuses_exponent_arguments(tmp_path, capsys, option):
     err = capsys.readouterr().err
     assert "not a rational" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# -- option inventory ----------------------------------------------------------
+
+
+def test_option_inventory_is_pinned():
+    """Every subcommand's options; a new or removed option edits this test."""
+    def options(parser, name=""):
+        found = {}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub, subparser in action.choices.items():
+                    found.update(options(subparser, f"{name} {sub}".strip()))
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                found.setdefault(name, []).extend(action.option_strings)
+        return found
+
+    assert options(cli.build_parser()) == {
+        "gen": ["--agents", "--blocks", "--base", "--eps", "--out"],
+        "solve": ["--instance", "--objective", "--out"],
+        "vcg": ["--instance", "--out"],
+        "ptas": ["--instance", "--epsilon", "--check-against-bruteforce", "--out"],
+        "audit": ["--alg", "--trials", "--seed", "--out"],
+        "adversary run": ["--alg", "--agents", "--blocks", "--mode", "--eps", "--out"],
+    }

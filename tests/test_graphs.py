@@ -1,6 +1,7 @@
 """Data model, feasibility checking, cost evaluation, and serialization."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -359,12 +360,33 @@ def test_zero_denominator_cost_names_the_edge(value):
         instance_from_dict(data)
 
 
+@pytest.mark.parametrize("value, reason", [
+    ("1e3", "exponent notation is not accepted"),
+    ("abc", "Invalid literal for Fraction"),
+    (-1, "must be nonnegative"),
+    ("-1", "must be nonnegative"),
+])
+def test_every_refused_cost_names_the_edge(value, reason):
+    data = instance_to_dict(parallel_instance([1, 2]))
+    data["edges"][1]["cost"] = value
+    with pytest.raises(InstanceFormatError) as info:
+        instance_from_dict(data)
+    message = str(info.value)
+    assert message.startswith(f"edge 1 cost {value!r}: ") and reason in message
+
+
 # -- one coercion for costs and rational arguments ----------------------------
 
 
 @pytest.mark.parametrize("value", [0.1, 1.0, True, False])
 def test_as_rational_refuses_floats_and_bools(value):
     with pytest.raises(TypeError, match="is not an exact rational"):
+        as_rational(value)
+
+
+@pytest.mark.parametrize("value", [Decimal("0.5"), Decimal("1e3")])
+def test_as_rational_refuses_decimals(value):
+    with pytest.raises(TypeError, match="^Decimal .* is not an exact rational"):
         as_rational(value)
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,6 +19,7 @@ from minmax_procurement import (
     shortest_path,
     validate_solution,
 )
+from minmax_procurement import solvers
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
 from minmax_procurement.graphs import ARBORESCENCE, solution_cost
@@ -154,11 +156,26 @@ def test_brute_minmax_witness_is_lex_smallest_among_optima():
     assert report.witness.sorted_ids() == min(optima)
 
 
-def test_brute_budget_guard():
-    inst = gen_chain(ChainSpec(2, 15))
-    with pytest.raises(BudgetExceededError):
-        brute_minmax(inst)
-    assert brute_minmax(inst, limit=16).value == 8
+def complete_instance(nodes, directed):
+    """Every ordered (digraph, rooted at 0) or unordered (graph, 0 to the last
+    node) pair of nodes joined by a unit-cost edge, owners alternating."""
+    pairs = permutations(range(nodes), 2) if directed else combinations(range(nodes), 2)
+    edges = tuple(Edge(i, u, v, 1 + i % 2, F(1)) for i, (u, v) in enumerate(pairs))
+    if directed:
+        return Instance(True, nodes, edges, 2, ARBORESCENCE, 0, 0)
+    return Instance(False, nodes, edges, 2, PATH, 0, nodes - 1)
+
+
+def test_brute_budget_guard(monkeypatch):
+    assert brute_minmax(gen_chain(ChainSpec(2, 15))).value == 8
+    with pytest.raises(BudgetExceededError, match="budget"):
+        brute_minmax(complete_instance(14, directed=True))
+    monkeypatch.setattr(solvers, "BRUTE_STEP_BUDGET", 1000)
+    found = []
+    with pytest.raises(BudgetExceededError, match="budget of 1000 steps"):
+        for ids in _enumerate_paths(complete_instance(12, directed=False)):
+            found.append(ids)
+    assert found  # the search was stopped mid-run, not refused up front
 
 
 def _recursive_paths(inst):
@@ -208,7 +225,7 @@ def long_single_path(nodes=1500):
 
 
 def test_brute_minmax_on_a_1500_node_path_reaches_no_recursion_limit():
-    report = brute_minmax(long_single_path(), limit=1500)
+    report = brute_minmax(long_single_path())
     assert report.value == 1499
     assert report.witness.sorted_ids() == tuple(range(1499))
 
@@ -259,7 +276,7 @@ def test_chain_exact_matches_brute_on_expanded_chain():
         vectors.append(vecs)
         edge_lists.append(ids)
     report = chain_minmax_exact(2, vectors, edge_lists)
-    oracle = brute_minmax(inst, limit=inst.node_count)
+    oracle = brute_minmax(inst)
     assert report.value == oracle.value
     assert validate_solution(inst, report.witness)
     assert cost_summary(inst, report.witness).max_cost == report.value
