@@ -155,12 +155,11 @@ def check_truthfulness(mech: Mechanism, inst: Instance, agent: int,
 
 def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,
                                 shrink: Fraction, bump: Fraction) -> Perturbation:
-    """Scale the agent's selected edges by `shrink`, raise the rest by `bump`.
+    """Scale the agent's selected edges by `shrink` in [0, 1), raise the rest by `bump`.
 
-    `shrink` lies in [0, 1); 0 is the adversary's transformation. A selected
-    edge that already costs 0 stays at 0, so the perturbation is then not
-    strict; `is_strict_edge_stability` says whether it may be used to claim
-    an edge-stability witness.
+    A selected edge that already costs 0 stays at 0, so the perturbation is
+    then not strict; `is_strict_edge_stability` says whether it may be used
+    to claim an edge-stability witness.
     """
     shrink = as_rational(shrink)
     bump = as_rational(bump)

@@ -36,7 +36,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from .graphs import (
@@ -55,7 +55,7 @@ from .graphs import (
 MIN_SUM = "min-sum"
 MIN_MAX = "min-max"
 
-BRUTE_STEP_BUDGET = 2**20  # edges a path search examines, or arborescence candidates
+BRUTE_STEP_BUDGET = 2**20  # work steps a brute-force enumeration may take
 
 
 class NoFeasibleSolutionError(ValueError):
@@ -344,7 +344,7 @@ def _enumerate_paths(inst: Instance):
     if s == t:
         yield ()
         return
-    steps = BRUTE_STEP_BUDGET  # edges the search may still examine
+    steps = BRUTE_STEP_BUDGET
     adj = _adjacency(inst)
     path: list[int] = []  # edge ids from s to the node on top of the stack
     visited = {s}
@@ -352,7 +352,7 @@ def _enumerate_paths(inst: Instance):
     while stack:
         u, todo = stack[-1]
         for v, i in todo:
-            steps -= 1
+            steps -= len(path) + 1 if v == t else 1
             if steps < 0:
                 raise BudgetExceededError(f"path enumeration passed the brute-force "
                                           f"budget of {BRUTE_STEP_BUDGET} steps")
@@ -371,46 +371,58 @@ def _enumerate_paths(inst: Instance):
 
 
 def _enumerate_arborescences(inst: Instance):
-    """Yield edge-id tuples: one in-edge per non-root node, root-reachable."""
+    """Yield edge-id tuples: one in-edge per non-root node, root-reachable.
+
+    Non-root nodes pick their in-edges in order, depth first, and an in-edge
+    that would close a cycle is refused at once.
+    """
     root = inst.target_or_root
     in_edges: list[list[Edge]] = [[] for _ in range(inst.node_count)]
     for e in inst.edges:
         if e.head != root and e.tail != e.head:
             in_edges[e.head].append(e)
     non_root = [v for v in range(inst.node_count) if v != root]
-    candidates = 1  # the product of the in-degrees, capped just past the budget
     for v in non_root:
         if not in_edges[v]:
             raise NoFeasibleSolutionError(f"node {v} is unreachable from the root")
-        candidates = min(candidates * len(in_edges[v]), BRUTE_STEP_BUDGET + 1)
-    if candidates > BRUTE_STEP_BUDGET:
-        raise BudgetExceededError(f"arborescence enumeration would pass the brute-force "
-                                  f"budget of {BRUTE_STEP_BUDGET} steps")
-    for combo in product(*(in_edges[v] for v in non_root)):
-        parent = {v: e.tail for v, e in zip(non_root, combo)}
-        # reachability: follow parents up to the root
-        ok = True
-        for v in non_root:
-            seen = set()
-            u = v
-            while u != root:
-                if u in seen:
-                    ok = False
-                    break
-                seen.add(u)
-                u = parent[u]
-            if not ok:
+    if not non_root:
+        yield ()
+        return
+    steps = BRUTE_STEP_BUDGET
+    picked: dict[int, Edge] = {}  # node -> its in-edge, in the order of non_root
+    stack = [iter(in_edges[non_root[0]])]  # the unexplored in-edges of each picking node
+    while stack:
+        v = non_root[len(stack) - 1]
+        last = len(stack) == len(non_root)
+        for e in stack[-1]:
+            steps -= len(non_root) + 1 if last else 1
+            u = e.tail
+            while u in picked:  # up to the root, a node yet to pick, or v
+                u = picked[u].tail
+                steps -= 1
+            if steps < 0:
+                raise BudgetExceededError(f"arborescence enumeration passed the brute-force "
+                                          f"budget of {BRUTE_STEP_BUDGET} steps")
+            if u == v:  # e closes a cycle
+                continue
+            if last:
+                yield (*(p.id for p in picked.values()), e.id)
+            else:
+                picked[v] = e
+                stack.append(iter(in_edges[non_root[len(stack)]]))
                 break
-        if ok:
-            yield tuple(e.id for e in combo)
+        else:
+            stack.pop()
+            if picked:
+                picked.popitem()  # the last node to pick, as dicts pop LIFO
 
 
 def brute_minmax(inst: Instance) -> OptimumReport:
     """Exact min-max optimum by exhaustive enumeration.
 
-    Raises BudgetExceededError once path enumeration has examined more than
-    BRUTE_STEP_BUDGET (2**20) edges, and before arborescence enumeration
-    starts when the product of the non-root in-degrees passes it.
+    Raises BudgetExceededError mid-run once the enumeration has taken more
+    than BRUTE_STEP_BUDGET (2**20) steps: one per edge examined or tried, per
+    parent walked in a cycle check, and per edge of each solution found.
     """
     return _brute_optimum(inst, MIN_MAX, lambda inst, sol: cost_summary(inst, sol).max_cost)
 
@@ -424,11 +436,8 @@ def _brute_optimum(inst: Instance, objective: str,
                    value_of: Callable[[Instance, Solution], Fraction]) -> OptimumReport:
     """The feasible solution with the smallest (value, sorted edge ids)."""
     enumerator = _enumerate_paths if inst.mode == PATH else _enumerate_arborescences
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-    for ids in enumerator(inst):
-        key = (value_of(inst, Solution(ids)), tuple(sorted(ids)))
-        if best is None or key < best:
-            best = key
+    best = min(((value_of(inst, Solution(ids)), tuple(sorted(ids))) for ids in enumerator(inst)),
+               default=None)
     if best is None:
         raise NoFeasibleSolutionError("no feasible solution exists")
     return OptimumReport(objective, best[0], Solution(best[1]))

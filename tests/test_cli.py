@@ -117,8 +117,7 @@ def test_solve_minmax_on_a_dense_instance_exits_at_the_budget(
     path = tmp_path / "dense.json"
     dump_instance(Instance(directed, nodes, edges, 2, ARBORESCENCE if directed else PATH,
                            0, 0 if directed else nodes - 1), path)
-    if not directed:  # the path search stops mid-run; a small budget keeps it quick
-        monkeypatch.setattr(cli.solvers, "BRUTE_STEP_BUDGET", 1000)
+    monkeypatch.setattr(cli.solvers, "BRUTE_STEP_BUDGET", 1000)  # keeps the run quick
     assert main(["solve", "--instance", str(path), "--objective", "minmax"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -168,14 +168,43 @@ def complete_instance(nodes, directed):
 
 def test_brute_budget_guard(monkeypatch):
     assert brute_minmax(gen_chain(ChainSpec(2, 15))).value == 8
-    with pytest.raises(BudgetExceededError, match="budget"):
-        brute_minmax(complete_instance(14, directed=True))
     monkeypatch.setattr(solvers, "BRUTE_STEP_BUDGET", 1000)
-    found = []
-    with pytest.raises(BudgetExceededError, match="budget of 1000 steps"):
-        for ids in _enumerate_paths(complete_instance(12, directed=False)):
-            found.append(ids)
-    assert found  # the search was stopped mid-run, not refused up front
+    for inst in (complete_instance(14, directed=True), complete_instance(12, directed=False)):
+        enumerate_ = _enumerate_paths if inst.mode == PATH else _enumerate_arborescences
+        found = []
+        with pytest.raises(BudgetExceededError, match="budget of 1000 steps"):
+            for ids in enumerate_(inst):
+                found.append(ids)
+        assert found  # the search was stopped mid-run, not refused up front
+
+
+def test_brute_budget_charges_each_path_found(monkeypatch):
+    """A 500-edge prefix before a 6-block two-way chain: the search examines
+    ~1,500 edges but yields 64 paths of 506 edges each."""
+    prefix = [(v, v + 1) for v in range(500)]
+    chain = [(v, v + 1) for v in range(500, 506) for _ in range(2)]
+    edges = tuple(Edge(i, u, v, 1 + i % 2, F(1)) for i, (u, v) in enumerate(prefix + chain))
+    inst = Instance(False, 507, edges, 2, PATH, 0, 506)
+    monkeypatch.setattr(solvers, "BRUTE_STEP_BUDGET", 5_000)
+    with pytest.raises(BudgetExceededError):
+        brute_minmax(inst)
+    monkeypatch.setattr(solvers, "BRUTE_STEP_BUDGET", 50_000)
+    assert brute_minmax(inst).value == 250 + 3
+
+
+def test_brute_budget_charges_each_cycle_check(monkeypatch):
+    """A 100-node chain of in-degree-1 nodes whose last node, or the root,
+    may feed each of 8 more nodes: 256 trees, each cycle check walking the
+    whole chain."""
+    chain = [(v, v + 1) for v in range(100)]
+    leaves = [(u, v) for v in range(101, 109) for u in (100, 0)]
+    edges = tuple(Edge(i, u, v, 1 + i % 2, F(1)) for i, (u, v) in enumerate(chain + leaves))
+    inst = Instance(True, 109, edges, 2, ARBORESCENCE, 0, 0)
+    monkeypatch.setattr(solvers, "BRUTE_STEP_BUDGET", 20_000)
+    with pytest.raises(BudgetExceededError):
+        brute_minmax(inst)
+    monkeypatch.setattr(solvers, "BRUTE_STEP_BUDGET", 100_000)
+    assert brute_minmax(inst).value == 54
 
 
 def _recursive_paths(inst):
