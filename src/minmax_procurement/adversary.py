@@ -44,9 +44,15 @@ from .vcg import AllocationAlgorithm
 MODE_PATH = "path"
 MODE_DMST = "dmst"
 
+MAX_CHAIN_EDGES = 2**20  # edges a generated chain may have
+
 
 @dataclass(frozen=True)
 class ChainSpec:
+    """Agents n and blocks l of a chain. Refused, before anything is built,
+    when the largest chain of the spec, the dmst chain with n·l·(2n-1)
+    edges, would have more than MAX_CHAIN_EDGES edges."""
+
     agents: int
     blocks: int
     base_cost: Fraction = Fraction(1)
@@ -57,6 +63,10 @@ class ChainSpec:
             raise ValueError("the constructions need at least two agents")
         if self.blocks < 1:
             raise ValueError("need at least one block")
+        edges = self.agents * self.blocks * (2 * self.agents - 1)
+        if edges > MAX_CHAIN_EDGES:
+            raise ValueError(f"{self.agents} agents and {self.blocks} blocks make chains of "
+                             f"up to {edges} edges, above the limit of {MAX_CHAIN_EDGES}")
         object.__setattr__(self, "base_cost", as_rational(self.base_cost))
         if self.base_cost <= 0:
             raise ValueError("base cost must be positive")

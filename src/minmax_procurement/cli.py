@@ -37,6 +37,7 @@ from .graphs import (
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
+MAX_TRIALS = 100_000  # audit trials one run may ask for
 
 
 class UsageError(Exception):
@@ -191,6 +192,8 @@ def _audit_one(kind: str, seed: int, index: int):
 def cmd_audit(args) -> int:
     if args.trials < 0:
         raise UsageError(f"--trials must be nonnegative, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     results = [_audit_one(args.kind, args.seed, i) for i in range(args.trials)]
     witnesses = [(i, w) for i, w in enumerate(results) if w is not None]
     _emit({

@@ -5,7 +5,11 @@ multigraph, or an arborescence problem on a directed multigraph rooted at a
 designated node. Edges carry an owning agent and a nonnegative rational cost;
 parallel edges are allowed and edges are identified by integer id only.
 
-All costs are `fractions.Fraction`. No floating point enters any comparison.
+Costs are `fractions.Fraction`s (or ints) at the API. Each instance scales
+them once to integers over their common denominator L (`Instance.scaled_costs`);
+the solvers and the pricing of solutions compare and sum only those, and
+build a Fraction only for a value they return. No floating point enters any
+comparison.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping
 
 PATH = "path"
@@ -82,7 +87,9 @@ class Instance:
     `target_or_root` (ARBORESCENCE; `source` conventionally equals the root).
 
     Derived copies (`with_costs`, `without_agent`, `without_edges`) skip the
-    constructor's per-edge checks, which their parent passed, and start without caches.
+    constructor's per-edge checks, which their parent passed, and start without
+    caches, except that copies without an agent or edges keep the parent's
+    integer costs, sliced (see `_subset`).
     """
 
     directed: bool
@@ -113,7 +120,7 @@ class Instance:
                 raise ValueError(f"edge {e.id} owner {e.owner} outside 1..{self.agent_count}")
             if type(e.cost) not in (int, Fraction):
                 raise TypeError(f"edge {e.id} cost {e.cost!r} is not an int or a Fraction")
-            if e.cost < 0:
+            if e.cost.numerator < 0:
                 raise ValueError(f"edge {e.id} has negative cost")
         for node in (self.source, self.target_or_root):
             if not (0 <= node < self.node_count):
@@ -123,18 +130,28 @@ class Instance:
 
     def edge_by_id(self, edge_id: int) -> Edge:
         try:
-            return self._edge_index[edge_id]
+            return self.edges[self._edge_index[edge_id]]
         except KeyError:
             raise MalformedSolutionError(f"unknown edge id {edge_id}") from None
 
     @property
-    def _edge_index(self) -> dict[int, Edge]:
+    def _edge_index(self) -> dict[int, int]:
+        """Edge id -> the edge's position in `edges`."""
         # cached on first use; object.__setattr__ because the dataclass is frozen
         index = self.__dict__.get("_edge_index_cache")
         if index is None:
-            index = {e.id: e for e in self.edges}
+            index = {e.id: i for i, e in enumerate(self.edges)}
             object.__setattr__(self, "_edge_index_cache", index)
         return index
+
+    def scaled_costs(self) -> tuple[int, list[int]]:
+        """The costs' common denominator L and each edge's cost times L, in
+        edge order; computed on first use. The list is shared: do not change it."""
+        scaled = self.__dict__.get("_scaled_cache")
+        if scaled is None:
+            scaled = scale_to_integers(e.cost for e in self.edges)
+            object.__setattr__(self, "_scaled_cache", scaled)
+        return scaled
 
     def agent_edges(self, agent: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.owner == agent)
@@ -150,11 +167,21 @@ class Instance:
 
     def without_agent(self, agent: int) -> "Instance":
         """Copy with all of `agent`'s edges deleted (agent ids unchanged)."""
-        return self._derive(tuple(e for e in self.edges if e.owner != agent))
+        return self._subset([e.owner != agent for e in self.edges])
 
     def without_edges(self, edge_ids: Iterable[int]) -> "Instance":
         drop = set(edge_ids)
-        return self._derive(tuple(e for e in self.edges if e.id not in drop))
+        return self._subset([e.id not in drop for e in self.edges])
+
+    def _subset(self, keep: list[bool]) -> "Instance":
+        """Copy with the edges flagged in `keep`. It shares the parent's
+        scaled costs, when computed, sliced: L still is a common denominator,
+        and scaling all costs alike changes no comparison or witness."""
+        copy = self._derive(tuple(compress(self.edges, keep)))
+        scaled = self.__dict__.get("_scaled_cache")
+        if scaled is not None:
+            object.__setattr__(copy, "_scaled_cache", (scaled[0], list(compress(scaled[1], keep))))
+        return copy
 
     def _derive(self, edges: tuple[Edge, ...]) -> "Instance":
         """This instance with `edges`, unvalidated and without caches."""
@@ -189,23 +216,34 @@ class CostSummary:
     sum_cost: Fraction
 
 
+def scaled_loads(inst: Instance, edge_ids: Iterable[int]) -> list[int]:
+    """Per agent, the cost of its edges among `edge_ids` times the instance's
+    L (`Instance.scaled_costs`).
+
+    Raises MalformedSolutionError for unknown edge ids.
+    """
+    costs, index, edges = inst.scaled_costs()[1], inst._edge_index, inst.edges
+    loads = [0] * inst.agent_count
+    try:
+        for edge_id in edge_ids:
+            i = index[edge_id]
+            loads[edges[i].owner - 1] += costs[i]
+    except KeyError:
+        raise MalformedSolutionError(f"unknown edge id {edge_id}") from None
+    return loads
+
+
 def agent_cost(inst: Instance, sol: Solution, agent: int) -> Fraction:
     """Sum of costs of `agent`'s edges selected in `sol` (0 if none)."""
-    total = Fraction(0)
-    for edge_id in sol.edge_ids:
-        e = inst.edge_by_id(edge_id)
-        if e.owner == agent:
-            total += e.cost
-    return total
+    loads = scaled_loads(inst, sol.edge_ids)
+    return Fraction(loads[agent - 1] if 0 < agent <= len(loads) else 0, inst.scaled_costs()[0])
 
 
 def cost_summary(inst: Instance, sol: Solution) -> CostSummary:
-    per_agent = [Fraction(0)] * inst.agent_count
-    for edge_id in sol.edge_ids:
-        e = inst.edge_by_id(edge_id)
-        per_agent[e.owner - 1] += e.cost
-    per_agent = tuple(per_agent)
-    return CostSummary(per_agent, max(per_agent), sum(per_agent, Fraction(0)))
+    loads = scaled_loads(inst, sol.edge_ids)
+    scale = inst.scaled_costs()[0]
+    return CostSummary(tuple(Fraction(x, scale) for x in loads),
+                       Fraction(max(loads), scale), Fraction(sum(loads), scale))
 
 
 def solution_cost(inst: Instance, sol: Solution) -> Fraction:
@@ -323,12 +361,21 @@ def _integer(record: dict, key: str, where: str = "") -> int:
 
 def _file_cost(edge: dict, where: str) -> Fraction:
     """An edge's cost from an int or a "p/q" string; floats and exponent
-    notation are refused."""
+    notation are refused.
+
+    Strings "p" and "p/q" of decimal digits are split and read with int(),
+    any other string through `as_cost`: the two accept the same strings, and
+    past int()'s digit limit both raise int()'s ValueError.
+    """
     value = edge["cost"]
     if type(value) is not int and not isinstance(value, str):
         raise InstanceFormatError(
             f"{where}cost must be an integer or a \"p/q\" string, got {value!r}")
     try:
+        if type(value) is str:
+            num, slash, den = value.partition("/")
+            if num.isdecimal() and (den.isdecimal() or not slash):
+                return Fraction(int(num), int(den) if slash else 1)
         return as_cost(value)
     except ZeroDivisionError:
         raise InstanceFormatError(f"{where}cost {value!r} has a zero denominator") from None

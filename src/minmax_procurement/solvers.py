@@ -2,9 +2,11 @@
 
 Min-sum solvers (Dijkstra shortest path, contraction-based minimum
 arborescence) plus brute-force min-max oracles for desk-scale ground truth.
-Everything is exact. Each min-sum solve scales the costs once to integers
-over their common denominator L, compares only those integers, and turns its
-results back into rationals with Fraction(x, L). Witnesses are deterministic.
+Everything is exact. The solvers read the costs as integers over their common
+denominator L, scaled once per instance (`Instance.scaled_costs`), compare
+only those integers, and turn a result x back into a rational with
+Fraction(x, L); brute force builds one Fraction, for the winner. Witnesses
+are deterministic.
 
 Cost of the min-sum layer, for V nodes and E edges:
 - `shortest_path`: two Dijkstra runs, O(E log V), and a witness walk that is
@@ -42,14 +44,11 @@ from typing import Callable, Optional, Sequence
 from .graphs import (
     ARBORESCENCE,
     PATH,
-    CostSummary,
     Edge,
     Instance,
     Solution,
-    cost_summary,
     scale_to_integers,
-    solution_cost,
-    validate_solution,
+    scaled_loads,
 )
 
 MIN_SUM = "min-sum"
@@ -79,11 +78,6 @@ class OptimumReport:
 
 
 # -- shortest path ----------------------------------------------------------
-
-
-def _scaled_costs(inst: Instance) -> tuple[int, list[int]]:
-    """The costs' common denominator L and each edge's cost times L, in edge order."""
-    return scale_to_integers(e.cost for e in inst.edges)
 
 
 def _adjacency(inst: Instance, reverse: bool = False) -> list[list[tuple[int, int]]]:
@@ -136,7 +130,7 @@ def shortest_path(inst: Instance) -> OptimumReport:
     if inst.mode != PATH:
         raise ValueError("shortest_path requires a path-mode instance")
     s, t = inst.source, inst.target_or_root
-    scale, costs = _scaled_costs(inst)
+    scale, costs = inst.scaled_costs()
     adj = _adjacency(inst)
     dist_s = _dijkstra(adj, costs, s)
     if dist_s[t] is None:
@@ -211,7 +205,7 @@ def min_arborescence(inst: Instance) -> OptimumReport:
     """
     if inst.mode != ARBORESCENCE:
         raise ValueError("min_arborescence requires an arborescence-mode instance")
-    scale, costs = _scaled_costs(inst)
+    scale, costs = inst.scaled_costs()
     chosen = _edmonds(
         node_count=inst.node_count,
         root=inst.target_or_root,
@@ -424,23 +418,25 @@ def brute_minmax(inst: Instance) -> OptimumReport:
     than BRUTE_STEP_BUDGET (2**20) steps: one per edge examined or tried, per
     parent walked in a cycle check, and per edge of each solution found.
     """
-    return _brute_optimum(inst, MIN_MAX, lambda inst, sol: cost_summary(inst, sol).max_cost)
+    return _brute_optimum(inst, MIN_MAX, max)
 
 
 def brute_minsum(inst: Instance) -> OptimumReport:
     """Exhaustive min-sum counterpart of brute_minmax (testing oracle)."""
-    return _brute_optimum(inst, MIN_SUM, solution_cost)
+    return _brute_optimum(inst, MIN_SUM, sum)
 
 
 def _brute_optimum(inst: Instance, objective: str,
-                   value_of: Callable[[Instance, Solution], Fraction]) -> OptimumReport:
-    """The feasible solution with the smallest (value, sorted edge ids)."""
+                   value_of: Callable[[list[int]], int]) -> OptimumReport:
+    """The feasible solution with the smallest (value, sorted edge ids), where
+    value_of maps a solution's scaled per-agent loads to its scaled value."""
     enumerator = _enumerate_paths if inst.mode == PATH else _enumerate_arborescences
-    best = min(((value_of(inst, Solution(ids)), tuple(sorted(ids))) for ids in enumerator(inst)),
-               default=None)
+    best = min(((value_of(scaled_loads(inst, ids)), tuple(sorted(ids)))
+                for ids in enumerator(inst)), default=None)
     if best is None:
         raise NoFeasibleSolutionError("no feasible solution exists")
-    return OptimumReport(objective, best[0], Solution(best[1]))
+    return OptimumReport(objective, Fraction(best[0], inst.scaled_costs()[0]),
+                         Solution(best[1]))
 
 
 # -- chain-structured exact min-max -----------------------------------------
@@ -584,7 +580,7 @@ def min_sum_value(inst: Instance) -> Fraction:
     if inst.mode != PATH:
         return min_arborescence(inst).value
     s, t = inst.source, inst.target_or_root
-    scale, costs = _scaled_costs(inst)
+    scale, costs = inst.scaled_costs()
     dist = _dijkstra(_adjacency(inst), costs, s, stop=t)
     if dist[t] is None:
         raise NoFeasibleSolutionError("source and target are disconnected")

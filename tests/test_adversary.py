@@ -21,6 +21,7 @@ from minmax_procurement import (
     vcg_allocate,
 )
 from minmax_procurement.adversary import (
+    MAX_CHAIN_EDGES,
     MODE_DMST,
     MODE_PATH,
     build_adversary_instance,
@@ -57,6 +58,23 @@ def test_spec_validation():
         ChainSpec(2, 0)
     with pytest.raises(ValueError):
         ChainSpec(2, 4, helper_eps=F(2))  # helper not below base cost
+
+
+def test_spec_refuses_chains_past_the_edge_limit_before_building():
+    """n agents and l blocks give at most n*l*(2n-1) edges (the dmst chain);
+    the check is arithmetic, so these specs build no chain."""
+    assert MAX_CHAIN_EDGES == 2**20
+    top = MAX_CHAIN_EDGES // (2 * 3)
+    assert ChainSpec(2, top).blocks == top
+    with pytest.raises(ValueError, match=f"^2 agents and {top + 1} blocks make chains of "
+                                         f"up to {6 * (top + 1)} edges, above the limit"):
+        ChainSpec(2, top + 1)
+    for agents, blocks in ((2, 10**12), (10**6, 1), (725, 1)):
+        with pytest.raises(ValueError, match="above the limit of 1048576$"):
+            ChainSpec(agents, blocks)
+    # every size the benchmark and the tests build stays admitted
+    for agents, blocks in ((2, 400), (3, 644), (4, 12), (5, 8)):
+        ChainSpec(agents, blocks)
 
 
 def test_default_helper_costs():

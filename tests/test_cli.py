@@ -52,6 +52,19 @@ def test_gen_invalid_spec_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "dmst-chain", "--agents", "2", "--blocks", "1000000", "--out", "{out}"],
+    ["gen", "chain", "--agents", "100000", "--blocks", "1", "--out", "{out}"],
+    ["adversary", "run", "--agents", "3", "--blocks", "100000", "--out", "{out}"],
+])
+def test_chains_past_the_edge_limit_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.json"
+    assert main([a.format(out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "above the limit of 1048576" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_zero_denominator_base_is_usage_error(tmp_path, capsys):
     out = tmp_path / "x.json"
     code = main(["gen", "chain", "--agents", "2", "--blocks", "3", "--base", "1/0",
@@ -243,6 +256,14 @@ def test_audit_negative_trials_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--trials" in captured.err and "Traceback" not in captured.err
+
+
+def test_audit_trials_past_the_limit_are_a_usage_error(capsys):
+    assert main(["audit", "truthfulness", "--trials", str(cli.MAX_TRIALS + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--trials must be at most {cli.MAX_TRIALS}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_audit_is_seed_reproducible(capsys):

@@ -2,9 +2,11 @@
 
 Derived copies (`with_costs`, `without_agent`, `without_edges` and
 `Perturbation.apply`) skip the constructor's per-edge validation and start
-without caches. A memo leaked into a copy would not show in any report: VCG
-is monotone, so every audit passes either way. These tests look at the
-copies directly, and count the solves and builds the CLI makes.
+without caches, except that a copy without an agent or without edges keeps
+its parent's integer costs, sliced. A memo leaked into a copy would not show
+in any report: VCG is monotone, so every audit passes either way. These
+tests look at the copies directly, and count the solves and builds the CLI
+makes.
 """
 
 import random
@@ -25,7 +27,9 @@ from minmax_procurement.pareto import minmax_ptas
 from minmax_procurement.solvers import NoFeasibleSolutionError, min_sum_optimum
 
 F = Fraction
-CACHES = ("_min_sum_cache", "_edge_index_cache")
+CACHES = ("_min_sum_cache", "_edge_index_cache", "_scaled_cache")
+# a copy that only drops edges keeps its parent's L and integer costs
+SLICED = {"without_agent", "without_edges"}
 
 
 def rebuilt(inst):
@@ -61,8 +65,14 @@ def test_derived_copies_of_solved_instances_start_without_caches():
         alloc = min_sum_optimum(inst).witness
         inst.edge_by_id(inst.edges[0].id)
         assert all(name in inst.__dict__ for name in CACHES)
+        scale = inst.scaled_costs()[0]
         for how, copy in derived_copies(rng, inst, alloc):
-            assert not any(name in copy.__dict__ for name in CACHES), how
+            kept = {"_scaled_cache"} if how in SLICED else set()
+            assert {name for name in CACHES if name in copy.__dict__} == kept, how
+            if kept:
+                copy_scale, costs = copy.__dict__["_scaled_cache"]
+                assert copy_scale == scale and len(costs) == len(copy.edges)
+                assert all(F(c, scale) == e.cost for c, e in zip(costs, copy.edges))
             assert copy == rebuilt(copy)
             assert solve(copy) == solve(rebuilt(copy)), (seed, how)
             if how == "apply":
