@@ -23,12 +23,14 @@ from typing import Optional
 
 from .graphs import (
     ARBORESCENCE,
+    MAX_FILE_EDGES,
     PATH,
     Edge,
     Instance,
     Solution,
     as_rational,
     cost_summary,
+    scaled_loads,
     validate_solution,
 )
 from .audit import (
@@ -44,7 +46,7 @@ from .vcg import AllocationAlgorithm
 MODE_PATH = "path"
 MODE_DMST = "dmst"
 
-MAX_CHAIN_EDGES = 2**20  # edges a generated chain may have
+MAX_CHAIN_EDGES = MAX_FILE_EDGES  # edges a generated chain may have: gen's files load
 
 
 @dataclass(frozen=True)
@@ -217,27 +219,17 @@ def chain_exact_allocator(indexing: BlockIndexing) -> AllocationAlgorithm:
     """Wrap the exact block-structured min-max solver as an allocation rule.
 
     Works for any cost assignment on the same expanded-chain topology: per
-    block it reads each route's per-agent cost vector off the instance and
-    lets the makespan DP choose one route per block.
+    block it reads each route's per-agent loads off the instance, as integers
+    over the instance's L (`scaled_loads`), and lets the makespan DP choose
+    one route per block. Scaling every cost alike changes no comparison, so
+    the witness is the one the rational costs give.
     """
+    edge_lists = [[route.edge_ids for route in routes] for routes in indexing.blocks]
 
     def allocate(inst: Instance) -> Solution:
-        n = inst.agent_count
-        vectors = []
-        edge_lists = []
-        for routes in indexing.blocks:
-            block_vecs = []
-            block_edges = []
-            for route in routes:
-                vec = [Fraction(0)] * n
-                for eid in route.edge_ids:
-                    e = inst.edge_by_id(eid)
-                    vec[e.owner - 1] += e.cost
-                block_vecs.append(tuple(vec))
-                block_edges.append(route.edge_ids)
-            vectors.append(block_vecs)
-            edge_lists.append(block_edges)
-        return chain_minmax_exact(n, vectors, edge_lists).witness
+        vectors = [[scaled_loads(inst, route.edge_ids) for route in routes]
+                   for routes in indexing.blocks]
+        return chain_minmax_exact(inst.agent_count, vectors, edge_lists).witness
 
     return allocate
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import adversary as adv
 from . import audit as audit_mod
@@ -44,23 +44,50 @@ class UsageError(Exception):
     pass
 
 
-def _jsonable(obj):
+def _json(obj, indent: str = "\n") -> str:
+    """`obj` as JSON, in the bytes `json.dumps(..., indent=1, sort_keys=True)`
+    writes, with Fractions as "p/q" strings, Solutions as their sorted ids
+    and dataclasses as dicts of their fields. Dict keys become str(k) before
+    sorting, so of keys that collide the last value wins. `indent` is the
+    newline and spaces that precede obj's closing bracket.
+    """
     if isinstance(obj, Fraction):
-        return str(obj)
+        return '"' + str(obj) + '"'
     if isinstance(obj, Solution):
-        return sorted(obj.edge_ids)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+        obj = sorted(obj.edge_ids)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = indent + " "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return "{" + inner + ("," + inner).join(
+            _encode_str(k) + ": " + _json(v, inner) for k, v in items) + indent + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        inner = indent + " "
+        if all(type(x) is int for x in obj):
+            body = ("," + inner).join(map(int.__repr__, obj))
+        else:
+            body = ("," + inner).join(_json(v, inner) for v in obj)
+        return "[" + inner + body + indent + "]"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable(report), indent=1, sort_keys=True) + "\n"
+    text = _json(report) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -27,6 +27,12 @@ ARBORESCENCE = "arborescence"
 
 FILE_FORMAT_VERSION = 1
 
+# The largest instance file accepted, checked before anything is built, as
+# the solvers allocate per-node lists. Every chain `gen` writes fits: its spec
+# caps it at MAX_FILE_EDGES edges, and a chain with E edges has E + 1 nodes at most.
+MAX_FILE_EDGES = 2**20
+MAX_FILE_NODES = MAX_FILE_EDGES + 1
+
 
 class MalformedSolutionError(ValueError):
     """A solution references edge ids that the instance does not have."""
@@ -393,7 +399,8 @@ def instance_from_dict(data: dict) -> Instance:
     """The instance a file's JSON document describes.
 
     Integers must be JSON integers, `directed` a JSON bool and costs ints or
-    "p/q" strings; anything else raises InstanceFormatError.
+    "p/q" strings; more than MAX_FILE_NODES nodes or MAX_FILE_EDGES edges are
+    refused before any edge is read. Anything else raises InstanceFormatError.
     """
     try:
         if _integer(data, "version") != FILE_FORMAT_VERSION:
@@ -401,10 +408,16 @@ def instance_from_dict(data: dict) -> Instance:
         if type(data["directed"]) is not bool:
             raise InstanceFormatError(
                 f"directed must be true or false, got {data['directed']!r}")
+        nodes = _integer(data, "nodes")
+        if nodes > MAX_FILE_NODES:
+            raise InstanceFormatError(f"nodes {nodes} is above the limit of {MAX_FILE_NODES}")
+        if len(data["edges"]) > MAX_FILE_EDGES:
+            raise InstanceFormatError(f"edges has {len(data['edges'])} entries, above the "
+                                      f"limit of {MAX_FILE_EDGES}")
         edges = tuple(_file_edge(e, f"edge {k} ") for k, e in enumerate(data["edges"]))
         return Instance(
             directed=data["directed"],
-            node_count=_integer(data, "nodes"),
+            node_count=nodes,
             edges=edges,
             agent_count=_integer(data, "agents"),
             mode=data["mode"],

@@ -19,10 +19,13 @@ Cost of the min-sum layer, for V nodes and E edges:
   in-edge, from its members' in-edge heaps merged smaller into larger.
 
 The chain DP (`chain_minmax_exact`) runs on integers over the block costs'
-common denominator and keeps only Pareto-minimal load vectors. With S
-states, a block costs O(S log S) for n <= 3 agents: one sort and a sweep
-over a staircase of the last two coordinates. For n >= 4 the prune is a
-pairwise scan, O(S^2) per block.
+common denominator. It keeps only Pareto-minimal load vectors, and of those
+only the ones whose lower bound on the final max load does not exceed the
+max load of a greedy pick sequence. With S states, a block costs O(S log S)
+for n <= 3 agents: one sort and a sweep over a staircase of the last two
+coordinates. For n >= 4 the prune is a pairwise scan, O(S^2) per block; the
+bound keeps S small enough that 4 agents and 16 blocks take well under a
+second.
 
 Tie-breaking: the brute-force oracles return, among equal-value optima, the
 solution whose sorted edge-id sequence is lexicographically smallest. The
@@ -451,16 +454,30 @@ def chain_minmax_exact(
 
     `block_cost_vectors[k][c][i]` is the cost agent i+1 pays when choice `c`
     is taken in block k, an int or a Fraction; any other entry raises
-    StructureError. Dominated load vectors are pruned, so the state count
-    stays small on the chain families; still exponential in n in the worst
-    case (intended for n <= 3).
-    The costs are scaled once to integers over their common denominator.
-    With S states, a block costs O(S log S) for n <= 3 (a sort and a
-    staircase sweep) and O(S^2) for n >= 4 (a pairwise scan).
+    StructureError. The costs are scaled once to integers over their common
+    denominator.
 
     Among optimal load vectors the one whose per-block pick sequence is
     lexicographically smallest wins, and each load vector keeps the smallest
     pick sequence that reaches it.
+
+    Two prunes keep the state count small; it is still exponential in n in
+    the worst case. Dominated load vectors are dropped. Then a state X after
+    block k is dropped when its bound, max_i(X_i + rest[k+1][i]) with
+    rest[j][i] the sum over blocks j, j+1, ... of agent i's cheapest choice,
+    exceeds UB, the max load of one real pick sequence (greedy: in each block
+    the first choice of smallest bound). Neither changes the result:
+    - A child's bound is never below its parent's, and after the last block
+      the bound is the max load. So every ancestor of an optimal state has
+      bound <= OPT <= UB and is kept, whatever the signs of the costs.
+    - X <= Y everywhere gives bound(X) <= bound(Y). So a dropped state
+      dominates no kept one, equal loads share their fate, and the kept
+      states' children are filtered as they would be among all children.
+    - The survivors keep their order, so the first-copy rule and the final
+      first-of-equal `min` pick the states they would pick without the bound.
+    The bound costs O(n) per kept state and the greedy O(n) per choice. With
+    S states, a block costs O(S log S) for n <= 3 (a sort and a staircase
+    sweep) and O(S^2) for n >= 4 (a pairwise scan).
 
     When `block_edges` is given (edge ids per block and choice), the witness
     Solution is assembled from the chosen blocks.
@@ -486,19 +503,31 @@ def chain_minmax_exact(
     costs = iter(scaled)
     pad = (0,) * (3 - n)  # loads of up to three agents get three coordinates
     blocks = [[tuple(islice(costs, n)) + pad for _ in block] for block in block_cost_vectors]
+    # rest[k][i]: the least agent i pays in blocks k, k+1, ... Adding it to a
+    # load with map reads the load's first n coordinates: padding never counts.
+    rest = [(0,) * n]
+    for block in reversed(blocks):
+        rest.append(tuple(map(operator.add, rest[-1], map(min, zip(*block)))))
+    rest.reverse()
+    greedy = (0,) * n  # the loads of the greedy pick sequence, block by block
+    for block, r in zip(blocks, rest[1:]):
+        greedy = min((tuple(map(operator.add, greedy, vec)) for vec in block),
+                     key=lambda load: max(map(operator.add, load, r)))
+    ub = max(greedy)
     # States are kept in lexicographic order of their pick sequences, each
     # with a parent pointer (choice, parent state's pointer). Expanding them
     # in that order, choices ascending, keeps the order, so of the candidates
     # with equal loads the first has the smallest pick sequence.
     loads: list[tuple[int, ...]] = [(0,) * max(n, 3)]
     parents: list[Optional[tuple]] = [None]
-    for block in blocks:
+    for block, r in zip(blocks, rest[1:]):
         m = len(block)
         if n <= 3:
             candidates = [(a + x, b + y, c + z) for a, b, c in loads for x, y, z in block]
         else:
             candidates = [tuple(map(operator.add, load, vec)) for load in loads for vec in block]
-        kept = _pareto_minimal(candidates)
+        kept = [i for i in _pareto_minimal(candidates)
+                if max(map(operator.add, candidates[i], r)) <= ub]
         parents = [(i % m, parents[i // m]) for i in kept]
         loads = [candidates[i] for i in kept]
 

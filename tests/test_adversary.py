@@ -28,7 +28,7 @@ from minmax_procurement.adversary import (
     opt_upper_bound,
 )
 from minmax_procurement.audit import InfeasibleAllocationError
-from minmax_procurement.graphs import solution_cost
+from minmax_procurement.graphs import MAX_FILE_EDGES, MAX_FILE_NODES, solution_cost
 from minmax_procurement.solvers import min_sum_optimum
 
 F = Fraction
@@ -75,6 +75,26 @@ def test_spec_refuses_chains_past_the_edge_limit_before_building():
     # every size the benchmark and the tests build stays admitted
     for agents, blocks in ((2, 400), (3, 644), (4, 12), (5, 8)):
         ChainSpec(agents, blocks)
+
+
+def chain_sizes(agents, blocks):
+    """Nodes and edges of the plain, expanded and dmst chains, by arithmetic."""
+    interior = 1 + blocks * (agents * (agents - 1) + 1)
+    return [(blocks + 1, agents * blocks), (interior, agents * agents * blocks),
+            (interior, agents * blocks * (2 * agents - 1))]
+
+
+def test_every_chain_gen_can_write_fits_the_instance_file_limits():
+    for agents, blocks in ((2, 1), (2, 3), (3, 2), (4, 2)):
+        spec = ChainSpec(agents, blocks)
+        built = [gen_chain(spec), expand_chain(gen_chain(spec), F(1, 8))[0],
+                 gen_dmst_chain(spec)[0]]
+        assert [(i.node_count, len(i.edges)) for i in built] == chain_sizes(agents, blocks)
+    for agents in range(2, 725):  # 725 agents are refused at one block
+        blocks = MAX_CHAIN_EDGES // (agents * (2 * agents - 1))
+        ChainSpec(agents, blocks)
+        for nodes, edges in chain_sizes(agents, blocks):
+            assert nodes <= MAX_FILE_NODES and edges <= MAX_FILE_EDGES
 
 
 def test_default_helper_costs():

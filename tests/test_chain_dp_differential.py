@@ -2,18 +2,20 @@
 
 `old_chain_minmax_exact` is the former DP: Fraction load vectors in a dict,
 a pick tuple copied per state, a re-sort of the states by their picks at
-every block, and a quadratic dominance scan. It is kept here only as an
-oracle: `chain_minmax_exact` must return the same value, choices and
-witness on every input.
+every block, and a quadratic dominance scan, with no bound on the states.
+It is kept here only as an oracle: `chain_minmax_exact` must return the same
+value, choices and witness on every input.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from minmax_procurement import adversary, chain_minmax_exact, run_adversary
+from minmax_procurement import adversary, chain_minmax_exact, cli, run_adversary, solvers
 from minmax_procurement.adversary import ChainSpec, MODE_PATH, build_adversary_instance
 from minmax_procurement.graphs import Solution
 from minmax_procurement.solvers import MIN_MAX, OptimumReport, StructureError
@@ -94,7 +96,7 @@ def random_vectors(rng, n):
         return F(rng.randint(0, 6), rng.choice(denominators))
 
     blocks = []
-    for _ in range(rng.randint(1, 9 if n <= 3 else 6)):
+    for _ in range(rng.randint(1, 9 if n <= 3 else 6 if n == 4 else 5)):
         block = [tuple(cost() for _ in range(n)) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.3:  # a repeated vector
             block.insert(rng.randrange(len(block) + 1), rng.choice(block))
@@ -117,10 +119,10 @@ def edge_ids(vectors):
 # -- random inputs -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_random_inputs_match_the_former_dp(n):
     rng = random.Random(f"chain-dp/{n}")
-    for _ in range(400):
+    for _ in range(400 if n <= 4 else 200):
         vectors = random_vectors(rng, n)
         assert_same(n, vectors, edge_ids(vectors) if rng.random() < 0.5 else None)
 
@@ -134,6 +136,45 @@ def test_negative_costs_match_the_former_dp(n):
         vectors = [[tuple(F(rng.randint(-4, 2), rng.choice((1, 3))) for _ in range(n))
                     for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 6))]
         assert_same(n, vectors)
+
+
+def greedy_value(n, vectors):
+    """The max load of the pick sequence that takes, block by block, the first
+    choice of smallest max_i(load_i + what agent i pays at least later)."""
+    rest = [[0] * n]
+    for block in reversed(vectors):
+        rest.insert(0, [r + min(vec[i] for vec in block) for i, r in enumerate(rest[0])])
+    load = [0] * n
+    for block, later in zip(vectors, rest[1:]):
+        load = min(([a + b for a, b in zip(load, vec)] for vec in block),
+                   key=lambda new: max(a + r for a, r in zip(new, later)))
+    return max(load)
+
+
+def optimal_sequences(vectors):
+    """The optimum and the number of pick sequences that reach it."""
+    values = [max(map(sum, zip(*(block[c] for block, c in zip(vectors, picks)))))
+              for picks in product(*(range(len(block)) for block in vectors))]
+    best = min(values)
+    return best, values.count(best)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_inputs_whose_optimal_states_meet_the_upper_bound(n):
+    # Inputs where the greedy sequence is optimal and others tie with it: every
+    # optimal state's bound equals the upper bound at the end, and an ancestor
+    # whose bound equals it early on must be kept too.
+    rng = random.Random(f"chain-dp-tight/{n}")
+    tight = 0
+    while tight < 40:
+        vectors = [[tuple(F(rng.randint(0, 2), rng.choice((1, 2))) for _ in range(n))
+                    for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(1, 5))]
+        value, ties = optimal_sequences(vectors)
+        if ties < 2 or greedy_value(n, vectors) != value:
+            continue
+        tight += 1
+        report = assert_same(n, vectors, edge_ids(vectors))
+        assert report.value == value
 
 
 def test_ties_on_the_max_load_take_the_smallest_picks():
@@ -185,7 +226,9 @@ def run_chain_exact(agents, blocks, eps=None):
     return run_adversary(adversary.chain_exact_allocator(indexing), spec, MODE_PATH)
 
 
-@pytest.mark.parametrize("agents,sizes", [(2, range(1, 82)), (3, range(1, 13))])
+@pytest.mark.parametrize("agents,sizes", [
+    (2, range(1, 82)), (3, range(1, 13)), (4, range(1, 9)), (5, range(1, 6)),
+])
 def test_adversary_inputs_match_the_former_dp(differential_allocator, agents, sizes):
     for blocks in sizes:
         run_chain_exact(agents, blocks)
@@ -208,6 +251,57 @@ def test_large_two_agent_run_is_fast():
     assert time.process_time() - start < 3.0
     assert report.outcome == "monotonicity-violation"
     assert report.violation.reverify()
+
+
+def unbounded_candidates(n, vectors):
+    """The candidates the DP would pass to `_pareto_minimal` with only the
+    dominance prune: per block, the Pareto-minimal states times the choices."""
+    pad = (0,) * (3 - n)
+    loads, total = [(0,) * max(n, 3)], 0
+    for block in vectors:
+        candidates = [tuple(a + b for a, b in zip(load, tuple(vec) + pad))
+                      for load in loads for vec in block]
+        total += len(candidates)
+        loads = [candidates[i] for i in solvers._pareto_minimal(candidates)]
+    return total
+
+
+@pytest.mark.parametrize("agents,blocks,unbounded", [
+    # with only the dominance prune the DP passes 21,524 candidates at 4x16
+    # and 11,400 at 2x80 over each run; `unbounded_candidates` recounts the
+    # latter, the former takes seconds of pairwise scans to recount
+    (4, 16, 21_524), (2, 80, 11_400), (5, 8, None),
+])
+def test_chain_exact_runs_past_three_agents_with_half_the_candidates(
+        monkeypatch, tmp_path, agents, blocks, unbounded):
+    seen = []
+    pareto_minimal = solvers._pareto_minimal
+
+    def counted(candidates):
+        seen.append(len(candidates))
+        return pareto_minimal(candidates)
+
+    vectors_seen = []
+    allocator = adversary.chain_minmax_exact
+
+    def recorded(n, vectors, edges=None):
+        vectors_seen.append((n, vectors))
+        return allocator(n, vectors, edges)
+
+    monkeypatch.setattr(solvers, "_pareto_minimal", counted)
+    monkeypatch.setattr(adversary, "chain_minmax_exact", recorded)
+    out = tmp_path / "report.json"
+    assert cli.main(["adversary", "run", "--alg", "chain-exact", "--agents", str(agents),
+                     "--blocks", str(blocks), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["outcome"] == "monotonicity-violation"
+    assert report["violation_reverified"] is True
+    if unbounded is None:
+        return
+    if agents <= 3:
+        monkeypatch.setattr(solvers, "_pareto_minimal", pareto_minimal)
+        assert sum(unbounded_candidates(n, v) for n, v in vectors_seen) == unbounded
+    assert sum(seen) < unbounded / 2
 
 
 def test_float_costs_are_refused():

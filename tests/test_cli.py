@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from minmax_procurement import cli, load_instance, minmax_ptas
+from minmax_procurement import cli, graphs, load_instance, minmax_ptas
 from minmax_procurement.cli import main
 
 F = Fraction
@@ -394,6 +394,34 @@ def test_zero_denominator_cost_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: edge 1 cost '1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("nodes", [graphs.MAX_FILE_NODES + 1, 10**12])
+@pytest.mark.parametrize("command", ["solve", "vcg", "ptas"])
+def test_instance_files_past_the_node_limit_are_usage_errors(tmp_path, capsys, nodes, command):
+    # the edges are malformed too: the node count is refused before any is read
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "1", "--out", str(inst)])
+    data = json.loads(inst.read_text())
+    data["nodes"] = nodes
+    data["edges"][0]["cost"] = 0.5
+    inst.write_text(json.dumps(data))
+    extra = ["--epsilon", "1/4"] if command == "ptas" else []
+    assert main([command, "--instance", str(inst), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: nodes {nodes} is above the limit of "
+                            f"{graphs.MAX_FILE_NODES}\n")
+
+
+def test_instance_files_past_the_edge_limit_are_usage_errors(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "2", "--out", str(inst)])
+    monkeypatch.setattr(graphs, "MAX_FILE_EDGES", 3)
+    assert main(["solve", "--instance", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: edges has 4 entries, above the limit of 3\n"
 
 
 @pytest.mark.parametrize("agents, blocks", [(2, 3), (3, 2)])
