@@ -30,7 +30,7 @@ from .solvers import (
     shortest_path,
 )
 from .vcg import MechanismOutcome, clarke_payments, run_vcg, vcg_allocate
-from .pareto import PtasReport, encode_objectives, minmax_ptas, pareto_eps, preprocess
+from .pareto import PtasReport, minmax_ptas, pareto_eps, preprocess
 from .audit import (
     Perturbation,
     ViolationWitness,
@@ -63,7 +63,7 @@ __all__ = [
     # vcg
     "MechanismOutcome", "clarke_payments", "run_vcg", "vcg_allocate",
     # pareto
-    "PtasReport", "encode_objectives", "minmax_ptas", "pareto_eps", "preprocess",
+    "PtasReport", "minmax_ptas", "pareto_eps", "preprocess",
     # audit
     "Perturbation", "ViolationWitness", "check_edge_stability",
     "check_truthfulness", "check_weak_monotonicity",

@@ -122,11 +122,9 @@ def cmd_gen(args) -> int:
         raise UsageError(str(exc)) from exc
     if args.kind == "chain":
         inst = adv.gen_chain(spec)
-    elif args.kind == "expandedchain":
-        inst, _ = adv.expand_chain(adv.gen_chain(spec),
-                                   spec.eps_for(adv.MODE_PATH))
-    else:  # dmst-chain
-        inst, _ = adv.gen_dmst_chain(spec)
+    else:
+        mode = adv.MODE_PATH if args.kind == "expandedchain" else adv.MODE_DMST
+        inst = adv.build_adversary_instance(spec, mode)[0]
     dump_instance(inst, args.out)
     return 0
 

@@ -252,11 +252,6 @@ def cost_summary(inst: Instance, sol: Solution) -> CostSummary:
                        Fraction(max(loads), scale), Fraction(sum(loads), scale))
 
 
-def solution_cost(inst: Instance, sol: Solution) -> Fraction:
-    """Total (min-sum) cost of a solution."""
-    return cost_summary(inst, sol).sum_cost
-
-
 # -- feasibility ------------------------------------------------------------
 
 
@@ -270,71 +265,38 @@ def validate_solution(inst: Instance, sol: Solution) -> bool:
 
     Raises MalformedSolutionError for unknown edge ids.
     """
-    edges = [inst.edge_by_id(i) for i in sol.edge_ids]
-    if inst.mode == PATH:
-        return _is_simple_path(inst, edges)
-    return _is_arborescence(inst, edges)
-
-
-def _is_simple_path(inst: Instance, edges: list[Edge]) -> bool:
-    s, t = inst.source, inst.target_or_root
-    if s == t:
-        return not edges
-    if not edges:
-        return False
-    # Walk from s, consuming exactly one incident unused edge per step.
-    incident: dict[int, list[Edge]] = {}
+    index, all_edges = inst._edge_index, inst.edges
+    try:
+        edges = [all_edges[index[i]] for i in sol.edge_ids]
+    except KeyError as exc:
+        raise MalformedSolutionError(f"unknown edge id {exc.args[0]}") from None
+    ways: list[list[int]] = [[] for _ in range(inst.node_count)]  # where selected edges lead
     for e in edges:
-        incident.setdefault(e.tail, []).append(e)
+        ways[e.tail].append(e.head)
         if not inst.directed:
-            incident.setdefault(e.head, []).append(e)
-    visited = {s}
-    node = s
-    used = set()
-    while node != t:
-        candidates = [e for e in incident.get(node, []) if e.id not in used]
-        if len(candidates) != 1:
-            return False
-        e = candidates[0]
-        nxt = e.head if e.tail == node else e.tail
-        if inst.directed and e.tail != node:
-            return False
-        if nxt in visited:
-            return False
-        used.add(e.id)
-        visited.add(nxt)
-        node = nxt
-    if len(used) != len(edges):
-        return False
-    # No stray incidences: every visited node must have degree <= 2 among
-    # the selected edges, which the single-walk consumption already enforced
-    # via `used == edges`. Endpoints must not have extra edges either; that is
-    # also covered because all edges were consumed on the walk.
-    return True
-
-
-def _is_arborescence(inst: Instance, edges: list[Edge]) -> bool:
+            ways[e.head].append(e.tail)
+    if inst.mode == PATH:
+        # Walk from the source. Every node before the target must offer exactly
+        # one way on; undirected, the edge walked in on also leads back.
+        node, came_from, seen = inst.source, None, {inst.source}
+        while node != inst.target_or_root:
+            on = ways[node]
+            if len(on) != (1 if inst.directed or came_from is None else 2):
+                return False
+            came_from, node = node, on[-1] if on[0] == came_from else on[0]
+            if node in seen:
+                return False
+            seen.add(node)
+        return len(seen) == len(edges) + 1  # the walk took every edge
     root = inst.target_or_root
-    indeg = [0] * inst.node_count
-    children: dict[int, list[int]] = {}
-    for e in edges:
-        indeg[e.head] += 1
-        children.setdefault(e.tail, []).append(e.head)
-    if indeg[root] != 0:
+    heads = {e.head for e in edges}
+    if len(edges) != inst.node_count - 1 or len(heads) != len(edges) or root in heads:
         return False
-    for v in range(inst.node_count):
-        if v != root and indeg[v] != 1:
-            return False
-    # reachability from root via selected edges
-    stack = [root]
-    seen = {root}
-    while stack:
-        u = stack.pop()
-        for v in children.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == inst.node_count
+    # one edge into every node but the root: the search reaches no node twice
+    reached = [root]
+    for node in reached:
+        reached.extend(ways[node])
+    return len(reached) == inst.node_count
 
 
 # -- serialization -----------------------------------------------------------

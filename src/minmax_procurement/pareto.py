@@ -71,28 +71,16 @@ class ParetoLabel:
         return ids
 
 
-def encode_objectives(inst: Instance) -> dict[int, tuple[Fraction, ...]]:
-    """Edge id -> objective vector: owner's coordinate carries the cost."""
-    if inst.mode != PATH:
-        raise ValueError("objective encoding is defined for path instances")
-    vectors = {}
-    zero = [Fraction(0)] * inst.agent_count
-    for e in inst.edges:
-        vec = list(zero)
-        vec[e.owner - 1] = e.cost
-        vectors[e.id] = tuple(vec)
-    return vectors
-
-
 def preprocess(inst: Instance, epsilon: Fraction):
     """Prune expensive edges and floor all weights at delta.
 
     Returns (pruned instance, modified weight vectors, PtasConfig). Edges
     costing more than the shortest-path value cannot improve on the shortest
-    path and are deleted; every remaining weight component is raised to at
-    least delta = eps * SP / n^2 so the weight ratio is at most n^2 / eps.
-    When SP = 0 the shortest path is already min-max optimal and the config
-    carries the short-circuit flag.
+    path and are deleted; each remaining edge's vector has max(delta, cost)
+    in its owner's coordinate and delta = eps * SP / n^2 in every other, so
+    the weight ratio is at most n^2 / eps. When SP = 0 the shortest path is
+    already min-max optimal: the weights are empty and the config carries
+    the short-circuit flag.
     """
     if inst.mode != PATH:
         raise ValueError("the approximation scheme handles path instances only")
@@ -102,18 +90,16 @@ def preprocess(inst: Instance, epsilon: Fraction):
     n = inst.agent_count
     sp = min_sum_optimum(inst).value
     if sp == 0:
-        config = PtasConfig(epsilon, Fraction(0), Fraction(1), sp, True)
-        return inst, encode_objectives(inst), config
+        return inst, {}, PtasConfig(epsilon, Fraction(0), Fraction(1), sp, True)
 
     delta = epsilon * sp / (n * n)
     pruned = inst.without_edges(e.id for e in inst.edges if e.cost > sp)
     weights = {}
-    hi = delta
-    for eid, vec in encode_objectives(pruned).items():
-        mod = tuple(max(delta, w) for w in vec)
-        weights[eid] = mod
-        hi = max(hi, max(mod))
-    ratio = hi / delta
+    for e in pruned.edges:
+        vec = [delta] * n
+        vec[e.owner - 1] = max(delta, e.cost)
+        weights[e.id] = tuple(vec)
+    ratio = max(max(vec) for vec in weights.values()) / delta
     assert ratio <= Fraction(n * n, 1) / epsilon
     config = PtasConfig(epsilon, delta, ratio, sp, False)
     return pruned, weights, config

@@ -28,7 +28,7 @@ from minmax_procurement.adversary import (
     opt_upper_bound,
 )
 from minmax_procurement.audit import InfeasibleAllocationError
-from minmax_procurement.graphs import MAX_FILE_EDGES, MAX_FILE_NODES, solution_cost
+from minmax_procurement.graphs import MAX_FILE_EDGES, MAX_FILE_NODES
 from minmax_procurement.solvers import min_sum_optimum
 
 F = Fraction
@@ -121,7 +121,7 @@ def test_expanded_route_costs():
     inst, indexing = expand_chain(gen_chain(ChainSpec(2, 1)), F(1, 4))
     for agent in (1, 2):
         ids = indexing.route(0, agent).edge_ids
-        assert solution_cost(inst, Solution(ids)) == 1 + F(1, 4)
+        assert cost_summary(inst, Solution(ids)).sum_cost == 1 + F(1, 4)
 
 
 def test_dmst_chain_shape_and_cyclic_ownership():

@@ -28,7 +28,7 @@ from minmax_procurement import (
 )
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
-from minmax_procurement.graphs import PATH, Edge, Solution, solution_cost
+from minmax_procurement.graphs import PATH, Edge, Solution, cost_summary
 from minmax_procurement.solvers import MIN_SUM, NoFeasibleSolutionError, OptimumReport
 
 F = Fraction
@@ -191,7 +191,7 @@ def old_min_sum_optimum(inst):
             list(range(inst.node_count)), inst.target_or_root,
             [(e.tail, e.head, e.cost, e.id) for e in inst.edges])
     witness = Solution(chosen)
-    return OptimumReport(MIN_SUM, solution_cost(inst, witness), witness)
+    return OptimumReport(MIN_SUM, cost_summary(inst, witness).sum_cost, witness)
 
 
 # -- independent values --------------------------------------------------------
@@ -361,4 +361,4 @@ def test_min_arborescence_on_a_700_block_dmst_chain_needs_no_recursion():
     inst = gen_dmst_chain(ChainSpec(2, 700))[0]
     report = min_arborescence(inst)
     assert validate_solution(inst, report.witness)
-    assert report.value == solution_cost(inst, report.witness)
+    assert report.value == cost_summary(inst, report.witness).sum_cost

@@ -12,7 +12,6 @@ from minmax_procurement import (
     Solution,
     brute_minmax,
     cost_summary,
-    encode_objectives,
     minmax_ptas,
     pareto_eps,
     preprocess,
@@ -41,29 +40,6 @@ def rand_instance(rng, max_nodes, agents):
     return Instance(False, nodes, tuple(edges), agents, PATH, order[0], order[-1])
 
 
-# -- objective encoding -------------------------------------------------------
-
-
-def test_encoding_places_cost_on_owner_coordinate():
-    edges = (Edge(0, 0, 1, 2, F(5)),)
-    inst = Instance(False, 2, edges, 3, PATH, 0, 1)
-    assert encode_objectives(inst)[0] == (F(0), F(5), F(0))
-
-
-def test_zero_cost_edge_encodes_to_zero_vector():
-    edges = (Edge(0, 0, 1, 1, F(0)),)
-    inst = Instance(False, 2, edges, 2, PATH, 0, 1)
-    assert encode_objectives(inst)[0] == (F(0), F(0))
-
-
-def test_vector_sum_along_route_matches_agent_costs():
-    inst, indexing = expand_chain(gen_chain(ChainSpec(2, 1)), F(1, 4))
-    vectors = encode_objectives(inst)
-    route = indexing.route(0, 1)
-    total = tuple(sum(vs) for vs in zip(*(vectors[i] for i in route.edge_ids)))
-    assert total == (F(1), F(1, 4))
-
-
 # -- preprocessing ------------------------------------------------------------
 
 
@@ -85,11 +61,16 @@ def test_edges_dearer_than_shortest_path_are_pruned():
 
 
 def test_all_weight_components_floored_at_delta():
-    edges = (Edge(0, 0, 1, 1, F(4)), Edge(1, 0, 1, 2, F(3)))
-    inst = Instance(False, 2, edges, 2, PATH, 0, 1)
-    _, weights, config = preprocess(inst, F(1, 2))
-    for vec in weights.values():
-        assert all(w >= config.delta for w in vec)
+    # edge 0 costs more than SP = 3 and is pruned; edges 2 and 3 cost less than delta
+    edges = (Edge(0, 0, 1, 1, F(4)), Edge(1, 0, 1, 2, F(3)),
+             Edge(2, 1, 2, 3, F(0)), Edge(3, 1, 2, 2, F(1, 100)))
+    inst = Instance(False, 3, edges, 3, PATH, 0, 2)
+    pruned, weights, config = preprocess(inst, F(1, 2))
+    assert set(weights) == {e.id for e in pruned.edges} == {1, 2, 3}
+    for e in pruned.edges:
+        vec = weights[e.id]
+        assert vec[e.owner - 1] == max(config.delta, e.cost)
+        assert vec[:e.owner - 1] + vec[e.owner:] == (config.delta,) * 2
 
 
 def test_zero_shortest_path_short_circuits():

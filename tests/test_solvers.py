@@ -22,7 +22,7 @@ from minmax_procurement import (
 from minmax_procurement import solvers
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
-from minmax_procurement.graphs import ARBORESCENCE, solution_cost
+from minmax_procurement.graphs import ARBORESCENCE
 from minmax_procurement.solvers import (
     BudgetExceededError,
     NoFeasibleSolutionError,
@@ -69,7 +69,7 @@ def test_shortest_path_witness_cost_matches_value():
         inst = random_path_instance(random.Random(seed))
         report = shortest_path(inst)
         assert validate_solution(inst, report.witness)
-        assert solution_cost(inst, report.witness) == report.value
+        assert cost_summary(inst, report.witness).sum_cost == report.value
         assert report.value == brute_minsum(inst).value
 
 
@@ -129,9 +129,9 @@ def test_arborescence_matches_bruteforce_on_random_instances():
         inst = random_arborescence_instance(random.Random(seed), max_nodes=6)
         report = min_arborescence(inst)
         assert validate_solution(inst, report.witness)
-        assert solution_cost(inst, report.witness) == report.value
+        assert cost_summary(inst, report.witness).sum_cost == report.value
         best = min(
-            solution_cost(inst, Solution(ids))
+            cost_summary(inst, Solution(ids)).sum_cost
             for ids in _enumerate_arborescences(inst))
         assert report.value == best
 
