@@ -24,10 +24,7 @@ from . import pareto
 from . import solvers
 from . import vcg as vcg_mod
 from .graphs import (
-    ARBORESCENCE,
     InstanceFormatError,
-    PATH,
-    Instance,
     Solution,
     as_rational,
     cost_summary,
@@ -102,13 +99,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational p/q or decimal: {text!r}") from exc
 
 
-def _load(path: str) -> Instance:
-    try:
-        return load_instance(path)
-    except (OSError, InstanceFormatError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 ALGORITHMS = ("vcg", "chain-exact")
 
 
@@ -130,7 +120,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     if args.objective == "minsum":
         report = solvers.min_sum_optimum(inst)
     else:
@@ -146,7 +136,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_vcg(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     outcome = vcg_mod.run_vcg(inst)
     summary = cost_summary(inst, outcome.allocation)
     selected = [[] for _ in range(inst.agent_count)]
@@ -172,7 +162,7 @@ def cmd_vcg(args) -> int:
 
 
 def cmd_ptas(args) -> int:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     try:
         report = pareto.minmax_ptas(inst, args.epsilon)
     except ValueError as exc:  # epsilon <= 0 or not a path instance
@@ -342,11 +332,8 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (solvers.NoFeasibleSolutionError, solvers.BudgetExceededError,
-            vcg_mod.PivotalInfeasibleError) as exc:
+    except (UsageError, OSError, InstanceFormatError, solvers.NoFeasibleSolutionError,
+            solvers.BudgetExceededError, vcg_mod.PivotalInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
@@ -32,6 +32,8 @@ FILE_FORMAT_VERSION = 1
 # caps it at MAX_FILE_EDGES edges, and a chain with E edges has E + 1 nodes at most.
 MAX_FILE_EDGES = 2**20
 MAX_FILE_NODES = MAX_FILE_EDGES + 1
+# Each edge has one owner, so an agent past MAX_FILE_EDGES would own nothing.
+MAX_FILE_AGENTS = MAX_FILE_EDGES
 
 
 class MalformedSolutionError(ValueError):
@@ -290,9 +292,10 @@ def validate_solution(inst: Instance, sol: Solution) -> bool:
         return len(seen) == len(edges) + 1  # the walk took every edge
     root = inst.target_or_root
     heads = {e.head for e in edges}
-    if len(edges) != inst.node_count - 1 or len(heads) != len(edges) or root in heads:
+    if len(heads) != len(edges) or root in heads:
         return False
-    # one edge into every node but the root: the search reaches no node twice
+    # at most one edge into each node and none into the root, so the search
+    # reaches no node twice; it reaches them all iff the edges are an arborescence
     reached = [root]
     for node in reached:
         reached.extend(ways[node])
@@ -361,8 +364,9 @@ def instance_from_dict(data: dict) -> Instance:
     """The instance a file's JSON document describes.
 
     Integers must be JSON integers, `directed` a JSON bool and costs ints or
-    "p/q" strings; more than MAX_FILE_NODES nodes or MAX_FILE_EDGES edges are
-    refused before any edge is read. Anything else raises InstanceFormatError.
+    "p/q" strings; more than MAX_FILE_NODES nodes, MAX_FILE_AGENTS agents or
+    MAX_FILE_EDGES edges are refused before any edge is read. Anything else
+    raises InstanceFormatError.
     """
     try:
         if _integer(data, "version") != FILE_FORMAT_VERSION:
@@ -373,6 +377,9 @@ def instance_from_dict(data: dict) -> Instance:
         nodes = _integer(data, "nodes")
         if nodes > MAX_FILE_NODES:
             raise InstanceFormatError(f"nodes {nodes} is above the limit of {MAX_FILE_NODES}")
+        agents = _integer(data, "agents")
+        if agents > MAX_FILE_AGENTS:
+            raise InstanceFormatError(f"agents {agents} is above the limit of {MAX_FILE_AGENTS}")
         if len(data["edges"]) > MAX_FILE_EDGES:
             raise InstanceFormatError(f"edges has {len(data['edges'])} entries, above the "
                                       f"limit of {MAX_FILE_EDGES}")
@@ -381,7 +388,7 @@ def instance_from_dict(data: dict) -> Instance:
             directed=data["directed"],
             node_count=nodes,
             edges=edges,
-            agent_count=_integer(data, "agents"),
+            agent_count=agents,
             mode=data["mode"],
             source=_integer(data, "source"),
             target_or_root=_integer(data, "target_or_root"),

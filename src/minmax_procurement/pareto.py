@@ -39,7 +39,7 @@ from .solvers import MIN_MAX, NoFeasibleSolutionError, OptimumReport, min_sum_op
 class PtasConfig:
     epsilon: Fraction
     delta: Fraction
-    ratio_bound: Fraction  # max/min modified weight ratio, <= n^2/eps
+    ratio_bound: Fraction  # max/min modified weight ratio, <= n(V-1)/eps
     baseline_sp: Fraction
     short_circuit: bool  # SP == 0: the shortest path itself is optimal
 
@@ -75,12 +75,15 @@ def preprocess(inst: Instance, epsilon: Fraction):
     """Prune expensive edges and floor all weights at delta.
 
     Returns (pruned instance, modified weight vectors, PtasConfig). Edges
-    costing more than the shortest-path value cannot improve on the shortest
-    path and are deleted; each remaining edge's vector has max(delta, cost)
-    in its owner's coordinate and delta = eps * SP / n^2 in every other, so
-    the weight ratio is at most n^2 / eps. When SP = 0 the shortest path is
-    already min-max optimal: the weights are empty and the config carries
-    the short-circuit flag.
+    costing more than the shortest-path value SP cannot improve on the
+    shortest path and are deleted; each remaining edge's vector has
+    max(delta, cost) in its owner's coordinate and delta elsewhere, with
+    delta = eps * SP / (n * (V - 1)) for n agents and V nodes, so the weight
+    ratio is at most n * (V - 1) / eps. A simple path has at most V - 1
+    edges and SP <= n * OPT, so the floor adds at most eps * OPT to each
+    coordinate of the optimal path, and the scheme keeps its (1+eps)^2
+    bound. When SP = 0 the shortest path is already min-max optimal: the
+    weights are empty and the config carries the short-circuit flag.
     """
     if inst.mode != PATH:
         raise ValueError("the approximation scheme handles path instances only")
@@ -92,7 +95,7 @@ def preprocess(inst: Instance, epsilon: Fraction):
     if sp == 0:
         return inst, {}, PtasConfig(epsilon, Fraction(0), Fraction(1), sp, True)
 
-    delta = epsilon * sp / (n * n)
+    delta = epsilon * sp / (n * (inst.node_count - 1))
     pruned = inst.without_edges(e.id for e in inst.edges if e.cost > sp)
     weights = {}
     for e in pruned.edges:
@@ -100,7 +103,7 @@ def preprocess(inst: Instance, epsilon: Fraction):
         vec[e.owner - 1] = max(delta, e.cost)
         weights[e.id] = tuple(vec)
     ratio = max(max(vec) for vec in weights.values()) / delta
-    assert ratio <= Fraction(n * n, 1) / epsilon
+    assert ratio <= n * (inst.node_count - 1) / epsilon
     config = PtasConfig(epsilon, delta, ratio, sp, False)
     return pruned, weights, config
 

@@ -110,6 +110,21 @@ def test_solve_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "dmst-chain", "--agents", "2", "--blocks", "2", "--out", "{missing}/x.json"],
+    ["solve", "--instance", "{inst}", "--out", "{missing}/y.json"],
+    ["vcg", "--instance", "{missing}/z.json"],
+])
+def test_io_errors_are_usage_errors(tmp_path, capsys, argv):
+    inst, missing = tmp_path / "chain.json", tmp_path / "missing"
+    main(["gen", "chain", "--agents", "2", "--blocks", "2", "--out", str(inst)])
+    assert main([arg.format(inst=inst, missing=missing) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+    assert "Traceback" not in captured.err and not missing.exists()
+
+
 def test_solve_minmax_on_a_1500_node_path(tmp_path, capsys):
     from minmax_procurement import Edge, Instance, PATH, dump_instance
     path = tmp_path / "long.json"
@@ -188,6 +203,15 @@ def test_ptas_with_bruteforce_check(tmp_path, capsys):
     assert code == 0
     assert doc["bound_satisfied"] is True
     assert F(doc["value"]) <= F(doc["bound"])
+
+
+def test_ptas_meets_its_bound_on_a_ten_block_chain(tmp_path, capsys):
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "10", "--out", str(inst)])
+    code, doc = run(capsys, "ptas", "--instance", str(inst),
+                    "--epsilon", "2/5", "--check-against-bruteforce")
+    assert code == 0
+    assert (doc["value"], doc["bruteforce_optimum"], doc["bound_satisfied"]) == ("5", "5", True)
 
 
 def test_ptas_rejects_bad_epsilon(tmp_path, capsys):
@@ -422,6 +446,22 @@ def test_instance_files_past_the_edge_limit_are_usage_errors(tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: edges has 4 entries, above the limit of 3\n"
+
+
+def test_instance_files_past_the_agent_limit_are_usage_errors(tmp_path, capsys, monkeypatch):
+    # the edges are malformed too: the agent count is refused before any is read
+    inst = tmp_path / "chain.json"
+    main(["gen", "chain", "--agents", "3", "--blocks", "1", "--out", str(inst)])
+    data = json.loads(inst.read_text())
+    data["edges"][0]["cost"] = 0.5
+    inst.write_text(json.dumps(data))
+    monkeypatch.setattr(graphs, "MAX_FILE_AGENTS", 2)
+    assert main(["vcg", "--instance", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: agents 3 is above the limit of 2\n"
+    main(["gen", "chain", "--agents", "2", "--blocks", "1", "--out", str(inst)])
+    assert main(["vcg", "--instance", str(inst)]) == 0
 
 
 @pytest.mark.parametrize("agents, blocks", [(2, 3), (3, 2)])

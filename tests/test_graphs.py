@@ -3,7 +3,7 @@
 import json
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +148,12 @@ def test_arborescence_indegree_violations_are_rejected():
     assert not validate_solution(inst, Solution(r1.edge_ids + r2.edge_ids))
     # missing the other route's interior node
     assert not validate_solution(inst, Solution(r1.edge_ids))
+    # an edge into the root, on a cycle through it
+    edges = (Edge(0, 0, 1, 1, F(1)), Edge(1, 1, 0, 1, F(1)), Edge(2, 1, 2, 1, F(1)))
+    cycle = Instance(True, 3, edges, 1, ARBORESCENCE, 0, 0)
+    assert validate_solution(cycle, Solution([0, 2]))
+    assert not validate_solution(cycle, Solution([0, 1]))
+    assert not validate_solution(cycle, Solution([0, 1, 2]))
 
 
 def test_arborescence_rejects_unreached_nodes():
@@ -184,6 +190,39 @@ def test_validate_agrees_with_exhaustive_subset_checker():
     for size in range(len(ids) + 1):
         for subset in combinations(ids, size):
             assert validate_solution(inst, Solution(subset)) == brute_ok(subset)
+
+
+@pytest.mark.parametrize("directed, target", [(False, 3), (True, 3), (False, 0)])
+def test_validate_agrees_with_exhaustive_path_checker(directed, target):
+    """Every edge subset of a multigraph with parallel edges, a self-loop and
+    a cycle, against an independent checker that tries every edge order."""
+    ends = [(0, 1), (0, 1), (1, 2), (2, 3), (1, 3), (2, 2), (3, 0)]
+    edges = tuple(Edge(i, u, v, 1, F(1)) for i, (u, v) in enumerate(ends))
+    inst = Instance(directed, 4, edges, 1, PATH, 0, target)
+
+    def brute_ok(subset):
+        for order in permutations(subset):
+            walk = [inst.source]
+            for eid in order:
+                u, v = ends[eid]
+                if walk[-1] == u:
+                    walk.append(v)
+                elif walk[-1] == v and not directed:
+                    walk.append(u)
+                else:
+                    break
+            else:
+                if walk[-1] == target and len(set(walk)) == len(walk):
+                    return True
+        return False
+
+    valid = 0
+    for size in range(len(ends) + 1):
+        for subset in combinations(range(len(ends)), size):
+            ok = brute_ok(subset)
+            assert validate_solution(inst, Solution(subset)) == ok, subset
+            valid += ok
+    assert valid == {(False, 3): 5, (True, 3): 4, (False, 0): 1}[directed, target]
 
 
 # -- cost evaluation ----------------------------------------------------------

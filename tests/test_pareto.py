@@ -17,7 +17,13 @@ from minmax_procurement import (
     preprocess,
     shortest_path,
 )
-from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain
+from minmax_procurement.adversary import (
+    ChainSpec,
+    build_adversary_instance,
+    chain_exact_allocator,
+    expand_chain,
+    gen_chain,
+)
 from minmax_procurement.pareto import _bucket_base, _Bucketizer, _simplify_path
 from minmax_procurement.solvers import _enumerate_paths
 
@@ -44,12 +50,13 @@ def rand_instance(rng, max_nodes, agents):
 
 
 def test_delta_formula():
-    edges = (Edge(0, 0, 1, 1, F(4)), Edge(1, 0, 1, 2, F(6)))
-    inst = Instance(False, 2, edges, 2, PATH, 0, 1)
+    edges = (Edge(0, 0, 1, 1, F(4)), Edge(1, 0, 1, 2, F(6)),
+             Edge(2, 1, 2, 2, F(0)), Edge(3, 2, 3, 1, F(0)))
+    inst = Instance(False, 4, edges, 2, PATH, 0, 3)
     _, _, config = preprocess(inst, F(1, 2))
     assert config.baseline_sp == 4
-    assert config.delta == F(1, 2) * 4 / 4  # eps * SP / n^2
-    assert config.ratio_bound <= F(2 * 2, 1) / F(1, 2)
+    assert config.delta == F(1, 2) * 4 / (2 * 3)  # eps * SP / (n * (V - 1))
+    assert config.ratio_bound == 4 / config.delta <= 2 * 3 / F(1, 2)
 
 
 def test_edges_dearer_than_shortest_path_are_pruned():
@@ -191,6 +198,16 @@ def test_ptas_bound_on_expanded_chain():
     report = minmax_ptas(inst, F(1, 4))
     opt = brute_minmax(inst).value
     assert report.value <= F(25, 16) * opt
+
+
+@pytest.mark.parametrize("blocks", range(16, 21))
+def test_ptas_bound_on_long_expanded_chains(blocks):
+    # paths of 2 * blocks edges: past n^2 / eps of them, so the floor must
+    # shrink with the path length to stay within eps * OPT
+    inst, indexing = build_adversary_instance(ChainSpec(2, blocks), "path")
+    opt = cost_summary(inst, chain_exact_allocator(indexing)(inst)).max_cost
+    eps = F(1, 4)
+    assert minmax_ptas(inst, eps).value <= (1 + eps) ** 2 * opt
 
 
 def test_ptas_bound_on_random_instances():
