@@ -13,12 +13,12 @@ so the coverage factor is certified in exact arithmetic. The DP scales the
 floored weights once to integers over their common denominator L and runs on
 integer tuples. An integer value V lies in the smallest cell k >= 0 with
 V <= floor(D * p^k / q^k), where D = delta * L. That floor comes from a
-certified fixed-point bracket lo <= 2^g * b^k <= hi, built by
-square-and-multiply rounding lo down and hi up: when floor(D * lo / 2^g) and
-floor(D * hi / 2^g) agree, that is the exact floor; otherwise it is computed
-from the exact powers. Floating point only guesses k, and the guess is
-corrected exactly. No table of exact powers is kept, so memory does not grow
-with 1/eps.
+certified fixed-point bracket lo <= 2^g * b^k <= hi, the product of one
+table entry per base-64 digit of k, rounding lo down and hi up: when
+floor(D * lo / 2^g) and floor(D * hi / 2^g) agree, that is the exact floor;
+otherwise it is computed from the exact powers. The table holds at most 64
+brackets per level, so memory does not grow with 1/eps. Floating point only
+guesses k; the guess is corrected exactly, galloping then bisecting.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from itertools import islice
 from operator import add
 from typing import Optional
 
-from .graphs import Instance, PATH, Solution, as_rational, cost_summary, scale_to_integers
+from .graphs import (
+    Instance, PATH, Solution, as_rational, cost_summary, scale_to_integers, scaled_loads,
+)
 from .solvers import MIN_MAX, NoFeasibleSolutionError, OptimumReport, min_sum_optimum
 
 
@@ -39,7 +41,7 @@ from .solvers import MIN_MAX, NoFeasibleSolutionError, OptimumReport, min_sum_op
 class PtasConfig:
     epsilon: Fraction
     delta: Fraction
-    ratio_bound: Fraction  # max/min modified weight ratio, <= n(V-1)/eps
+    ratio_bound: Fraction  # max/min modified weight ratio, <= max(1, n(V-1)/eps)
     baseline_sp: Fraction
     short_circuit: bool  # SP == 0: the shortest path itself is optimal
 
@@ -79,9 +81,10 @@ def preprocess(inst: Instance, epsilon: Fraction):
     shortest path and are deleted; each remaining edge's vector has
     max(delta, cost) in its owner's coordinate and delta elsewhere, with
     delta = eps * SP / (n * (V - 1)) for n agents and V nodes, so the weight
-    ratio is at most n * (V - 1) / eps. A simple path has at most V - 1
-    edges and SP <= n * OPT, so the floor adds at most eps * OPT to each
-    coordinate of the optimal path, and the scheme keeps its (1+eps)^2
+    ratio is at most max(1, n * (V - 1) / eps): once eps > n * (V - 1), delta
+    exceeds every kept cost and every weight is delta. A simple path has at
+    most V - 1 edges and SP <= n * OPT, so the floor adds at most eps * OPT to
+    each coordinate of the optimal path, and the scheme keeps its (1+eps)^2
     bound. When SP = 0 the shortest path is already min-max optimal: the
     weights are empty and the config carries the short-circuit flag.
     """
@@ -103,23 +106,24 @@ def preprocess(inst: Instance, epsilon: Fraction):
         vec[e.owner - 1] = max(delta, e.cost)
         weights[e.id] = tuple(vec)
     ratio = max(max(vec) for vec in weights.values()) / delta
-    assert ratio <= n * (inst.node_count - 1) / epsilon
+    assert ratio <= max(1, n * (inst.node_count - 1) / epsilon)
     config = PtasConfig(epsilon, delta, ratio, sp, False)
     return pruned, weights, config
 
 
 MIN_EPSILON = Fraction(1, 2**48)
+MAX_EPSILON = 2**48
 
 
 def _bucket_base(epsilon: Fraction, node_count: int) -> Fraction:
     """A rational b > 1 with b^(node_count-1) <= 1 + epsilon, certified exactly.
 
-    Epsilon below MIN_EPSILON raises ValueError: the float guesses of b and of
-    each cell lose bits as epsilon shrinks, so their exact correction slows
-    without bound (2^-64 ran past 40 s); below ~1e-308 they overflow or divide by zero.
+    Epsilon outside [MIN_EPSILON, MAX_EPSILON] raises ValueError. The float
+    guesses of b and of each cell lose bits as epsilon shrinks, and below
+    ~1e-308 they divide by zero; above ~1.8e308 float(epsilon) overflows.
     """
-    if epsilon < MIN_EPSILON:
-        raise ValueError("epsilon must be at least 2^-48")
+    if not MIN_EPSILON <= epsilon <= MAX_EPSILON:
+        raise ValueError("epsilon must be at least 2^-48 and at most 2^48")
     steps = max(node_count - 1, 1)
     approx = (1.0 + float(epsilon)) ** (1.0 / steps)
     base = Fraction(approx).limit_denominator(10**6)
@@ -132,67 +136,134 @@ def _bucket_base(epsilon: Fraction, node_count: int) -> Fraction:
     return base
 
 
-GUARD_BITS = 64  # bits of a power bracket beyond 2 * bitlen(k)
+def _times(lo: int, hi: int, num: int, den: int) -> tuple[int, int]:
+    """The bracket lo, hi times num / den, lo rounded down and hi up."""
+    return lo * num // den, -(-(hi * num) // den)
 
 
-def _power_bracket(p: int, q: int, k: int, bits: int) -> tuple[int, int]:
-    """Integers lo <= 2^bits * (p/q)^k <= hi.
-
-    Square-and-multiply in fixed point with `bits` fractional bits, rounding
-    every product down for lo and up for hi.
-    """
-    base_lo = (p << bits) // q
-    base_hi = -(-(p << bits) // q)
-    lo = hi = 1 << bits
-    for bit in bin(k)[2:]:
-        lo = lo * lo >> bits
-        hi = -(-(hi * hi) >> bits)
-        if bit == "1":
-            lo = lo * base_lo >> bits
-            hi = -(-(hi * base_hi) >> bits)
-    return lo, hi
-
-
-def _floor_scaled_power(d: int, p: int, q: int, k: int) -> int:
-    """floor(d * (p/q)^k), exactly, for integers d >= 0, p >= q >= 1, k >= 0."""
-    bits = GUARD_BITS + 2 * k.bit_length()
-    lo, hi = _power_bracket(p, q, k, bits)
-    floor = d * lo >> bits
-    if floor == d * hi >> bits:
-        return floor
-    return d * p**k // q**k
+def _table_bits(k: int) -> int:
+    """Fractional bits of a bracket table that serves k: 64 beyond 2 * bitlen(k),
+    which keeps fallbacks to exact powers rare, and at least 160, so that one
+    table serves every k below 2^48."""
+    return 64 + 2 * max(k.bit_length(), 48)
 
 
 class _Bucketizer:
+    """Cells of the geometric grid delta * base^k, decided exactly.
+
+    Fixed-point brackets lo <= 2^bits * base^k <= hi come from a table whose
+    level j holds the brackets of base^(r * 64^j) for r < 64. Entries are
+    built when a k first needs them, each by one multiply of two existing ones;
+    every product rounds lo down and hi up, so the brackets hold at any
+    precision and `bits` only sets how often the exact powers are needed.
+    """
+
     def __init__(self, base: Fraction, delta):
         self.base = base
         self.delta = delta  # a Fraction, or an int in the DP's scaled units
         self._log_base = math.log1p(float(base - 1))  # accurate for base near 1
-        self._floors: dict[tuple[int, int], int] = {}
+        self._bits = 0
+        self._levels: list[list[tuple[int, int]]] = []
 
-    def _floor(self, d: int, k: int) -> int:
-        floor = self._floors.get((d, k))
-        if floor is None:
-            floor = _floor_scaled_power(d, self.base.numerator, self.base.denominator, k)
-            self._floors[d, k] = floor
-        return floor
+    def _grow(self, j: int, r: int) -> None:
+        """Build the table up to the bracket of base^(r * 64^j)."""
+        levels, bits = self._levels, self._bits
+        while len(levels) <= j:
+            i = len(levels)
+            if i == 0:
+                step = _times(1 << bits, 1 << bits, self.base.numerator, self.base.denominator)
+            else:  # base^(64^i) = base^(63 * 64^(i-1)) * base^(64^(i-1))
+                self._grow(i - 1, 63)
+                (lo, hi), (step_lo, step_hi) = levels[i - 1][63], levels[i - 1][1]
+                step = lo * step_lo >> bits, -(-(hi * step_hi) >> bits)
+            levels.append([(1 << bits, 1 << bits), step])
+        row = levels[j]
+        while len(row) <= r:
+            (lo, hi), (step_lo, step_hi) = row[-1], row[1]
+            row.append((lo * step_lo >> bits, -(-(hi * step_hi) >> bits)))
+
+    def _bracket(self, k: int) -> tuple[int, int]:
+        """lo <= 2^bits * base^k <= hi: one table multiply per base-64 digit of k."""
+        if _table_bits(k) > self._bits:  # first use, or k past the table's precision
+            self._bits = _table_bits(k)
+            self._levels = []
+        bits, levels = self._bits, self._levels
+        lo = hi = 1 << bits
+        j = 0
+        while k:
+            r = k & 63
+            if r:
+                if len(levels) <= j or len(levels[j]) <= r:
+                    self._grow(j, r)
+                entry_lo, entry_hi = levels[j][r]
+                lo = lo * entry_lo >> bits
+                hi = -(-(hi * entry_hi) >> bits)
+            k >>= 6
+            j += 1
+        return lo, hi
+
+    def _floor(self, d: int, k: int, lo: int, hi: int) -> int:
+        """floor(d * base^k), exactly, for d >= 0 and a bracket lo, hi of base^k."""
+        floor = d * lo >> self._bits
+        if floor == d * hi >> self._bits:
+            return floor
+        return d * self.base.numerator**k // self.base.denominator**k
+
+    def _covers(self, m: int, d: int, k: int) -> bool:
+        return m <= self._floor(d, k, *self._bracket(k))
+
+    def _guess(self, m: int, d: int) -> int:
+        """A float estimate of the smallest k >= 1 with m <= d * base^k."""
+        return max(int((math.log(m) - math.log(d)) / self._log_base), 1)
 
     def index(self, value) -> int:
         """Smallest k >= 0 with value <= delta * base^k (0 for value <= delta).
 
         With value / delta = m / d in integers this is the smallest k with
-        m <= floor(d * base^k).
+        m <= floor(d * base^k). The float guess's neighbour k +- 1 is bracketed
+        from the guess's bracket by one multiply or divide by base; a guess e
+        cells off costs O(log e) brackets.
         """
         m = value.numerator * self.delta.denominator
         d = value.denominator * self.delta.numerator
         if m <= d:
             return 0
-        k = max(int((math.log(m) - math.log(d)) / self._log_base), 0)
-        while m > self._floor(d, k):
-            k += 1
-        while k > 0 and m <= self._floor(d, k - 1):
-            k -= 1
-        return k
+        p, q = self.base.numerator, self.base.denominator
+        k = self._guess(m, d)
+        lo, hi = self._bracket(k)
+        if m <= self._floor(d, k, lo, hi):  # k covers m; does k - 1?
+            if k == 1 or m > self._floor(d, k - 1, *_times(lo, hi, q, p)):
+                return k
+            return self._search(m, d, 0, k - 1)
+        if m <= self._floor(d, k + 1, *_times(lo, hi, p, q)):
+            return k + 1
+        return self._search(m, d, k + 1, None)
+
+    def _search(self, m: int, d: int, fails: int, covers: Optional[int]) -> int:
+        """The smallest k that covers m, given that k = fails does not and
+        k = covers does (None: gallop up from fails to find one).
+
+        Gallops away from the side known nearest, doubling the step, then
+        bisects.
+        """
+        step = 1
+        if covers is None:
+            while not self._covers(m, d, fails + step):
+                fails += step
+                step *= 2
+            covers = fails + step
+        else:
+            while covers - step > fails and self._covers(m, d, covers - step):
+                covers -= step
+                step *= 2
+            fails = max(fails, covers - step)
+        while covers - fails > 1:
+            mid = (fails + covers) // 2
+            if self._covers(m, d, mid):
+                covers = mid
+            else:
+                fails = mid
+        return covers
 
 
 def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
@@ -302,15 +373,11 @@ def minmax_ptas(inst: Instance, epsilon: Fraction) -> PtasReport:
                           label_count=None)
 
     labels = pareto_eps(pruned, weights, config.epsilon)
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
-    for label in labels:
-        ids = _simplify_path(pruned, label.edge_ids())
-        sol = Solution(ids)
-        value = cost_summary(inst, sol).max_cost
-        key = (value, tuple(sorted(ids)))
-        if best is None or key < best:
-            best = key
+    walks = (sorted(_simplify_path(pruned, label.edge_ids())) for label in labels)
+    # scaled loads share the instance's denominator, so they rank as the costs do
+    best = min(((max(scaled_loads(inst, ids)), ids) for ids in walks), default=None)
     if best is None:
         raise NoFeasibleSolutionError("no source-target path survived preprocessing")
-    return PtasReport(MIN_MAX, best[0], Solution(best[1]), delta=config.delta,
-                      baseline_sp=config.baseline_sp, label_count=len(labels))
+    return PtasReport(MIN_MAX, Fraction(best[0], inst.scaled_costs()[0]), Solution(best[1]),
+                      delta=config.delta, baseline_sp=config.baseline_sp,
+                      label_count=len(labels))

@@ -214,6 +214,16 @@ def test_ptas_meets_its_bound_on_a_ten_block_chain(tmp_path, capsys):
     assert (doc["value"], doc["bruteforce_optimum"], doc["bound_satisfied"]) == ("5", "5", True)
 
 
+def test_ptas_with_epsilon_past_n_times_the_path_length(tmp_path, capsys):
+    # eps = 100 > n (V - 1) = 10: delta exceeds every kept cost, so every
+    # weight is delta and the weight ratio is 1
+    inst = tmp_path / "exp.json"
+    main(["gen", "expandedchain", "--agents", "2", "--blocks", "2", "--out", str(inst)])
+    code, doc = run(capsys, "ptas", "--instance", str(inst),
+                    "--epsilon", "100", "--check-against-bruteforce")
+    assert code == 0 and doc["bound_satisfied"] is True
+
+
 def test_ptas_rejects_bad_epsilon(tmp_path, capsys):
     inst = tmp_path / "exp.json"
     main(["gen", "chain", "--agents", "2", "--blocks", "2", "--out", str(inst)])
@@ -490,6 +500,18 @@ def test_ptas_refuses_a_tiny_epsilon(tmp_path, capsys, epsilon):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert "2^-48" in captured.err or "not a rational" in captured.err
+
+
+@pytest.mark.parametrize("epsilon", ["1" + "0" * 400, str(2**48 + 1)],
+                         ids=["10^400", "2^48+1"])
+def test_ptas_refuses_a_huge_epsilon(tmp_path, capsys, epsilon):
+    inst = tmp_path / "exp.json"
+    assert main(["gen", "expandedchain", "--agents", "2", "--blocks", "2",
+                 "--out", str(inst)]) == 0
+    assert main(["ptas", "--instance", str(inst), "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and "at most 2^48" in captured.err
 
 
 def test_an_exponent_cost_in_a_file_is_a_usage_error(tmp_path, capsys):

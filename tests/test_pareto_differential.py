@@ -2,9 +2,11 @@
 
 `OldBucketizer` and `old_pareto_eps` are the former bucketing, which compared
 Fractions against exact powers delta * base^k, and the former DP over
-Fraction vectors. They are kept here only as oracles: the new
-DP must return the same labels (node, cell, vector, edges) in the same order,
-and the new power bracket must give the exact floor d * p^k // q^k.
+Fraction vectors; `old_ptas_winner` is the former scoring of the labels,
+one Fraction cost summary per label. They are kept here only as oracles: the
+new DP must return the same labels (node, cell, vector, edges) in the same
+order, `minmax_ptas` the same value, witness and label count, and the power
+brackets must give the exact floor d * p^k // q^k.
 """
 
 import math
@@ -18,20 +20,16 @@ from minmax_procurement import (
     Edge,
     Instance,
     PATH,
+    Solution,
     chain_minmax_exact,
+    cost_summary,
     minmax_ptas,
     pareto_eps,
     preprocess,
 )
 from minmax_procurement import pareto
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain
-from minmax_procurement.pareto import (
-    ParetoLabel,
-    _bucket_base,
-    _Bucketizer,
-    _floor_scaled_power,
-    _power_bracket,
-)
+from minmax_procurement.pareto import ParetoLabel, _bucket_base, _Bucketizer, _simplify_path
 
 F = Fraction
 
@@ -104,6 +102,21 @@ def old_pareto_eps(inst, weights, epsilon):
     return [label for key, label in sorted(cells.items()) if label.node == t]
 
 
+def old_ptas_winner(inst, epsilon):
+    """The former scoring of the target labels: cost_summary of every
+    simplified walk, ranked by (max cost, sorted ids)."""
+    pruned, weights, config = preprocess(inst, epsilon)
+    labels = pareto_eps(pruned, weights, config.epsilon)
+    best = None
+    for label in labels:
+        ids = _simplify_path(pruned, label.edge_ids())
+        value = cost_summary(inst, Solution(ids)).max_cost
+        key = (value, tuple(sorted(ids)))
+        if best is None or key < best:
+            best = key
+    return best[0], Solution(best[1]), len(labels)
+
+
 # -- instances ------------------------------------------------------------------
 
 
@@ -142,6 +155,8 @@ def assert_same_labels(inst, epsilon):
     assert label_rows(new) == label_rows(old)
     for lab in new:
         assert all(type(x) is Fraction for x in lab.vector)
+    report = minmax_ptas(inst, epsilon)
+    assert (report.value, report.witness, report.label_count) == old_ptas_winner(inst, epsilon)
     return len(new)
 
 
@@ -196,31 +211,100 @@ def random_triples(rng, count, max_k):
         yield base.numerator, base.denominator, d, rng.randint(0, max_k)
 
 
+def assert_bracket_holds(bucketizer, k):
+    p, q = bucketizer.base.numerator, bucketizer.base.denominator
+    lo, hi = bucketizer._bracket(k)
+    bits = bucketizer._bits
+    assert bits >= 64 + 2 * k.bit_length()
+    assert lo * q**k <= p**k << bits <= hi * q**k
+
+
 def test_power_bracket_contains_exact_power():
     rng = random.Random(5)
     for p, q, _, k in random_triples(rng, 300, 3000):
-        bits = pareto.GUARD_BITS + 2 * k.bit_length()
-        lo, hi = _power_bracket(p, q, k, bits)
-        exact_scaled = (p**k << bits)
-        assert lo * q**k <= exact_scaled <= hi * q**k
+        assert_bracket_holds(_Bucketizer(F(p, q), 1), k)
+
+
+def test_power_bracket_spans_three_table_levels():
+    # k >= 64^2 multiplies entries of levels 0, 1 and 2; 64^3 - 1 uses entry
+    # 63 of each, and 64^3 starts a fourth level
+    for base in (F(1025, 1024), _bucket_base(F(1, 64), 7)):
+        bucketizer = _Bucketizer(base, 1)
+        for k in (64**2, 64**2 + 64 + 1, 5 * 64**2 + 63, 64**3 - 1, 64**3):
+            assert_bracket_holds(bucketizer, k)
+        assert [len(row) for row in bucketizer._levels] == [64, 64, 64, 2]
 
 
 def test_floor_matches_exact_quotient():
     rng = random.Random(6)
     for p, q, d, k in random_triples(rng, 2000, 3000):
-        assert _floor_scaled_power(d, p, q, k) == d * p**k // q**k
+        bucketizer = _Bucketizer(F(p, q), 1)
+        assert bucketizer._floor(d, k, *bucketizer._bracket(k)) == d * p**k // q**k
 
 
 def test_floor_falls_back_when_bracket_is_too_wide(monkeypatch):
-    monkeypatch.setattr(pareto, "GUARD_BITS", 0)
+    monkeypatch.setattr(pareto, "_table_bits", lambda k: 2 * k.bit_length())
     rng = random.Random(7)
     fallbacks = 0
     for p, q, d, k in random_triples(rng, 500, 3000):
-        bits = 2 * k.bit_length()
-        lo, hi = _power_bracket(p, q, k, bits)
+        bucketizer = _Bucketizer(F(p, q), 1)
+        lo, hi = bucketizer._bracket(k)
+        bits = bucketizer._bits
         fallbacks += (d * lo >> bits) != (d * hi >> bits)
-        assert _floor_scaled_power(d, p, q, k) == d * p**k // q**k
+        assert bucketizer._floor(d, k, lo, hi) == d * p**k // q**k
+        # the cell search, with its neighbour brackets, falls back exactly too
+        value = d * p**k // q**k + rng.randint(-1, 1)
+        cell = _Bucketizer(F(p, q), d).index(value)
+        assert value <= d * p**cell // q**cell
+        assert cell == 0 or value > d * p ** (cell - 1) // q ** (cell - 1)
     assert fallbacks > 50
+
+
+def test_neighbour_bracket_holds_from_the_tightest_bracket():
+    # the float guess's neighbour k +- 1 is bracketed by multiplying k's
+    # bracket by base or 1 / base; from the tightest bracket of base^k, a
+    # rounding toward the exact value shows
+    rng = random.Random(10)
+    for p, q, _, k in random_triples(rng, 300, 50):
+        bits = 64
+        exact = p**k << bits
+        lo, hi = exact // q**k, -(-exact // q**k)
+        for num, den, j in ((p, q, k + 1), (q, p, k - 1)):
+            new_lo, new_hi = pareto._times(lo, hi, num, den)
+            if j >= 0:
+                assert new_lo * q**j <= p**j << bits <= new_hi * q**j
+
+
+class OffGuessBucketizer(_Bucketizer):
+    """Guesses `off` cells away from the float estimate and counts brackets."""
+
+    def __init__(self, base, delta, off):
+        super().__init__(base, delta)
+        self.off = off
+        self.brackets = 0
+
+    def _guess(self, m, d):
+        return max(super()._guess(m, d) + self.off, 1)
+
+    def _bracket(self, k):
+        self.brackets += 1
+        return super()._bracket(k)
+
+
+@pytest.mark.parametrize("offs", [range(-70, 71), [-1000, 1000]], ids=["near", "far"])
+def test_bucket_index_gallops_from_a_guess_far_off(offs):
+    # every offset up to 70 ends the doubling at each place a step can;
+    # values past cell 20,000 keep the guesses from being clamped at 1
+    rng = random.Random(9)
+    base = _bucket_base(F(1, 256), 7)
+    old = OldBucketizer(base, F(1))
+    for _ in range(10):
+        value = rng.randint(10**6, 10**9)
+        for off in offs:
+            new = OffGuessBucketizer(base, 1, off)
+            assert new.index(value) == old.index(F(value))
+            # one bracket for the guess, then doubling and bisecting
+            assert new.brackets <= 2 * math.ceil(math.log2(abs(off) + 1)) + 3
 
 
 def test_bucket_index_matches_former_on_fractions_and_ints():
