@@ -31,6 +31,7 @@ from .graphs import (
     Solution,
     agent_cost,
     as_rational,
+    scaled_agent_cost,
     validate_solution,
 )
 from .vcg import AllocationAlgorithm, MechanismOutcome
@@ -123,9 +124,13 @@ def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
         if not validate_solution(probe_inst, sol):
             raise InfeasibleAllocationError(
                 f"algorithm returned an infeasible solution {sorted(sol.edge_ids)}")
-    terms = _monotonicity_terms(inst, perturbed, pert.agent, x, x_prime)
-    if terms[0] + terms[1] <= terms[2] + terms[3]:
+    # t_i(x) + t'_i(x') <= t_i(x') + t'_i(x) on each profile's integers:
+    # (a - c) / L1 <= (d - b) / L2, with a, c over L1 and b, d over L2
+    a, c = (scaled_agent_cost(inst, sol, pert.agent) for sol in (x, x_prime))
+    b, d = (scaled_agent_cost(perturbed, sol, pert.agent) for sol in (x_prime, x))
+    if (a - c) * perturbed.scaled_costs()[0] <= (d - b) * inst.scaled_costs()[0]:
         return None
+    terms = _monotonicity_terms(inst, perturbed, pert.agent, x, x_prime)
     return _witness(WEAK_MONOTONICITY, inst, perturbed, pert.agent, x, x_prime, terms)
 
 

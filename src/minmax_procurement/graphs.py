@@ -97,7 +97,9 @@ class Instance:
     Derived copies (`with_costs`, `without_agent`, `without_edges`) skip the
     constructor's per-edge checks, which their parent passed, and start without
     caches, except that copies without an agent or edges keep the parent's
-    integer costs, sliced (see `_subset`).
+    integer costs, sliced (see `_subset`). Besides the edge index and the
+    integer costs, `solvers` keeps two caches on an instance: its min-sum
+    optimum and its adjacency lists.
     """
 
     directed: bool
@@ -241,10 +243,15 @@ def scaled_loads(inst: Instance, edge_ids: Iterable[int]) -> list[int]:
     return loads
 
 
+def scaled_agent_cost(inst: Instance, sol: Solution, agent: int) -> int:
+    """`agent_cost(inst, sol, agent)` times the instance's L."""
+    loads = scaled_loads(inst, sol.edge_ids)
+    return loads[agent - 1] if 0 < agent <= len(loads) else 0
+
+
 def agent_cost(inst: Instance, sol: Solution, agent: int) -> Fraction:
     """Sum of costs of `agent`'s edges selected in `sol` (0 if none)."""
-    loads = scaled_loads(inst, sol.edge_ids)
-    return Fraction(loads[agent - 1] if 0 < agent <= len(loads) else 0, inst.scaled_costs()[0])
+    return Fraction(scaled_agent_cost(inst, sol, agent), inst.scaled_costs()[0])
 
 
 def cost_summary(inst: Instance, sol: Solution) -> CostSummary:

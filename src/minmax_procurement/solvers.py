@@ -9,11 +9,16 @@ Fraction(x, L); brute force builds one Fraction, for the winner. Witnesses
 are deterministic.
 
 Cost of the min-sum layer, for V nodes and E edges:
-- `shortest_path`: two Dijkstra runs, O(E log V), and a witness walk that is
-  linear except inside zero-cost plateaus. Nodes are walked in nondecreasing
-  distance from the source, so only a step within a plateau needs a
-  reachability search, and that search never leaves the plateau.
-- `min_sum_value`: the value alone; one forward Dijkstra for paths.
+- `shortest_path`: one Dijkstra run, O(E log V), a linear search back from
+  the target over tight edges, and a witness walk that is linear except
+  inside zero-cost plateaus. Nodes are walked in nondecreasing distance from
+  the source, so only a step within a plateau needs a reachability search,
+  and that search never leaves the plateau. The adjacency lists are built
+  once per instance and kept on it.
+- `scaled_min_sum_value`: the value alone, optionally without one agent's
+  edges, on the instance itself (no derived copy); one Dijkstra that stops
+  at the target for paths, and no solve at all when the memoized optimum
+  holds none of the agent's edges.
 - `min_arborescence`: iterative Chu-Liu/Edmonds in O(E log^2 V), with no
   recursion; a contraction recomputes only the new super-node's best
   in-edge, from its members' in-edge heaps merged smaller into larger.
@@ -83,22 +88,29 @@ class OptimumReport:
 # -- shortest path ----------------------------------------------------------
 
 
-def _adjacency(inst: Instance, reverse: bool = False) -> list[list[tuple[int, int]]]:
-    """Per node, (neighbour, index into inst.edges) along usable directions."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
-    for i, e in enumerate(inst.edges):
-        u, v = (e.head, e.tail) if reverse else (e.tail, e.head)
-        adj[u].append((v, i))
-        if not inst.directed:
-            adj[v].append((u, i))
+def _adjacency(inst: Instance) -> list[list[tuple[int, int, int]]]:
+    """Per node, (neighbour, index into inst.edges, owner) along usable
+    directions; built on first use and kept on the instance. Shared: do not
+    change it."""
+    adj = inst.__dict__.get("_adjacency_cache")
+    if adj is None:
+        adj = [[] for _ in range(inst.node_count)]
+        for i, e in enumerate(inst.edges):
+            adj[e.tail].append((e.head, i, e.owner))
+            if not inst.directed:
+                adj[e.head].append((e.tail, i, e.owner))
+        object.__setattr__(inst, "_adjacency_cache", adj)
     return adj
 
 
-def _dijkstra(adj: list[list[tuple[int, int]]], costs: list[int], start: int,
-              stop: Optional[int] = None) -> list[Optional[int]]:
-    """Scaled distances from `start`; stops early once `stop` is settled."""
-    dist: list[Optional[int]] = [None] * len(adj)
-    heap: list[tuple[int, int]] = [(0, start)]
+def _dijkstra(inst: Instance, stop: Optional[int] = None,
+              without_agent: int = 0) -> list[Optional[int]]:
+    """Scaled distances from the source over the edges that `without_agent`
+    does not own (0, no agent, keeps them all); stops early once `stop` is
+    settled."""
+    adj, costs = _adjacency(inst), inst.scaled_costs()[1]
+    dist: list[Optional[int]] = [None] * inst.node_count
+    heap: list[tuple[int, int]] = [(0, inst.source)]
     while heap:
         d, u = heapq.heappop(heap)
         if dist[u] is not None:
@@ -106,14 +118,29 @@ def _dijkstra(adj: list[list[tuple[int, int]]], costs: list[int], start: int,
         dist[u] = d
         if u == stop:
             break
-        for v, i in adj[u]:
-            if dist[v] is None:
+        for v, i, owner in adj[u]:
+            if dist[v] is None and owner != without_agent:
                 heapq.heappush(heap, (d + costs[i], v))
     return dist
 
 
 def shortest_path(inst: Instance) -> OptimumReport:
     """Min-sum s-t path with a deterministic witness.
+
+    One Dijkstra from the source gives dist_s. An orientation u -> v of an
+    edge of cost c lies on a minimum-cost path iff dist_s[u] + c + dist_t[v]
+    = dist_s[t], with dist_t the distance to the target. Call u -> v tight
+    when dist_s[u] + c = dist_s[v]. Costs are nonnegative, so the test above
+    holds iff u -> v is tight and v reaches t along tight orientations:
+    - If it holds, dist_s[u] + c >= dist_s[v] and dist_s[v] + dist_t[v] >=
+      dist_s[t] are both equalities. So u -> v is tight, and every node w
+      of a shortest v-t path has dist_s[w] = dist_s[v] + (its distance from
+      v), which makes each step of that path tight.
+    - If u -> v is tight and tight steps lead from v to t, they cost
+      dist_s[t] - dist_s[v] >= dist_t[v], so the sum in the test is at most
+      dist_s[t]; it is never less.
+    So a linear search back from the target over tight orientations builds
+    the subgraph below, and no second Dijkstra, from the target, is needed.
 
     The witness is built by a greedy walk over the subgraph of edges lying on
     some minimum-cost path: at each node take the smallest-id usable edge from
@@ -134,24 +161,36 @@ def shortest_path(inst: Instance) -> OptimumReport:
         raise ValueError("shortest_path requires a path-mode instance")
     s, t = inst.source, inst.target_or_root
     scale, costs = inst.scaled_costs()
-    adj = _adjacency(inst)
-    dist_s = _dijkstra(adj, costs, s)
+    dist_s = _dijkstra(inst)
     if dist_s[t] is None:
         raise NoFeasibleSolutionError("source and target are disconnected")
     if s == t:
         return OptimumReport(MIN_SUM, Fraction(0), Solution(()))
-    dist_t = _dijkstra(_adjacency(inst, reverse=True) if inst.directed else adj, costs, t)
     sp = dist_s[t]
 
+    # Per node v, the tight orientations u -> v into it, as (u, edge index).
+    adj = _adjacency(inst)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
+    for u, du in enumerate(dist_s):
+        if du is not None:
+            for v, i, _ in adj[u]:
+                if du + costs[i] == dist_s[v]:
+                    into[v].append((u, i))
     # Oriented shortest-path subgraph: u -> v allowed iff some optimal path
-    # uses the edge in that direction. Entries (edge id, head, scaled cost).
+    # uses the edge in that direction, i.e. iff it is tight and the search
+    # back from t over tight orientations reaches v. Entries (edge id, head,
+    # scaled cost).
     sub: list[list[tuple[int, int, int]]] = [[] for _ in range(inst.node_count)]
-    for e, c in zip(inst.edges, costs):
-        ends = [(e.tail, e.head)] if inst.directed else [(e.tail, e.head), (e.head, e.tail)]
-        for u, v in ends:
-            if dist_s[u] is not None and dist_t[v] is not None \
-                    and dist_s[u] + c + dist_t[v] == sp:
-                sub[u].append((e.id, v, c))
+    on_path = bytearray(inst.node_count)
+    on_path[t] = 1
+    frontier = [t]
+    while frontier:
+        v = frontier.pop()
+        for u, i in into[v]:
+            sub[u].append((inst.edges[i].id, v, costs[i]))
+            if not on_path[u]:
+                on_path[u] = 1
+                frontier.append(u)
     for lst in sub:
         lst.sort()
 
@@ -348,7 +387,7 @@ def _enumerate_paths(inst: Instance):
     stack = [(s, iter(adj[s]))]  # nodes of the path, each with its unexplored edges
     while stack:
         u, todo = stack[-1]
-        for v, i in todo:
+        for v, i, _ in todo:
             steps -= len(path) + 1 if v == t else 1
             if steps < 0:
                 raise BudgetExceededError(f"path enumeration passed the brute-force "
@@ -600,17 +639,35 @@ def min_sum_optimum(inst: Instance) -> OptimumReport:
 
 
 def min_sum_value(inst: Instance) -> Fraction:
-    """The min-sum optimum's value alone (SC), as Clarke payments need it.
+    """The min-sum optimum's value alone (SC); `scaled_min_sum_value` over L."""
+    return Fraction(scaled_min_sum_value(inst), inst.scaled_costs()[0])
 
-    Paths take one forward Dijkstra that stops at the target; arborescences
-    take `min_arborescence`'s value. Raises NoFeasibleSolutionError exactly
-    where `min_sum_optimum` does.
+
+def scaled_min_sum_value(inst: Instance, without_agent: Optional[int] = None) -> int:
+    """The min-sum optimum's value times the instance's L, over the edges
+    that `without_agent` does not own (all edges when it is None): SC, or
+    SC_{-i} as a Clarke payment needs it.
+
+    No derived instance is built. When `min_sum_optimum(inst)` is memoized
+    and its witness holds no edge of `without_agent`, that optimum is the
+    answer with no solve: the witness stays feasible, and leaving edges out
+    never lowers the optimum. Otherwise paths take one forward Dijkstra over
+    the instance's own adjacency, skipping the agent's edges and stopping at
+    the target, and arborescences take `min_arborescence`'s contraction on
+    the remaining edges. Raises NoFeasibleSolutionError exactly where
+    `min_sum_optimum` on `inst.without_agent(without_agent)` does.
     """
-    if inst.mode != PATH:
-        return min_arborescence(inst).value
-    s, t = inst.source, inst.target_or_root
     scale, costs = inst.scaled_costs()
-    dist = _dijkstra(_adjacency(inst), costs, s, stop=t)
+    memo = inst.__dict__.get("_min_sum_cache")
+    if memo is not None and all(inst.edge_by_id(eid).owner != without_agent
+                                for eid in memo.witness.edge_ids):
+        return memo.value.numerator * (scale // memo.value.denominator)
+    skip = without_agent or 0  # owners start at 1, so 0 skips no edge
+    if inst.mode != PATH:
+        kept = [(e.tail, e.head, c, e.id) for e, c in zip(inst.edges, costs) if e.owner != skip]
+        return sum(kept[i][2] for i in _edmonds(inst.node_count, inst.target_or_root, kept))
+    t = inst.target_or_root
+    dist = _dijkstra(inst, stop=t, without_agent=skip)
     if dist[t] is None:
         raise NoFeasibleSolutionError("source and target are disconnected")
-    return Fraction(dist[t], scale)
+    return dist[t]

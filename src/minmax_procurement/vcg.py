@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graphs import Instance, Solution, agent_cost, cost_summary
-from .solvers import NoFeasibleSolutionError, min_sum_optimum, min_sum_value
+from .graphs import Instance, Solution, agent_cost, scaled_loads
+from .solvers import NoFeasibleSolutionError, min_sum_optimum, scaled_min_sum_value
 
 # Any deterministic allocation rule under audit satisfies this signature and
 # must return a feasible solution for every instance it accepts. The names
@@ -52,11 +52,18 @@ def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
     """Clarke pivot payments for the given min-sum allocation.
 
     P_i = SC_{-i} - (SC - t_i(alloc)), where SC_{-i} is the min-sum optimum
-    with agent i's edges deleted (its value only, from `min_sum_value`).
-    Agents with no edge in the graph, and more generally agents whose removal
-    leaves the optimum unchanged and who have no selected edge, are paid 0.
+    with agent i's edges deleted, from `scaled_min_sum_value(inst, i)`: a
+    solve on the instance itself that skips agent i's edges, with no derived
+    copy. Everything is an integer over the instance's L until one Fraction
+    per payment. Agents with no edge in the graph are paid 0 with no solve.
+    So is an agent that owns no edge of the memoized min-sum optimum, which
+    `run_vcg` allocates: that optimum stays feasible without the agent, so
+    SC_{-i} = SC, and the solve is skipped. The shortcut rests on the memo's
+    witness, not on `alloc`, so any allocation gets exact payments.
     """
-    summary = cost_summary(inst, alloc)
+    scale = inst.scaled_costs()[0]
+    loads = scaled_loads(inst, alloc.edge_ids)
+    total = sum(loads)
     owners = {e.owner for e in inst.edges}
     payments = []
     for agent in range(1, inst.agent_count + 1):
@@ -64,10 +71,10 @@ def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
             payments.append(Fraction(0))
             continue
         try:
-            sc_without = min_sum_value(inst.without_agent(agent))
+            sc_without = scaled_min_sum_value(inst, agent)
         except NoFeasibleSolutionError:
             raise PivotalInfeasibleError(agent) from None
-        payments.append(sc_without - (summary.sum_cost - summary.per_agent[agent - 1]))
+        payments.append(Fraction(sc_without - (total - loads[agent - 1]), scale))
     return tuple(payments)
 
 

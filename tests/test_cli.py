@@ -1,10 +1,14 @@
 """End-to-end command-line harness tests."""
 
 import argparse
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmax_procurement import cli, graphs, load_instance, minmax_ptas
 from minmax_procurement.cli import main
@@ -486,6 +490,70 @@ def test_chain_exact_on_dmst_is_refused_before_any_work(monkeypatch, capsys, age
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: chain-exact") and "--mode path" in captured.err
+
+
+# -- exit codes on generated instance files -----------------------------------
+
+
+@st.composite
+def instance_docs(draw):
+    """A small instance document in the file format; not always feasible."""
+    nodes = draw(st.integers(1, 6))
+    agents = draw(st.integers(1, 4))
+    node = st.integers(0, nodes - 1)
+    cost = st.one_of(st.integers(0, 9),
+                     st.fractions(0, 9, max_denominator=6).map(str))
+    edges = draw(st.lists(st.fixed_dictionaries({
+        "tail": node, "head": node, "owner": st.integers(1, agents), "cost": cost}),
+        max_size=10))
+    for i, edge in enumerate(edges):
+        edge["id"] = i
+    return {"version": 1, "directed": draw(st.booleans()), "nodes": nodes,
+            "mode": draw(st.sampled_from(["path", "arborescence"])),
+            "source": draw(node), "target_or_root": draw(node), "agents": agents,
+            "edges": edges}
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 10_000),
+                 st.floats(allow_nan=True), st.text(max_size=4),
+                 st.sampled_from(["1/0", "1e3", "-1", "1/2", "x/y"]),
+                 st.lists(st.integers(0, 3), max_size=2), st.just({}))
+
+
+@st.composite
+def instance_files(draw):
+    """The text of an instance file: valid, with one field replaced by junk
+    or deleted, or not an instance document at all."""
+    doc = draw(instance_docs())
+    how = draw(st.sampled_from(["valid", "field", "edge field", "text"]))
+    if how == "text":
+        return draw(st.one_of(st.text(max_size=20), st.sampled_from(
+            ["[]", "null", "3", '"x"', "{", json.dumps(doc)[:-1]])))
+    record = doc
+    if how == "edge field" and doc["edges"]:
+        record = draw(st.sampled_from(doc["edges"]))
+    if how != "valid":
+        key = draw(st.sampled_from(sorted(record)))
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(JUNK)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=instance_files())
+def test_vcg_and_solve_exit_0_1_or_2_without_a_traceback(tmp_path_factory, text):
+    work = tmp_path_factory.getbasetemp() / "exit-codes"
+    work.mkdir(exist_ok=True)
+    path = work / "generated.json"
+    path.write_text(text)
+    for argv in (["vcg"], ["solve"], ["solve", "--objective", "minmax"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--instance", str(path), "--out", str(work / "out.json")])
+        assert code in (0, 1, 2), (argv, text)
+        assert "Traceback" not in err.getvalue(), (argv, text)
 
 
 # -- refused rational inputs ---------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from minmax_procurement import adversary, cli, pareto, solvers
+from minmax_procurement.adversary import ChainSpec, gen_chain
 from minmax_procurement.audit import (
     Perturbation,
     random_arborescence_instance,
@@ -22,12 +23,12 @@ from minmax_procurement.audit import (
     random_path_instance,
     random_perturbation,
 )
-from minmax_procurement.graphs import ARBORESCENCE, PATH, Edge, Instance
+from minmax_procurement.graphs import ARBORESCENCE, PATH, Edge, Instance, dump_instance
 from minmax_procurement.pareto import minmax_ptas
 from minmax_procurement.solvers import NoFeasibleSolutionError, min_sum_optimum
 
 F = Fraction
-CACHES = ("_min_sum_cache", "_edge_index_cache", "_scaled_cache")
+CACHES = ("_min_sum_cache", "_edge_index_cache", "_scaled_cache", "_adjacency_cache")
 # a copy that only drops edges keeps its parent's L and integer costs
 SLICED = {"without_agent", "without_edges"}
 
@@ -64,7 +65,9 @@ def test_derived_copies_of_solved_instances_start_without_caches():
         inst = make(rng, agents=rng.randint(2, 3))
         alloc = min_sum_optimum(inst).witness
         inst.edge_by_id(inst.edges[0].id)
-        assert all(name in inst.__dict__ for name in CACHES)
+        # only the path solvers build adjacency lists
+        built = set(CACHES) - ({"_adjacency_cache"} if inst.mode == ARBORESCENCE else set())
+        assert built <= set(inst.__dict__)
         scale = inst.scaled_costs()[0]
         for how, copy in derived_copies(rng, inst, alloc):
             kept = {"_scaled_cache"} if how in SLICED else set()
@@ -186,6 +189,37 @@ def test_audit_makes_two_witness_solves_per_trial(monkeypatch, tmp_path, kind):
                      "--out", str(tmp_path / "audit.json")])
     assert code == 0
     assert len(calls) == 2 * 50
+
+
+@pytest.mark.parametrize("cheap, on_allocation", [
+    ({}, [1]),  # unit costs: the smallest ids, agent 1's edges, win every block
+    ({1: F(1, 2)}, [1, 2]),  # agent 2's edge is the cheapest in block 0
+])
+def test_vcg_solves_once_per_agent_on_the_allocation(monkeypatch, tmp_path, cheap,
+                                                     on_allocation):
+    path = tmp_path / "chain.json"
+    dump_instance(gen_chain(ChainSpec(3, 5)).with_costs(cheap), path)
+    builds, dijkstras = [], []
+
+    def adjacency(inst, _original=solvers._adjacency):
+        if "_adjacency_cache" not in inst.__dict__:
+            builds.append(inst)
+        return _original(inst)
+
+    def dijkstra(inst, stop=None, without_agent=0, _original=solvers._dijkstra):
+        dijkstras.append((stop, without_agent))
+        return _original(inst, stop, without_agent)
+
+    monkeypatch.setattr(solvers, "_adjacency", adjacency)
+    monkeypatch.setattr(solvers, "_dijkstra", dijkstra)
+    derived = counting(monkeypatch, Instance, "_derive")
+    code = cli.main(["vcg", "--instance", str(path), "--out", str(tmp_path / "vcg.json")])
+    assert code == 0
+    assert len(builds) == 1
+    # one full run for the witness, then one that stops at the target (node 5)
+    # per agent on the allocation; agent 3 owns only edges off it
+    assert dijkstras == [(None, 0)] + [(5, agent) for agent in on_allocation]
+    assert derived == []
 
 
 @pytest.mark.parametrize("alg", ["vcg", "chain-exact"])

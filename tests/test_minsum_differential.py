@@ -244,6 +244,33 @@ def directed_copy(inst):
                     inst.source, inst.target_or_root)
 
 
+def with_extras(inst, rng):
+    """Self-loops, parallel zero-cost copies of edges, and a few nodes that
+    only reach each other (unreachable from the source and the root)."""
+    edges = list(inst.edges)
+
+    def add(u, v, cost):
+        edges.append(Edge(len(edges), u, v, rng.randint(1, inst.agent_count), cost))
+
+    for _ in range(rng.randint(1, 3)):
+        u = rng.randrange(inst.node_count)
+        add(u, u, rng.choice([F(0), F(rng.randint(1, 9), rng.randint(1, 4))]))
+    for e in rng.sample(inst.edges, min(3, len(inst.edges))):
+        add(e.tail, e.head, F(0))
+    extra = rng.randint(0, 3)
+    island = range(inst.node_count, inst.node_count + extra)
+    for u in island:
+        for v in rng.sample(island, min(2, extra)):
+            add(u, v, F(rng.randint(0, 5)))
+    return Instance(inst.directed, inst.node_count + extra, tuple(edges), inst.agent_count,
+                    inst.mode, inst.source, inst.target_or_root)
+
+
+def source_is_target(inst):
+    return Instance(inst.directed, inst.node_count, inst.edges, inst.agent_count,
+                    inst.mode, inst.source, inst.source)
+
+
 def random_family():
     for seed in range(400):
         rng = random.Random(seed)
@@ -251,8 +278,15 @@ def random_family():
         path = with_zero_costs(random_path_instance(rng, max_nodes=max_nodes), rng)
         yield path
         yield directed_copy(path)
-        yield with_zero_costs(
+        arborescence = with_zero_costs(
             random_arborescence_instance(rng, max_nodes=max_nodes), rng)
+        yield arborescence
+        if seed % 4 == 1:
+            extended = with_extras(path, rng)
+            yield extended
+            yield directed_copy(extended)
+            yield with_extras(arborescence, rng)
+            yield source_is_target(extended if seed % 8 == 1 else path)
 
 
 CHAIN_SIZES = [(2, 1), (2, 7), (3, 5), (2, 64), (3, 64), (2, 256), (3, 256)]
@@ -294,12 +328,12 @@ def assert_matches_oracles(inst):
             min_sum_value(inst)
         value = None
     else:
+        value = min_sum_value(inst)  # solved before the optimum is memoized
         report = min_sum_optimum(inst)
         assert (report.value, report.witness) == (expected.value, expected.witness)
         assert report.objective == expected.objective
         assert validate_solution(inst, report.witness)
-        assert min_sum_value(inst) == report.value
-        value = report.value
+        assert value == report.value
     if inst.mode == PATH or len(inst.edges) <= NETWORKX_ARBORESCENCE_EDGES:
         assert networkx_value(inst) == value
 

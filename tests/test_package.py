@@ -125,7 +125,7 @@ def _min_sum_solver_calls(source: str) -> list[str]:
 
 def test_only_solvers_calls_a_min_sum_solver():
     # min-sum answers elsewhere come from the memoized min_sum_optimum or
-    # from min_sum_value, so one instance is never solved twice
+    # from scaled_min_sum_value, so one instance is never solved twice
     files = sorted(Path(minmax_procurement.__file__).parent.glob("*.py"))
     found = {f.name: calls for f in files
              if f.stem != "solvers" and (calls := _min_sum_solver_calls(f.read_text()))}

@@ -1,4 +1,11 @@
-"""VCG mechanism: allocation, Clarke payments, and the n-approximation."""
+"""VCG mechanism: allocation, Clarke payments, and the n-approximation.
+
+`former_clarke_payments` is the former payment loop: one `without_agent`
+copy and one value-only solve per agent that owns an edge, priced with
+`cost_summary`'s Fractions. It is kept here only as the oracle the
+integer loop on the instance itself must match, payment for payment and
+pivotal agent for pivotal agent.
+"""
 
 import random
 from fractions import Fraction
@@ -14,12 +21,15 @@ from minmax_procurement import (
     clarke_payments,
     cost_summary,
     min_sum_optimum,
+    min_sum_value,
     run_vcg,
     vcg_allocate,
 )
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
 from minmax_procurement.graphs import agent_cost
+from minmax_procurement.graphs import ARBORESCENCE
+from minmax_procurement.solvers import NoFeasibleSolutionError
 from minmax_procurement.vcg import PivotalInfeasibleError
 
 F = Fraction
@@ -122,3 +132,113 @@ def test_mechanism_is_deterministic():
         again = run_vcg(inst)
         assert again.allocation == first.allocation
         assert again.payments == first.payments
+
+
+# -- the former payment loop as the oracle -------------------------------------
+
+
+def former_clarke_payments(inst, alloc):
+    summary = cost_summary(inst, alloc)
+    owners = {e.owner for e in inst.edges}
+    payments = []
+    for agent in range(1, inst.agent_count + 1):
+        if agent not in owners:
+            payments.append(F(0))
+            continue
+        try:
+            sc_without = min_sum_value(inst.without_agent(agent))
+        except NoFeasibleSolutionError:
+            raise PivotalInfeasibleError(agent) from None
+        payments.append(sc_without - (summary.sum_cost - summary.per_agent[agent - 1]))
+    return tuple(payments)
+
+
+def fresh(inst):
+    """The same instance with no cache, so no memoized optimum."""
+    return Instance(inst.directed, inst.node_count, inst.edges, inst.agent_count,
+                    inst.mode, inst.source, inst.target_or_root)
+
+
+def payments_or_pivot(pay, inst, alloc):
+    try:
+        return pay(inst, alloc)
+    except PivotalInfeasibleError as exc:
+        return ("pivotal", exc.agent)
+
+
+def random_instance(rng):
+    """2-4 agents, sometimes an agent that owns nothing, sometimes zero costs,
+    sometimes a part of the graph that only one agent's edges reach."""
+    agents = rng.randint(2, 4)
+    make = random_path_instance if rng.random() < 0.5 else random_arborescence_instance
+    inst = make(rng, agents=agents)
+    if rng.random() < 0.3:
+        share = rng.choice([0.3, 1.0])
+        inst = inst.with_costs({e.id: F(0) for e in inst.edges if rng.random() < share})
+    edges = list(inst.edges)
+    nodes, target = inst.node_count, inst.target_or_root
+    if rng.random() < 0.25:  # a pendant node only `owner` reaches
+        owner = rng.randint(1, agents)
+        for _ in range(rng.randint(1, 2)):
+            edges.append(Edge(len(edges), rng.randrange(nodes), nodes, owner,
+                              F(rng.randint(0, 9), rng.randint(1, 3))))
+        nodes += 1
+        if inst.mode == PATH:
+            target = nodes - 1
+    idle = rng.random() < 0.3  # one more agent id, owning no edge
+    return Instance(inst.directed, nodes, tuple(edges), agents + idle, inst.mode,
+                    inst.source, target)
+
+
+def test_clarke_payments_match_the_former_loop():
+    seen = {"pivotal": 0, "idle": 0, "off_allocation": 0, "zero_cost": 0,
+            "arborescence": 0, "not_optimal": 0}
+    for seed in range(600):
+        rng = random.Random(seed)
+        inst = random_instance(rng)
+        alloc = vcg_allocate(inst)
+        expected = payments_or_pivot(former_clarke_payments, fresh(inst), alloc)
+        # run_vcg's path: the memoized optimum is the allocation
+        assert payments_or_pivot(clarke_payments, inst, alloc) == expected, seed
+        assert payments_or_pivot(lambda i, a: run_vcg(i).payments, fresh(inst), None) \
+            == expected, seed
+        # a feasible allocation that need not be optimal, with and without
+        # the memoized optimum on the instance
+        other = vcg_allocate(inst.with_costs(
+            {e.id: F(rng.randint(0, 20), rng.randint(1, 4)) for e in inst.edges}))
+        expected_other = payments_or_pivot(former_clarke_payments, fresh(inst), other)
+        for probe in (inst, fresh(inst)):
+            assert payments_or_pivot(clarke_payments, probe, other) == expected_other, seed
+        owners = {e.owner for e in inst.edges}
+        on_alloc = {inst.edge_by_id(i).owner for i in alloc.edge_ids}
+        seen["pivotal"] += expected[0] == "pivotal"
+        seen["idle"] += len(owners) < inst.agent_count
+        seen["off_allocation"] += bool(owners - on_alloc)
+        seen["zero_cost"] += any(e.cost == 0 for e in inst.edges)
+        seen["arborescence"] += inst.mode == ARBORESCENCE
+        seen["not_optimal"] += (cost_summary(inst, other).sum_cost
+                                > min_sum_optimum(inst).value)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_clarke_payments_on_all_zero_costs_and_an_owner_of_zero_cost_edges():
+    # agent 1's zero-cost edge is on the allocation: its payment needs a solve
+    edges = (Edge(0, 0, 1, 1, F(0)), Edge(1, 0, 1, 2, F(0)), Edge(2, 0, 1, 3, F(5)))
+    inst = Instance(False, 2, edges, 3, PATH, 0, 1)
+    assert run_vcg(inst).payments == (F(0), F(0), F(0))
+    priced = inst.with_costs({1: F(2)})
+    assert run_vcg(priced).payments == (F(2), F(0), F(0))
+    assert former_clarke_payments(priced, vcg_allocate(priced)) == (F(2), F(0), F(0))
+
+
+def test_the_first_pivotal_agent_is_named_as_before():
+    # agents 2 and 3 each own the only way into a node; 1 owns a spare one
+    edges = (Edge(0, 0, 1, 3, F(1)), Edge(1, 0, 2, 2, F(1)), Edge(2, 1, 2, 1, F(4)),
+             Edge(3, 2, 3, 2, F(1)))
+    inst = Instance(True, 4, edges, 3, ARBORESCENCE, 0, 0)
+    alloc = vcg_allocate(inst)
+    assert alloc.edge_ids == {0, 1, 3}
+    for pay in (former_clarke_payments, clarke_payments):
+        with pytest.raises(PivotalInfeasibleError) as err:
+            pay(inst, alloc)
+        assert err.value.agent == 2
