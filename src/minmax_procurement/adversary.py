@@ -16,6 +16,7 @@ converted into an exactly re-verifiable weak-monotonicity violation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,9 @@ class ChainSpec:
     helper_eps: Optional[Fraction] = None  # None: mode default
 
     def __post_init__(self):
+        for name in ("agents", "blocks"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.agents < 2:
             raise ValueError("the constructions need at least two agents")
         if self.blocks < 1:
@@ -93,7 +97,6 @@ class BlockPath:
 
     agent: int
     edge_ids: tuple[int, ...]  # rightward, in traversal order
-    main_edge_id: int  # the full-cost edge, owned by `agent`
     leftward_ids: tuple[int, ...] = ()  # directed variant only
 
 
@@ -127,7 +130,7 @@ def expand_chain(chain: Instance, eps: Fraction) -> tuple[Instance, BlockIndexin
     (owned by i) and gives every other position j a helper edge owned by j at
     cost eps. Edge ids are assigned block-major, route-major, left to right.
     """
-    eps = Fraction(eps)
+    eps = as_rational(eps)
     if chain.mode != PATH or chain.directed:
         raise ValueError("expand_chain expects an undirected path-mode chain")
     n = chain.agent_count
@@ -150,16 +153,11 @@ def expand_chain(chain: Instance, eps: Fraction) -> tuple[Instance, BlockIndexin
             interior = list(range(next_node, next_node + n - 1))
             next_node += n - 1
             nodes = [k] + interior + [k + 1]
-            ids = []
-            main_id = None
             for j in range(1, n + 1):
                 cost = base if j == agent else eps
-                edges.append(Edge(eid, nodes[j - 1], nodes[j], j, cost))
-                if j == agent:
-                    main_id = eid
-                ids.append(eid)
-                eid += 1
-            routes.append(BlockPath(agent, tuple(ids), main_id))
+                edges.append(Edge(eid + j - 1, nodes[j - 1], nodes[j], j, cost))
+            routes.append(BlockPath(agent, tuple(range(eid, eid + n))))
+            eid += n
         blocks.append(tuple(routes))
     inst = Instance(False, next_node, tuple(edges), n, PATH, 0, l)
     return inst, BlockIndexing(tuple(blocks))
@@ -188,20 +186,17 @@ def gen_dmst_chain(spec: ChainSpec) -> tuple[Instance, BlockIndexing]:
             nodes = [k] + interior + [k + 1]
             ids = []
             left_ids = []
-            main_id = None
             for pos in range(1, n + 1):
                 owner = ((agent - 1 + pos - 1) % n) + 1
                 cost = base if pos == 1 else eps
                 edges.append(Edge(eid, nodes[pos - 1], nodes[pos], owner, cost))
-                if pos == 1:
-                    main_id = eid
                 ids.append(eid)
                 eid += 1
                 if pos > 1:
                     edges.append(Edge(eid, nodes[pos], nodes[pos - 1], owner, eps))
                     left_ids.append(eid)
                     eid += 1
-            routes.append(BlockPath(agent, tuple(ids), main_id, tuple(left_ids)))
+            routes.append(BlockPath(agent, tuple(ids), tuple(left_ids)))
         blocks.append(tuple(routes))
     inst = Instance(True, next_node, tuple(edges), n, ARBORESCENCE, 0, 0)
     return inst, BlockIndexing(tuple(blocks))
@@ -269,16 +264,20 @@ class AdversaryReport:
         return "ratio" if self.ratio is not None else "monotonicity-violation"
 
 
-def _selected_routes(indexing: BlockIndexing, sol: Solution) -> list[list[BlockPath]]:
-    """Per block, the routes all of whose rightward edges are selected."""
-    per_block = []
+def _selected_routes(indexing: BlockIndexing, sol: Solution) -> list[int]:
+    """Per block, the agent whose route a feasible allocation selects in full.
+
+    There is exactly one. A simple path crosses each block once. In an
+    arborescence node k+1 has one in-edge, the last rightward edge of one
+    route of block k; each interior node of that route has one other
+    in-edge, from its right neighbour, which would close a cycle, so the
+    whole route is selected.
+    """
+    picked = []
     for routes in indexing.blocks:
-        chosen = [r for r in routes if set(r.edge_ids) <= sol.edge_ids]
-        if not chosen:
-            raise InfeasibleAllocationError(
-                "allocation selects no complete route in some block")
-        per_block.append(chosen)
-    return per_block
+        (agent,) = [r.agent for r in routes if sol.edge_ids.issuperset(r.edge_ids)]
+        picked.append(agent)
+    return picked
 
 
 def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
@@ -300,21 +299,19 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
     sol = alg(inst)
     if not validate_solution(inst, sol):
         raise InfeasibleAllocationError("initial allocation is infeasible")
-    initial_routes = _selected_routes(indexing, sol)
-    counts = [0] * n
-    for chosen in initial_routes:
-        for route in chosen:
-            counts[route.agent - 1] += 1
+    picked = _selected_routes(indexing, sol)
+    counts = [picked.count(a) for a in range(1, n + 1)]
     heavy = max(range(1, n + 1), key=lambda a: (counts[a - 1], -a))
     assert counts[heavy - 1] * n >= l, "pigeonhole bound violated"
-    heavy_blocks = [k for k, chosen in enumerate(initial_routes)
-                    if any(r.agent == heavy for r in chosen)]
+    heavy_blocks = [k for k, agent in enumerate(picked) if agent == heavy]
 
     if mode == MODE_PATH:
         order = [a for a in range(1, n + 1) if a != heavy]
     else:
-        # positions n..2 along the heavy agent's route ownership cycle
-        order = [((heavy - 1 + pos - 1) % n) + 1 for pos in range(n, 1, -1)]
+        # the owners of the heavy route's edges, last to second: after step
+        # k the route's first n-k edges must stay (`_dmst_stable`)
+        heavy_route = indexing.route(heavy_blocks[0], heavy)
+        order = [inst.edge_by_id(eid).owner for eid in reversed(heavy_route.edge_ids[1:])]
 
     trace: list[AdversaryStep] = []
     cur_inst, cur_sol = inst, sol
@@ -340,9 +337,8 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
 
     alg_cost = cost_summary(cur_inst, cur_sol).max_cost
     assert alg_cost >= counts[heavy - 1]
-    ub_sol, ub_value = opt_upper_bound(
-        cur_inst, indexing, mode, heavy, heavy_blocks, initial_routes, eps,
-        default_eps=default_eps)
+    ub_sol, ub_value = opt_upper_bound(cur_inst, indexing, mode, heavy, picked, eps,
+                                       default_eps=default_eps)
     ratio = alg_cost / ub_value
     guaranteed_bound = None
     if default_eps:
@@ -372,32 +368,27 @@ def _dmst_stable(indexing: BlockIndexing, heavy: int, heavy_blocks: list[int],
 
 
 def opt_upper_bound(inst: Instance, indexing: BlockIndexing, mode: str,
-                    heavy: int, heavy_blocks: list[int],
-                    initial_routes: list[list[BlockPath]],
+                    heavy: int, picked: list[int],
                     eps: Fraction, default_eps: bool) -> tuple[Solution, Fraction]:
     """Explicit cheap solution under the final costs t*.
 
-    The heavy agent's blocks are redistributed round-robin over all agents;
-    every other block keeps a route of `initial_routes` (the initial
-    allocation's, per block) not owned by the heavy agent, whose cost
-    collapsed to helper scale.
+    `picked` holds, per block, the agent whose route the initial allocation
+    selected. The heavy agent's blocks are redistributed round-robin over all
+    agents; every other block keeps its picked route, whose cost collapsed to
+    helper scale.
     Returns the solution and its exact max agent cost, checked against the
     closed-form bound ceil(l1/n)(1+eps) + 2*eps*l (path) respectively
     + 4*eps*n*l (directed), and against l1/n + 4 under the default eps.
     """
     n = inst.agent_count
     l = len(indexing.blocks)
-    l1 = len(heavy_blocks)
-    heavy_set = set(heavy_blocks)
+    l1 = picked.count(heavy)
 
     ids: list[int] = []
-    rr = 0
-    for k in range(l):
-        if k in heavy_set:
-            agent = (rr % n) + 1
-            rr += 1
-        else:
-            agent = min(r.agent for r in initial_routes[k] if r.agent != heavy)
+    spread = itertools.cycle(range(1, n + 1))
+    for k, agent in enumerate(picked):
+        if agent == heavy:
+            agent = next(spread)
         route = indexing.route(k, agent)
         ids.extend(route.edge_ids)
         if mode == MODE_DMST:

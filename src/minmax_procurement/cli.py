@@ -240,12 +240,9 @@ def cmd_adversary(args) -> int:
                    "blocks": args.blocks, "mode": args.mode,
                    "eps": spec.eps_for(args.mode)},
         "outcome": report.outcome,
-        "selections_per_agent": list(report.selections_per_agent),
+        "selections_per_agent": report.selections_per_agent,
         "heavy_agent": report.heavy_agent,
-        "trace": [
-            {"agent": s.agent, "allocation": s.allocation, "stable": s.stable}
-            for s in report.trace
-        ],
+        "trace": report.trace,
     }
     if report.ratio is not None:
         doc["ratio"] = {

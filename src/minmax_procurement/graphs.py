@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
 from typing import Iterable, Mapping
 
 PATH = "path"
@@ -95,11 +94,10 @@ class Instance:
     `target_or_root` (ARBORESCENCE; `source` conventionally equals the root).
 
     Derived copies (`with_costs`, `without_agent`, `without_edges`) skip the
-    constructor's per-edge checks, which their parent passed, and start without
-    caches, except that copies without an agent or edges keep the parent's
-    integer costs, sliced (see `_subset`). Besides the edge index and the
-    integer costs, `solvers` keeps two caches on an instance: its min-sum
-    optimum and its adjacency lists.
+    constructor's per-edge checks, which their parent passed, and carry only
+    the fields: no derived data, such as the integer costs, comes from the
+    parent. Besides the edge index and the integer costs, `solvers` keeps two
+    caches on an instance: its min-sum optimum and its adjacency lists.
     """
 
     directed: bool
@@ -177,21 +175,11 @@ class Instance:
 
     def without_agent(self, agent: int) -> "Instance":
         """Copy with all of `agent`'s edges deleted (agent ids unchanged)."""
-        return self._subset([e.owner != agent for e in self.edges])
+        return self._derive(tuple(e for e in self.edges if e.owner != agent))
 
     def without_edges(self, edge_ids: Iterable[int]) -> "Instance":
         drop = set(edge_ids)
-        return self._subset([e.id not in drop for e in self.edges])
-
-    def _subset(self, keep: list[bool]) -> "Instance":
-        """Copy with the edges flagged in `keep`. It shares the parent's
-        scaled costs, when computed, sliced: L still is a common denominator,
-        and scaling all costs alike changes no comparison or witness."""
-        copy = self._derive(tuple(compress(self.edges, keep)))
-        scaled = self.__dict__.get("_scaled_cache")
-        if scaled is not None:
-            object.__setattr__(copy, "_scaled_cache", (scaled[0], list(compress(scaled[1], keep))))
-        return copy
+        return self._derive(tuple(e for e in self.edges if e.id not in drop))
 
     def _derive(self, edges: tuple[Edge, ...]) -> "Instance":
         """This instance with `edges`, unvalidated and without caches."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import add
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import (
     Instance, PATH, Solution, as_rational, cost_summary, scale_to_integers, scaled_loads,
@@ -56,21 +56,13 @@ class PtasReport(OptimumReport):
     label_count: Optional[int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParetoLabel:
+    """A label at the target: its cell, its exact vector and its walk."""
     node: int
     bucket_index: tuple[int, ...]  # objectives 1..n-1
     vector: tuple[Fraction, ...]  # exact costs under the modified weights
-    predecessor: Optional[tuple["ParetoLabel", int]]  # (label, edge id)
-
-    def edge_ids(self) -> list[int]:
-        ids: list[int] = []
-        label = self
-        while label.predecessor is not None:
-            label, eid = label.predecessor
-            ids.append(eid)
-        ids.reverse()
-        return ids
+    edge_ids: tuple[int, ...]  # the walk from the source, in traversal order
 
 
 def preprocess(inst: Instance, epsilon: Fraction):
@@ -268,12 +260,15 @@ class _Bucketizer:
 
 def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
                epsilon: Fraction) -> list[ParetoLabel]:
-    """Labels at the target forming a (1+eps)-Pareto set of s-t paths.
+    """Labels at the target forming a (1+eps)-Pareto set of s-t paths, one
+    per target cell, in cell order.
 
     Round-based relaxation: node_count-1 rounds over all edges, keeping per
     (node, bucket cell) the label with minimal last-objective cost. For every
     Pareto-optimal path p there is a returned label y with
-    vector(y) <= (1+eps) * vector(p) componentwise, exactly.
+    vector(y) <= (1+eps) * vector(p) componentwise, exactly. Each label holds
+    its walk's edge ids and its vector over Fractions; the labels the DP kept
+    at other nodes are not returned.
     """
     epsilon = as_rational(epsilon)
     n = inst.agent_count
@@ -313,30 +308,19 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
         frontier = new_frontier
         if not frontier:
             break
-    exported: dict[int, ParetoLabel] = {}
-    return [_export(cells[key], scale, exported) for key in sorted(cells) if key[0] == t]
+    labels = []
+    for key in sorted(key for key in cells if key[0] == t):
+        label = cells[key]
+        vec, walk = label[2], []
+        while label[3] is not None:
+            walk.append(label[4])
+            label = label[3]
+        labels.append(ParetoLabel(t, key[1], tuple(Fraction(x, scale) for x in vec),
+                                  tuple(reversed(walk))))
+    return labels
 
 
-def _export(label: tuple, scale: int, exported: dict[int, ParetoLabel]) -> ParetoLabel:
-    """The ParetoLabel of a DP label and its predecessors, vectors over Fractions.
-
-    `exported` maps id(DP label) to its ParetoLabel, so shared prefixes are
-    converted once.
-    """
-    chain = []
-    while label is not None and id(label) not in exported:
-        chain.append(label)
-        label = label[3]
-    out = None if label is None else exported[id(label)]
-    for label in reversed(chain):
-        node, cell, vec, pred, eid = label
-        out = ParetoLabel(node, cell, tuple(Fraction(x, scale) for x in vec),
-                          None if pred is None else (out, eid))
-        exported[id(label)] = out
-    return out
-
-
-def _simplify_path(inst: Instance, edge_ids: list[int]) -> list[int]:
+def _simplify_path(inst: Instance, edge_ids: Iterable[int]) -> list[int]:
     """Drop cycles from a source-target walk; never increases any cost."""
     node = inst.source
     nodes = [node]
@@ -355,7 +339,6 @@ def _simplify_path(inst: Instance, edge_ids: list[int]) -> list[int]:
             seen[node] = len(nodes)
             nodes.append(node)
             kept.append(eid)
-            continue
     return kept
 
 
@@ -373,7 +356,7 @@ def minmax_ptas(inst: Instance, epsilon: Fraction) -> PtasReport:
                           label_count=None)
 
     labels = pareto_eps(pruned, weights, config.epsilon)
-    walks = (sorted(_simplify_path(pruned, label.edge_ids())) for label in labels)
+    walks = (sorted(_simplify_path(pruned, label.edge_ids)) for label in labels)
     # scaled loads share the instance's denominator, so they rank as the costs do
     best = min(((max(scaled_loads(inst, ids)), ids) for ids in walks), default=None)
     if best is None:

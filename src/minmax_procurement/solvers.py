@@ -492,9 +492,9 @@ def chain_minmax_exact(
     """Exact min-max over per-block path choices (makespan-style DP).
 
     `block_cost_vectors[k][c][i]` is the cost agent i+1 pays when choice `c`
-    is taken in block k, an int or a Fraction; any other entry raises
-    StructureError. The costs are scaled once to integers over their common
-    denominator.
+    is taken in block k, an int or a Fraction; any other entry, a bool too,
+    raises StructureError, as does an `n` that is not an int. The costs are
+    scaled once to integers over their common denominator.
 
     Among optimal load vectors the one whose per-block pick sequence is
     lexicographically smallest wins, and each load vector keeps the smallest
@@ -521,6 +521,8 @@ def chain_minmax_exact(
     When `block_edges` is given (edge ids per block and choice), the witness
     Solution is assembled from the chosen blocks.
     """
+    if type(n) is not int:
+        raise StructureError(f"n must be an int, got {n!r}")
     if n < 1:
         raise StructureError("need at least one agent")
     if not block_cost_vectors:
@@ -533,7 +535,7 @@ def chain_minmax_exact(
                 raise StructureError(
                     f"block {k} choice {c} has {len(vec)} agent costs, expected {n}")
             for x in vec:
-                if not isinstance(x, (int, Fraction)):
+                if type(x) not in (int, Fraction):
                     raise StructureError(f"block {k} choice {c} has a cost {x!r} of "
                                          f"type {type(x).__name__}; use ints or Fractions")
 

@@ -24,12 +24,13 @@ from minmax_procurement.adversary import (
     MAX_CHAIN_EDGES,
     MODE_DMST,
     MODE_PATH,
+    _selected_routes,
     build_adversary_instance,
     opt_upper_bound,
 )
 from minmax_procurement.audit import InfeasibleAllocationError
 from minmax_procurement.graphs import MAX_FILE_EDGES, MAX_FILE_NODES
-from minmax_procurement.solvers import min_sum_optimum
+from minmax_procurement.solvers import _enumerate_arborescences, _enumerate_paths, min_sum_optimum
 
 F = Fraction
 
@@ -97,6 +98,24 @@ def test_every_chain_gen_can_write_fits_the_instance_file_limits():
             assert nodes <= MAX_FILE_NODES and edges <= MAX_FILE_EDGES
 
 
+@pytest.mark.parametrize("agents, blocks", [(2, True), (True, 2), (2.0, 3), (2, "3")])
+def test_spec_refuses_counts_other_than_ints(agents, blocks):
+    with pytest.raises(TypeError, match="must be an int"):
+        ChainSpec(agents, blocks)
+
+
+@pytest.mark.parametrize("eps, error", [(0.1, TypeError), (True, TypeError),
+                                        ("1e-3", ValueError)])
+def test_expand_chain_refuses_inexact_helper_costs(eps, error):
+    with pytest.raises(error):
+        expand_chain(gen_chain(ChainSpec(2, 1)), eps)
+
+
+def test_expand_chain_reads_helper_costs_exactly():
+    inst, _ = expand_chain(gen_chain(ChainSpec(2, 1)), "1/8")
+    assert sorted({e.cost for e in inst.edges}) == [F(1, 8), 1]
+
+
 def test_default_helper_costs():
     assert ChainSpec(2, 10).eps_for(MODE_PATH) == F(1, 20)
     assert ChainSpec(3, 10).eps_for(MODE_DMST) == F(1, 120)
@@ -110,10 +129,11 @@ def test_expanded_chain_shape():
     for route in indexing.blocks[0]:
         owners = [inst.edge_by_id(i).owner for i in route.edge_ids]
         assert owners == [1, 2, 3]  # position j owned by agent j
-        main = inst.edge_by_id(route.main_edge_id)
-        assert main.owner == route.agent and main.cost == 1
-        helpers = [inst.edge_by_id(i) for i in route.edge_ids
-                   if i != route.main_edge_id]
+        # the full-cost edge is the one the route's agent owns
+        (main,) = [inst.edge_by_id(i) for i in route.edge_ids
+                   if inst.edge_by_id(i).owner == route.agent]
+        assert main.cost == 1
+        helpers = [inst.edge_by_id(i) for i in route.edge_ids if i != main.id]
         assert all(e.cost == F(1, 6) for e in helpers)
 
 
@@ -133,7 +153,9 @@ def test_dmst_chain_shape_and_cyclic_ownership():
     assert owners(r2) == [2, 3, 1]
     assert owners(r3) == [3, 1, 2]
     for route in (r1, r2, r3):
-        assert inst.edge_by_id(route.main_edge_id).cost == 1
+        (main,) = [inst.edge_by_id(i) for i in route.edge_ids
+                   if inst.edge_by_id(i).owner == route.agent]
+        assert main.cost == 1
         assert all(inst.edge_by_id(i).cost == ChainSpec(3, 1).eps_for(MODE_DMST)
                    for i in route.leftward_ids)
 
@@ -152,6 +174,24 @@ def test_dmst_single_route_per_block_solution_is_feasible():
         ids.extend(indexing.route(k, 1).edge_ids)
         ids.extend(indexing.route(k, 2).leftward_ids)
     assert validate_solution(inst, Solution(ids))
+
+
+@pytest.mark.parametrize("mode", [MODE_PATH, MODE_DMST])
+@pytest.mark.parametrize("agents, blocks", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_every_feasible_solution_selects_one_route_per_block(mode, agents, blocks):
+    """A simple path crosses each block once; in an arborescence node k+1 has
+    one in-edge, the last edge of one route, and the route's interior is then
+    reached only along that route."""
+    inst, indexing = build_adversary_instance(ChainSpec(agents, blocks), mode)
+    enumerate_all = _enumerate_paths if mode == MODE_PATH else _enumerate_arborescences
+    solutions = 0
+    for ids in enumerate_all(inst):
+        sol = Solution(ids)
+        for routes, picked in zip(indexing.blocks, _selected_routes(indexing, sol)):
+            full = [r.agent for r in routes if set(r.edge_ids) <= sol.edge_ids]
+            assert full == [picked]
+        solutions += 1
+    assert solutions == agents ** (blocks * (1 if mode == MODE_PATH else agents))
 
 
 # -- driver: monotone algorithm ends with a ratio witness ----------------------

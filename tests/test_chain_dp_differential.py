@@ -309,7 +309,13 @@ def test_float_costs_are_refused():
         chain_minmax_exact(2, [[(F(1), 0.5)]])
 
 
-@pytest.mark.parametrize("entry", ["1/2", 0.5])
+@pytest.mark.parametrize("entry", ["1/2", 0.5, True])
 def test_costs_other_than_ints_and_fractions_are_refused(entry):
     with pytest.raises(StructureError, match=type(entry).__name__):
         chain_minmax_exact(2, [[(F(1), entry)]])
+
+
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_an_agent_count_other_than_an_int_is_refused(n):
+    with pytest.raises(StructureError, match=f"^n must be an int, got {n!r}$"):
+        chain_minmax_exact(n, [[(F(1), 1)]])

@@ -1,14 +1,14 @@
 """Derived instances, the min-sum memo and the work done once per instance.
 
 Derived copies (`with_costs`, `without_agent`, `without_edges` and
-`Perturbation.apply`) skip the constructor's per-edge validation and start
-without caches, except that a copy without an agent or without edges keeps
-its parent's integer costs, sliced. A memo leaked into a copy would not show
+`Perturbation.apply`) skip the constructor's per-edge validation and hold
+only the instance's fields: no cache comes from the parent. A memo leaked into a copy would not show
 in any report: VCG is monotone, so every audit passes either way. These
 tests look at the copies directly, and count the solves and builds the CLI
 makes.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -29,8 +29,7 @@ from minmax_procurement.solvers import NoFeasibleSolutionError, min_sum_optimum
 
 F = Fraction
 CACHES = ("_min_sum_cache", "_edge_index_cache", "_scaled_cache", "_adjacency_cache")
-# a copy that only drops edges keeps its parent's L and integer costs
-SLICED = {"without_agent", "without_edges"}
+FIELDS = {field.name for field in dataclasses.fields(Instance)}
 
 
 def rebuilt(inst):
@@ -68,14 +67,9 @@ def test_derived_copies_of_solved_instances_start_without_caches():
         # only the path solvers build adjacency lists
         built = set(CACHES) - ({"_adjacency_cache"} if inst.mode == ARBORESCENCE else set())
         assert built <= set(inst.__dict__)
-        scale = inst.scaled_costs()[0]
         for how, copy in derived_copies(rng, inst, alloc):
-            kept = {"_scaled_cache"} if how in SLICED else set()
-            assert {name for name in CACHES if name in copy.__dict__} == kept, how
-            if kept:
-                copy_scale, costs = copy.__dict__["_scaled_cache"]
-                assert copy_scale == scale and len(costs) == len(copy.edges)
-                assert all(F(c, scale) == e.cost for c, e in zip(costs, copy.edges))
+            # the fields and nothing else: a cache of any name would show here
+            assert set(vars(copy)) == FIELDS, how
             assert copy == rebuilt(copy)
             assert solve(copy) == solve(rebuilt(copy)), (seed, how)
             if how == "apply":

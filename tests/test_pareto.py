@@ -163,7 +163,7 @@ def test_labels_reconstruct_feasible_walks():
     inst = rand_instance(random.Random(9), 9, 2)
     pruned, weights, config = preprocess(inst, F(1, 4))
     for label in pareto_eps(pruned, weights, config.epsilon):
-        ids = _simplify_path(pruned, label.edge_ids())
+        ids = _simplify_path(pruned, label.edge_ids)
         assert cost_summary(pruned, Solution(ids)).max_cost is not None
         from minmax_procurement import validate_solution
         assert validate_solution(pruned, Solution(ids))

@@ -2,7 +2,8 @@
 
 `OldBucketizer` and `old_pareto_eps` are the former bucketing, which compared
 Fractions against exact powers delta * base^k, and the former DP over
-Fraction vectors; `old_ptas_winner` is the former scoring of the labels,
+Fraction vectors, with `OldLabel`, its label linked to its predecessor;
+`old_ptas_winner` is the former scoring of the labels,
 one Fraction cost summary per label. They are kept here only as oracles: the
 new DP must return the same labels (node, cell, vector, edges) in the same
 order, `minmax_ptas` the same value, witness and label count, and the power
@@ -12,7 +13,9 @@ brackets must give the exact floor d * p^k // q^k.
 import math
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -29,7 +32,7 @@ from minmax_procurement import (
 )
 from minmax_procurement import pareto
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain
-from minmax_procurement.pareto import ParetoLabel, _bucket_base, _Bucketizer, _simplify_path
+from minmax_procurement.pareto import _bucket_base, _Bucketizer, _simplify_path
 
 F = Fraction
 
@@ -62,6 +65,24 @@ class OldBucketizer:
         return k
 
 
+@dataclass
+class OldLabel:
+    node: int
+    bucket_index: tuple[int, ...]
+    vector: tuple[Fraction, ...]
+    predecessor: Optional[tuple["OldLabel", int]]  # (label, edge id)
+
+    @property
+    def edge_ids(self) -> tuple[int, ...]:
+        ids = []
+        label = self
+        while label.predecessor is not None:
+            label, eid = label.predecessor
+            ids.append(eid)
+        ids.reverse()
+        return tuple(ids)
+
+
 def old_pareto_eps(inst, weights, epsilon):
     epsilon = Fraction(epsilon)
     n = inst.agent_count
@@ -82,7 +103,7 @@ def old_pareto_eps(inst, weights, epsilon):
     def cell_key(node, vec):
         return (node, tuple(bucketizer.index(v) for v in vec[:-1]))
 
-    start = ParetoLabel(s, (0,) * (n - 1), tuple(Fraction(0) for _ in range(n)), None)
+    start = OldLabel(s, (0,) * (n - 1), tuple(Fraction(0) for _ in range(n)), None)
     cells = {cell_key(s, start.vector): start}
     frontier = [start]
     for _ in range(max(inst.node_count - 1, 1)):
@@ -93,7 +114,7 @@ def old_pareto_eps(inst, weights, epsilon):
                 key = cell_key(head, vec)
                 kept = cells.get(key)
                 if kept is None or vec[-1] < kept.vector[-1]:
-                    new = ParetoLabel(head, key[1], vec, (label, eid))
+                    new = OldLabel(head, key[1], vec, (label, eid))
                     cells[key] = new
                     new_frontier.append(new)
         frontier = new_frontier
@@ -109,7 +130,7 @@ def old_ptas_winner(inst, epsilon):
     labels = pareto_eps(pruned, weights, config.epsilon)
     best = None
     for label in labels:
-        ids = _simplify_path(pruned, label.edge_ids())
+        ids = _simplify_path(pruned, label.edge_ids)
         value = cost_summary(inst, Solution(ids)).max_cost
         key = (value, tuple(sorted(ids)))
         if best is None or key < best:
@@ -143,7 +164,7 @@ def seeded_expanded_chain(agents, blocks, seed):
 
 
 def label_rows(labels):
-    return [(lab.node, lab.bucket_index, lab.vector, lab.edge_ids()) for lab in labels]
+    return [(lab.node, lab.bucket_index, lab.vector, lab.edge_ids) for lab in labels]
 
 
 def assert_same_labels(inst, epsilon):
