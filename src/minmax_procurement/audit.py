@@ -239,7 +239,7 @@ _RANDOM_COSTS = {(p, q): Fraction(p, q) for p in range(MAX_NUMERATOR + 1)
 
 
 def random_cost(rng: random.Random) -> Fraction:
-    return _RANDOM_COSTS[rng.randint(0, MAX_NUMERATOR), rng.randint(1, MAX_DENOMINATOR)]
+    return _RANDOM_COSTS[rng.randrange(MAX_NUMERATOR + 1), rng.randrange(1, MAX_DENOMINATOR + 1)]
 
 
 def random_path_instance(rng: random.Random, max_nodes: int = 8,

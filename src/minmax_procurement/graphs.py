@@ -200,9 +200,6 @@ class Solution:
     def __init__(self, edge_ids: Iterable[int]):
         object.__setattr__(self, "edge_ids", frozenset(edge_ids))
 
-    def __contains__(self, edge_id: int) -> bool:
-        return edge_id in self.edge_ids
-
     def sorted_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.edge_ids))
 

@@ -9,12 +9,10 @@ Fraction(x, L); brute force builds one Fraction, for the winner. Witnesses
 are deterministic.
 
 Cost of the min-sum layer, for V nodes and E edges:
-- `shortest_path`: one Dijkstra run, O(E log V), a linear search back from
-  the target over tight edges, and a witness walk that is linear except
-  inside zero-cost plateaus. Nodes are walked in nondecreasing distance from
-  the source, so only a step within a plateau needs a reachability search,
-  and that search never leaves the plateau. The adjacency lists are built
-  once per instance and kept on it.
+- `shortest_path`: one Dijkstra run, O(E log V), then one depth-first
+  search from the source over tight edges, O(E log E) with its per-node
+  sorts by edge id, zero-cost plateaus included. The adjacency lists are
+  built once per instance and kept on it.
 - `scaled_min_sum_value`: the value alone, optionally without one agent's
   edges, on the instance itself (no derived copy); one Dijkstra that stops
   at the target for paths, and no solve at all when the memoized optimum
@@ -34,9 +32,10 @@ second.
 
 Tie-breaking: the brute-force oracles return, among equal-value optima, the
 solution whose sorted edge-id sequence is lexicographically smallest. The
-polynomial solvers use a deterministic smallest-edge-id preference (greedy
-walk over the shortest-path subgraph for paths; (cost, id) keys inside the
-arborescence contraction); same instance bytes always give the same witness.
+polynomial solvers use a deterministic smallest-edge-id preference (a
+depth-first search over tight edges in edge-id order for paths; (cost, id)
+keys inside the arborescence contraction); same instance bytes always give
+the same witness.
 """
 
 from __future__ import annotations
@@ -127,110 +126,54 @@ def _dijkstra(inst: Instance, stop: Optional[int] = None,
 def shortest_path(inst: Instance) -> OptimumReport:
     """Min-sum s-t path with a deterministic witness.
 
-    One Dijkstra from the source gives dist_s. An orientation u -> v of an
-    edge of cost c lies on a minimum-cost path iff dist_s[u] + c + dist_t[v]
-    = dist_s[t], with dist_t the distance to the target. Call u -> v tight
-    when dist_s[u] + c = dist_s[v]. Costs are nonnegative, so the test above
-    holds iff u -> v is tight and v reaches t along tight orientations:
-    - If it holds, dist_s[u] + c >= dist_s[v] and dist_s[v] + dist_t[v] >=
-      dist_s[t] are both equalities. So u -> v is tight, and every node w
-      of a shortest v-t path has dist_s[w] = dist_s[v] + (its distance from
-      v), which makes each step of that path tight.
-    - If u -> v is tight and tight steps lead from v to t, they cost
-      dist_s[t] - dist_s[v] >= dist_t[v], so the sum in the test is at most
-      dist_s[t]; it is never less.
-    So a linear search back from the target over tight orientations builds
-    the subgraph below, and no second Dijkstra, from the target, is needed.
-
-    The witness is built by a greedy walk over the subgraph of edges lying on
-    some minimum-cost path: at each node take the smallest-id usable edge from
-    whose head the target is still reachable without revisiting nodes. Every
-    walk inside that subgraph has total cost equal to the optimum.
-
-    Along a subgraph edge u -> v, dist_s[v] = dist_s[u] + cost. So the walk
-    visits nodes in nondecreasing dist_s order, and every subgraph node
-    reaches the target along nondecreasing dist_s. A head with dist_s above
-    the current node's therefore reaches the target without revisiting a
-    visited node, and is taken at once. Only a head on the current node's
-    zero-cost plateau needs a reachability search. That search stays on the
-    plateau and succeeds as soon as it steps past it. Nodes a failed search
-    explored can never reach the target later, so they are skipped from then
-    on. Without zero-cost edges the walk is linear and the solve O(E log V).
+    One Dijkstra from the source gives dist. Call a step u -> v of cost c
+    tight when dist[u] + c = dist[v]; a walk of tight steps from s to t costs
+    dist[t], so every such path is optimal. The witness is the first path
+    that a depth-first search from s over tight steps completes to t, trying
+    each node's steps in edge-id order and never entering a node twice. That
+    is the greedy rule: at each node take the smallest-id step whose head
+    still reaches t without revisiting a node. Every path from a node the
+    search has left without reaching t passes through a node still on the
+    search's stack, so skipping such a node is exact, and the solve is
+    O(E log E), zero-cost plateaus included.
     """
     if inst.mode != PATH:
         raise ValueError("shortest_path requires a path-mode instance")
     s, t = inst.source, inst.target_or_root
     scale, costs = inst.scaled_costs()
-    dist_s = _dijkstra(inst)
-    if dist_s[t] is None:
+    dist = _dijkstra(inst)
+    if dist[t] is None:
         raise NoFeasibleSolutionError("source and target are disconnected")
     if s == t:
         return OptimumReport(MIN_SUM, Fraction(0), Solution(()))
-    sp = dist_s[t]
+    sp = dist[t]
+    adj, edges = _adjacency(inst), inst.edges
 
-    # Per node v, the tight orientations u -> v into it, as (u, edge index).
-    adj = _adjacency(inst)
-    into: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
-    for u, du in enumerate(dist_s):
-        if du is not None:
-            for v, i, _ in adj[u]:
-                if du + costs[i] == dist_s[v]:
-                    into[v].append((u, i))
-    # Oriented shortest-path subgraph: u -> v allowed iff some optimal path
-    # uses the edge in that direction, i.e. iff it is tight and the search
-    # back from t over tight orientations reaches v. Entries (edge id, head,
-    # scaled cost).
-    sub: list[list[tuple[int, int, int]]] = [[] for _ in range(inst.node_count)]
-    on_path = bytearray(inst.node_count)
-    on_path[t] = 1
-    frontier = [t]
-    while frontier:
-        v = frontier.pop()
-        for u, i in into[v]:
-            sub[u].append((inst.edges[i].id, v, costs[i]))
-            if not on_path[u]:
-                on_path[u] = 1
-                frontier.append(u)
-    for lst in sub:
-        lst.sort()
+    def tight_steps(u: int):
+        du = dist[u]
+        return iter(sorted((edges[i].id, v, costs[i])
+                           for v, i, _ in adj[u] if du + costs[i] == dist[v]))
 
-    blocked = bytearray(inst.node_count)  # on the walk, or shown unable to reach t
-
-    def reaches_target(start: int, level: int) -> bool:
-        """Whether the unblocked `start`, at dist_s `level`, reaches t."""
-        if start == t or dist_s[start] > level:
-            return True
-        stack = [start]
-        seen = {start}
-        while stack:
-            u = stack.pop()
-            for _, v, _ in sub[u]:
-                if v == t or dist_s[v] > level:
-                    return True
-                if v not in seen and not blocked[v]:
-                    seen.add(v)
-                    stack.append(v)
-        for u in seen:
-            blocked[u] = 1
-        return False
-
-    path_ids: list[int] = []
-    total = 0
-    blocked[s] = 1
-    node = s
-    while node != t:
-        level = dist_s[node]
-        for eid, v, c in sub[node]:
-            if not blocked[v] and reaches_target(v, level):
+    entered = bytearray(inst.node_count)
+    entered[s] = 1
+    pending = [tight_steps(s)]  # per node on the stack, its untried steps
+    steps: list[tuple[int, int]] = []  # (edge id, scaled cost) from s to the top
+    while True:
+        for eid, v, c in pending[-1]:
+            if not entered[v]:
                 break
-        else:  # pragma: no cover - the subgraph always admits a continuation
-            raise AssertionError("greedy walk got stuck in the shortest-path subgraph")
-        path_ids.append(eid)
-        total += c
-        blocked[v] = 1
-        node = v
+        else:  # the top node cannot reach t; s always can, so steps is not empty
+            pending.pop()
+            steps.pop()
+            continue
+        entered[v] = 1
+        steps.append((eid, c))
+        if v == t:
+            break
+        pending.append(tight_steps(v))
+    total = sum(c for _, c in steps)
     assert total == sp
-    return OptimumReport(MIN_SUM, Fraction(sp, scale), Solution(path_ids))
+    return OptimumReport(MIN_SUM, Fraction(sp, scale), Solution(eid for eid, _ in steps))
 
 
 # -- minimum arborescence ---------------------------------------------------

@@ -8,10 +8,12 @@ the same value and the same witness on every instance, and `networkx` must
 agree on the value.
 """
 
+import hashlib
 import heapq
 import random
 import re
 import sys
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from minmax_procurement import (
     min_sum_optimum,
     min_sum_value,
     run_adversary,
+    shortest_path,
     validate_solution,
     vcg_allocate,
 )
@@ -271,6 +274,15 @@ def source_is_target(inst):
                     inst.mode, inst.source, inst.source)
 
 
+def renumbered(inst, rng):
+    """A copy whose edges keep their positions but get seeded, non-contiguous
+    ids in no particular order, so an edge's id is not its position."""
+    ids = rng.sample(range(4 * len(inst.edges) + 1), len(inst.edges))
+    edges = tuple(Edge(eid, e.tail, e.head, e.owner, e.cost) for eid, e in zip(ids, inst.edges))
+    return Instance(inst.directed, inst.node_count, edges, inst.agent_count, inst.mode,
+                    inst.source, inst.target_or_root)
+
+
 def random_family():
     for seed in range(400):
         rng = random.Random(seed)
@@ -287,6 +299,11 @@ def random_family():
             yield directed_copy(extended)
             yield with_extras(arborescence, rng)
             yield source_is_target(extended if seed % 8 == 1 else path)
+        if seed % 4 == 2:
+            moved = renumbered(path, rng)
+            yield moved
+            yield directed_copy(moved)
+            yield renumbered(arborescence, rng)
 
 
 CHAIN_SIZES = [(2, 1), (2, 7), (3, 5), (2, 64), (3, 64), (2, 256), (3, 256)]
@@ -366,6 +383,53 @@ def test_dense_zero_plateau_keeps_the_smallest_id_witness():
     rng.shuffle(edges)
     edges = tuple(Edge(i, e.tail, e.head, e.owner, e.cost) for i, e in enumerate(edges))
     assert_matches_oracles(Instance(False, 9, edges, 2, PATH, 4, 7))
+
+
+def test_renumbered_paths_keep_the_greedy_witness():
+    # ids are not positions, so a search that tries steps in position order
+    # rather than id order picks other witnesses here
+    matched = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        inst = random_path_instance(rng, max_nodes=12)
+        inst = with_zero_costs(inst, rng, share=seed % 11 / 10)
+        if seed % 3 == 0:
+            inst = with_extras(inst, rng)
+        inst = renumbered(inst, rng)
+        for variant in (inst, directed_copy(inst)):
+            try:
+                expected = greedy_shortest_path(variant)
+            except NoFeasibleSolutionError:
+                with pytest.raises(NoFeasibleSolutionError):
+                    shortest_path(variant)
+                continue
+            assert shortest_path(variant) == expected
+            matched += 1
+    assert matched >= 2000
+
+
+def plateau_instance(node_count, seed):
+    """Undirected: a cost-5 backbone 0 -> 1 -> ... -> V-1 and 3V random edges
+    of cost 0 to 3, so zero-cost plateaus are large and many."""
+    rng = random.Random(seed)
+    edges = [Edge(i, i, i + 1, 1, 5) for i in range(node_count - 1)]
+    for _ in range(3 * node_count):
+        edges.append(Edge(len(edges), rng.randrange(node_count), rng.randrange(node_count),
+                          rng.randint(1, 2), rng.randint(0, 3)))
+    return Instance(False, node_count, tuple(edges), 2, PATH, 0, node_count - 1)
+
+
+def test_shortest_path_on_large_zero_cost_plateaus_is_fast():
+    # quadratic if a step re-searches plateaus already searched from an earlier step
+    inst = plateau_instance(20_000, seed=1)
+    start = time.process_time()
+    report = shortest_path(inst)
+    assert time.process_time() - start < 3
+    assert report.value == networkx_value(inst)
+    assert validate_solution(inst, report.witness)
+    digest = hashlib.sha256(",".join(map(str, report.witness.sorted_ids())).encode())
+    assert digest.hexdigest() == \
+        "6b4d94fb860ea6ec93021829494741ddd5153ec535a09a60b4b8f6fa4989a774"
 
 
 def arborescence_instance(node_count, arcs):
