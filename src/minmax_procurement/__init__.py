@@ -26,7 +26,6 @@ from .solvers import (
     chain_minmax_exact,
     min_arborescence,
     min_sum_optimum,
-    min_sum_value,
     shortest_path,
 )
 from .vcg import MechanismOutcome, clarke_payments, run_vcg, vcg_allocate
@@ -34,7 +33,6 @@ from .pareto import PtasReport, minmax_ptas, pareto_eps, preprocess
 from .audit import (
     Perturbation,
     ViolationWitness,
-    check_edge_stability,
     check_truthfulness,
     check_weak_monotonicity,
     edge_stability_perturbation,
@@ -59,15 +57,15 @@ __all__ = [
     "validate_solution",
     # solvers
     "OptimumReport", "brute_minmax", "chain_minmax_exact", "min_arborescence",
-    "min_sum_optimum", "min_sum_value", "shortest_path",
+    "min_sum_optimum", "shortest_path",
     # vcg
     "MechanismOutcome", "clarke_payments", "run_vcg", "vcg_allocate",
     # pareto
     "PtasReport", "minmax_ptas", "pareto_eps", "preprocess",
     # audit
-    "Perturbation", "ViolationWitness", "check_edge_stability",
-    "check_truthfulness", "check_weak_monotonicity",
-    "edge_stability_perturbation", "edge_stability_witness",
+    "Perturbation", "ViolationWitness", "check_truthfulness",
+    "check_weak_monotonicity", "edge_stability_perturbation",
+    "edge_stability_witness",
     # adversary
     "AdversaryReport", "BlockIndexing", "ChainSpec", "chain_exact_allocator",
     "expand_chain", "gen_chain", "gen_dmst_chain", "opt_upper_bound",

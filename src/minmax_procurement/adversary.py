@@ -141,6 +141,9 @@ def expand_chain(chain: Instance, eps: Fraction) -> tuple[Instance, BlockIndexin
         if abs(e.head - e.tail) != 1 or e.owner in by_block[k]:
             raise ValueError("instance is not a generated chain")
         by_block[k][e.owner] = e.cost
+    if (chain.source, chain.target_or_root) != (0, l) or any(
+            len(costs) != n for costs in by_block.values()):
+        raise ValueError("instance is not a generated chain")
 
     edges: list[Edge] = []
     blocks: list[tuple[BlockPath, ...]] = []

@@ -6,10 +6,10 @@ Black-box checks against allocation algorithms and mechanisms:
   t_i(x) + t'_i(x') <= t_i(x') + t'_i(x);
 * dominant-strategy truthfulness of a mechanism, comparing the agent's exact
   utility under truth-telling and under a misreport;
-* edge-stability: when an agent's selected edges all get strictly cheaper and
-  the unselected ones strictly dearer, a monotone algorithm must keep the
-  agent's selected edge set unchanged; a change certifies a strict weak-
-  monotonicity violation.
+* edge-stability witnesses: when an agent's selected edges all get strictly
+  cheaper and the unselected ones strictly dearer, a monotone algorithm must
+  keep the agent's selected edge set unchanged; a change certifies a strict
+  violation of the same inequality, which one function decides for both.
 
 Verdicts are exact (rational arithmetic, no tolerances) and every violation
 witness carries the evaluated terms so it can be re-verified from its own
@@ -29,7 +29,6 @@ from .graphs import (
     Edge,
     Instance,
     Solution,
-    agent_cost,
     as_rational,
     scaled_agent_cost,
     validate_solution,
@@ -44,11 +43,6 @@ EDGE_STABILITY = "edge-stability"
 class InfeasibleAllocationError(RuntimeError):
     """The algorithm under test returned an infeasible solution (this is a
     contract breach of the plug-in, not a monotonicity violation)."""
-
-
-class NonStrictPerturbationError(ValueError):
-    """The perturbation does not satisfy the strict inequalities required for
-    an edge-stability probe."""
 
 
 @dataclass(frozen=True)
@@ -95,16 +89,6 @@ class ViolationWitness:
         return a + b > c + d
 
 
-def _monotonicity_terms(inst: Instance, perturbed: Instance, i: int,
-                        x: Solution, x_prime: Solution):
-    return (
-        agent_cost(inst, x, i),
-        agent_cost(perturbed, x_prime, i),
-        agent_cost(inst, x_prime, i),
-        agent_cost(perturbed, x, i),
-    )
-
-
 def _witness(kind: str, inst: Instance, perturbed: Instance, agent: int,
              x: Solution, x_prime: Solution, terms) -> ViolationWitness:
     """The witness of `kind` for x under `inst` and x' under `perturbed`,
@@ -112,6 +96,24 @@ def _witness(kind: str, inst: Instance, perturbed: Instance, agent: int,
     base, changed = (tuple((e.id, e.cost) for e in profile.agent_edges(agent))
                      for profile in (inst, perturbed))
     return ViolationWitness(kind, agent, base, changed, x, x_prime, terms)
+
+
+def _violation(kind: str, inst: Instance, perturbed: Instance, agent: int,
+               x: Solution, x_prime: Solution) -> Optional[ViolationWitness]:
+    """The `kind` witness when x under `inst` and x' under `perturbed` violate
+    t_i(x) + t'_i(x') <= t_i(x') + t'_i(x) for `agent`; None when they do not.
+
+    The inequality is decided on each profile's integers, (a - c) / L1 <=
+    (d - b) / L2 with a, c over L1 and b, d over L2; the Fraction terms are
+    built only for a witness.
+    """
+    l1, l2 = inst.scaled_costs()[0], perturbed.scaled_costs()[0]
+    a, c = (scaled_agent_cost(inst, sol, agent) for sol in (x, x_prime))
+    b, d = (scaled_agent_cost(perturbed, sol, agent) for sol in (x_prime, x))
+    if (a - c) * l2 <= (d - b) * l1:
+        return None
+    terms = (Fraction(a, l1), Fraction(b, l2), Fraction(c, l1), Fraction(d, l2))
+    return _witness(kind, inst, perturbed, agent, x, x_prime, terms)
 
 
 def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
@@ -124,14 +126,7 @@ def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
         if not validate_solution(probe_inst, sol):
             raise InfeasibleAllocationError(
                 f"algorithm returned an infeasible solution {sorted(sol.edge_ids)}")
-    # t_i(x) + t'_i(x') <= t_i(x') + t'_i(x) on each profile's integers:
-    # (a - c) / L1 <= (d - b) / L2, with a, c over L1 and b, d over L2
-    a, c = (scaled_agent_cost(inst, sol, pert.agent) for sol in (x, x_prime))
-    b, d = (scaled_agent_cost(perturbed, sol, pert.agent) for sol in (x_prime, x))
-    if (a - c) * perturbed.scaled_costs()[0] <= (d - b) * inst.scaled_costs()[0]:
-        return None
-    terms = _monotonicity_terms(inst, perturbed, pert.agent, x, x_prime)
-    return _witness(WEAK_MONOTONICITY, inst, perturbed, pert.agent, x, x_prime, terms)
+    return _violation(WEAK_MONOTONICITY, inst, perturbed, pert.agent, x, x_prime)
 
 
 # string names keep the package's classes out of typing's caches (see vcg)
@@ -189,31 +184,6 @@ def is_strict_edge_stability(inst: Instance, alloc: Solution, pert: Perturbation
     return True
 
 
-def check_edge_stability(alg: AllocationAlgorithm, inst: Instance,
-                           pert: Perturbation) -> Optional[ViolationWitness]:
-    """Edge-stability probe. None on pass.
-
-    Requires a strict perturbation (selected edges strictly cheaper, others
-    strictly dearer) relative to x = alg(inst). If the agent's selected edge
-    set changes, the pair (t, t') strictly violates weak monotonicity; the
-    returned witness carries the four terms and re-verifies strictly.
-    """
-    x = alg(inst)
-    if not validate_solution(inst, x):
-        raise InfeasibleAllocationError("algorithm returned an infeasible solution")
-    if not is_strict_edge_stability(inst, x, pert):
-        raise NonStrictPerturbationError(
-            "perturbation is not strictly decreasing/increasing on the agent's edges")
-    perturbed = pert.apply(inst)
-    x_prime = alg(perturbed)
-    if not validate_solution(perturbed, x_prime):
-        raise InfeasibleAllocationError("algorithm returned an infeasible solution")
-    owned = {e.id for e in inst.agent_edges(pert.agent)}
-    if x.edge_ids & owned == x_prime.edge_ids & owned:
-        return None
-    return edge_stability_witness(inst, perturbed, pert, x, x_prime)
-
-
 def edge_stability_witness(inst: Instance, perturbed: Instance, pert: Perturbation,
                            x: Solution, x_prime: Solution) -> ViolationWitness:
     """The witness that x = A(inst) and x' = A(perturbed) violate weak monotonicity.
@@ -223,9 +193,8 @@ def edge_stability_witness(inst: Instance, perturbed: Instance, pert: Perturbati
     a change certifies a strict violation: the witness carries the agent's
     cost tables under both profiles and the four terms, and re-verifies.
     """
-    terms = _monotonicity_terms(inst, perturbed, pert.agent, x, x_prime)
-    witness = _witness(EDGE_STABILITY, inst, perturbed, pert.agent, x, x_prime, terms)
-    assert witness.reverify(), "instability without a strict monotonicity violation"
+    witness = _violation(EDGE_STABILITY, inst, perturbed, pert.agent, x, x_prime)
+    assert witness is not None, "instability without a strict monotonicity violation"
     return witness
 
 

@@ -96,8 +96,8 @@ class Instance:
     Derived copies (`with_costs`, `without_agent`, `without_edges`) skip the
     constructor's per-edge checks, which their parent passed, and carry only
     the fields: no derived data, such as the integer costs, comes from the
-    parent. Besides the edge index and the integer costs, `solvers` keeps two
-    caches on an instance: its min-sum optimum and its adjacency lists.
+    parent. Besides the edge index, the integer costs and the adjacency
+    lists, `solvers` keeps one cache on an instance: its min-sum optimum.
     """
 
     directed: bool
@@ -160,6 +160,19 @@ class Instance:
             scaled = scale_to_integers(e.cost for e in self.edges)
             object.__setattr__(self, "_scaled_cache", scaled)
         return scaled
+
+    def adjacency(self) -> list[list[tuple[int, int, int]]]:
+        """Per node, (neighbour, index into `edges`, owner) along each usable
+        direction, in edge order; computed on first use. Shared: do not change it."""
+        adj = self.__dict__.get("_adjacency_cache")
+        if adj is None:
+            adj = [[] for _ in range(self.node_count)]
+            for i, e in enumerate(self.edges):
+                adj[e.tail].append((e.head, i, e.owner))
+                if not self.directed:
+                    adj[e.head].append((e.tail, i, e.owner))
+            object.__setattr__(self, "_adjacency_cache", adj)
+        return adj
 
     def agent_edges(self, agent: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.owner == agent)
@@ -403,4 +416,6 @@ def load_instance(path) -> Instance:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # bad bytes, int()'s digit limit, nesting
+            raise InstanceFormatError(f"{path}: {exc}") from exc
     return instance_from_dict(data)

@@ -42,8 +42,7 @@ class PtasConfig:
     epsilon: Fraction
     delta: Fraction
     ratio_bound: Fraction  # max/min modified weight ratio, <= max(1, n(V-1)/eps)
-    baseline_sp: Fraction
-    short_circuit: bool  # SP == 0: the shortest path itself is optimal
+    baseline_sp: Fraction  # 0: the shortest path itself is optimal
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -77,8 +76,8 @@ def preprocess(inst: Instance, epsilon: Fraction):
     exceeds every kept cost and every weight is delta. A simple path has at
     most V - 1 edges and SP <= n * OPT, so the floor adds at most eps * OPT to
     each coordinate of the optimal path, and the scheme keeps its (1+eps)^2
-    bound. When SP = 0 the shortest path is already min-max optimal: the
-    weights are empty and the config carries the short-circuit flag.
+    bound. When SP = 0 the shortest path is already min-max optimal and the
+    weights are empty.
     """
     if inst.mode != PATH:
         raise ValueError("the approximation scheme handles path instances only")
@@ -88,7 +87,7 @@ def preprocess(inst: Instance, epsilon: Fraction):
     n = inst.agent_count
     sp = min_sum_optimum(inst).value
     if sp == 0:
-        return inst, {}, PtasConfig(epsilon, Fraction(0), Fraction(1), sp, True)
+        return inst, {}, PtasConfig(epsilon, Fraction(0), Fraction(1), sp)
 
     delta = epsilon * sp / (n * (inst.node_count - 1))
     pruned = inst.without_edges(e.id for e in inst.edges if e.cost > sp)
@@ -99,7 +98,7 @@ def preprocess(inst: Instance, epsilon: Fraction):
         weights[e.id] = tuple(vec)
     ratio = max(max(vec) for vec in weights.values()) / delta
     assert ratio <= max(1, n * (inst.node_count - 1) / epsilon)
-    config = PtasConfig(epsilon, delta, ratio, sp, False)
+    config = PtasConfig(epsilon, delta, ratio, sp)
     return pruned, weights, config
 
 
@@ -279,15 +278,10 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
     scaled = {eid: tuple(islice(values, len(vec))) for eid, vec in weights.items()}
     # few distinct values recur across many relaxations: remember each one's cell
     index = functools.cache(_Bucketizer(_bucket_base(epsilon, inst.node_count), least).index)
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(inst.node_count)]
-    for e in inst.edges:
-        if e.id not in weights:
-            continue
-        incident[e.tail].append((e.head, e.id))
-        if not inst.directed:
-            incident[e.head].append((e.tail, e.id))
-    for lst in incident:
-        lst.sort(key=lambda pair: pair[1])
+    ids = [e.id for e in inst.edges]
+    # per node, (edge id, head) of each weighted step, by edge id
+    incident = [sorted((ids[i], v) for v, i, _ in steps if ids[i] in weights)
+                for steps in inst.adjacency()]
 
     # a label is (node, cell, scaled vector, predecessor label, edge id)
     start = (s, (0,) * (n - 1), (0,) * n, None, None)
@@ -297,7 +291,7 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
         new_frontier = []
         for label in frontier:
             vec = label[2]
-            for head, eid in incident[label[0]]:
+            for eid, head in incident[label[0]]:
                 new_vec = tuple(map(add, vec, scaled[eid]))
                 cell = tuple(map(index, new_vec[:-1]))
                 kept = cells.get((head, cell))
@@ -349,7 +343,7 @@ def minmax_ptas(inst: Instance, epsilon: Fraction) -> PtasReport:
     every candidate under the original costs and returns the best.
     """
     pruned, weights, config = preprocess(inst, epsilon)
-    if config.short_circuit:
+    if config.baseline_sp == 0:
         witness = min_sum_optimum(inst).witness
         return PtasReport(MIN_MAX, cost_summary(inst, witness).max_cost, witness,
                           delta=config.delta, baseline_sp=config.baseline_sp,

@@ -11,8 +11,8 @@ are deterministic.
 Cost of the min-sum layer, for V nodes and E edges:
 - `shortest_path`: one Dijkstra run, O(E log V), then one depth-first
   search from the source over tight edges, O(E log E) with its per-node
-  sorts by edge id, zero-cost plateaus included. The adjacency lists are
-  built once per instance and kept on it.
+  sorts by edge id, zero-cost plateaus included, over the adjacency lists
+  `Instance.adjacency` builds once per instance.
 - `scaled_min_sum_value`: the value alone, optionally without one agent's
   edges, on the instance itself (no derived copy); one Dijkstra that stops
   at the target for paths, and no solve at all when the memoized optimum
@@ -87,27 +87,12 @@ class OptimumReport:
 # -- shortest path ----------------------------------------------------------
 
 
-def _adjacency(inst: Instance) -> list[list[tuple[int, int, int]]]:
-    """Per node, (neighbour, index into inst.edges, owner) along usable
-    directions; built on first use and kept on the instance. Shared: do not
-    change it."""
-    adj = inst.__dict__.get("_adjacency_cache")
-    if adj is None:
-        adj = [[] for _ in range(inst.node_count)]
-        for i, e in enumerate(inst.edges):
-            adj[e.tail].append((e.head, i, e.owner))
-            if not inst.directed:
-                adj[e.head].append((e.tail, i, e.owner))
-        object.__setattr__(inst, "_adjacency_cache", adj)
-    return adj
-
-
 def _dijkstra(inst: Instance, stop: Optional[int] = None,
               without_agent: int = 0) -> list[Optional[int]]:
     """Scaled distances from the source over the edges that `without_agent`
     does not own (0, no agent, keeps them all); stops early once `stop` is
     settled."""
-    adj, costs = _adjacency(inst), inst.scaled_costs()[1]
+    adj, costs = inst.adjacency(), inst.scaled_costs()[1]
     dist: list[Optional[int]] = [None] * inst.node_count
     heap: list[tuple[int, int]] = [(0, inst.source)]
     while heap:
@@ -147,7 +132,7 @@ def shortest_path(inst: Instance) -> OptimumReport:
     if s == t:
         return OptimumReport(MIN_SUM, Fraction(0), Solution(()))
     sp = dist[t]
-    adj, edges = _adjacency(inst), inst.edges
+    adj, edges = inst.adjacency(), inst.edges
 
     def tight_steps(u: int):
         du = dist[u]
@@ -191,17 +176,14 @@ def min_arborescence(inst: Instance) -> OptimumReport:
     if inst.mode != ARBORESCENCE:
         raise ValueError("min_arborescence requires an arborescence-mode instance")
     scale, costs = inst.scaled_costs()
-    chosen = _edmonds(
-        node_count=inst.node_count,
-        root=inst.target_or_root,
-        edges=[(e.tail, e.head, c, e.id) for e, c in zip(inst.edges, costs)],
-    )
+    chosen = _edmonds(inst)
     witness = Solution(inst.edges[i].id for i in chosen)
     return OptimumReport(MIN_SUM, Fraction(sum(costs[i] for i in chosen), scale), witness)
 
 
-def _edmonds(node_count: int, root: int, edges: list[tuple[int, int, int, int]]) -> list[int]:
-    """Indices into `edges` ((tail, head, cost, id) tuples) of a min-cost arborescence.
+def _edmonds(inst: Instance, without_agent: int = 0) -> list[int]:
+    """Indices into `inst.edges` of a min-cost arborescence over the edges
+    that `without_agent` does not own (0, no agent, keeps them all).
 
     Each live node's best in-edge is the smallest by (reduced cost, id). The
     next cycle to contract is the one reached by following best in-edges
@@ -214,11 +196,12 @@ def _edmonds(node_count: int, root: int, edges: list[tuple[int, int, int, int]])
     when the walk started outside the cycle. The contractions are undone in
     reverse order at the end.
     """
+    node_count, root, edges = inst.node_count, inst.target_or_root, inst.edges
     # In-edge heap per live node: (reduced cost + a per-heap constant, id, index).
     heaps: list[list[tuple[int, int, int]]] = [[] for _ in range(node_count)]
-    for i, (tail, head, cost, eid) in enumerate(edges):
-        if head != root and tail != head:
-            heaps[head].append((cost, eid, i))
+    for i, (e, cost) in enumerate(zip(edges, inst.scaled_costs()[1])):
+        if e.head != root and e.tail != e.head and e.owner != without_agent:
+            heaps[e.head].append((cost, e.id, i))
     for v in range(node_count):
         if v != root and not heaps[v]:
             raise NoFeasibleSolutionError(f"node {v} is unreachable from the root")
@@ -250,10 +233,10 @@ def _edmonds(node_count: int, root: int, edges: list[tuple[int, int, int, int]])
             if v != big:
                 delta = top - heaps[v][0][0]
                 for cost, eid, i in heaps[v]:
-                    if find(edges[i][0]) != s:
+                    if find(edges[i].tail) != s:
                         heapq.heappush(heap, (cost + delta, eid, i))
             heaps[v] = []
-        while heap and find(edges[heap[0][2]][0]) == s:
+        while heap and find(edges[heap[0][2]].tail) == s:
             heapq.heappop(heap)
         if not heap:
             raise NoFeasibleSolutionError(f"node {s} is unreachable from the root")
@@ -279,7 +262,7 @@ def _edmonds(node_count: int, root: int, edges: list[tuple[int, int, int, int]])
                 continue
             on_path[v] = len(path)
             path.append(v)
-            v = find(edges[heaps[v][0][2]][0])
+            v = find(edges[heaps[v][0][2]].tail)
         else:
             reached.update(path)
         start += 1
@@ -304,7 +287,7 @@ def _edmonds(node_count: int, root: int, edges: list[tuple[int, int, int, int]])
             pos += size[m]
     for k in reversed(range(len(cycles))):
         entering = chosen[node_count + k]
-        leaf = first[edges[entering][1]]
+        leaf = first[edges[entering].head]
         for m, best in zip(*cycles[k]):
             chosen[m] = entering if first[m] <= leaf < first[m] + size[m] else best
     return [chosen[v] for v in range(node_count) if v != root]
@@ -324,7 +307,7 @@ def _enumerate_paths(inst: Instance):
         yield ()
         return
     steps = BRUTE_STEP_BUDGET
-    adj = _adjacency(inst)
+    adj = inst.adjacency()
     path: list[int] = []  # edge ids from s to the node on top of the stack
     visited = {s}
     stack = [(s, iter(adj[s]))]  # nodes of the path, each with its unexplored edges
@@ -583,11 +566,6 @@ def min_sum_optimum(inst: Instance) -> OptimumReport:
     return report
 
 
-def min_sum_value(inst: Instance) -> Fraction:
-    """The min-sum optimum's value alone (SC); `scaled_min_sum_value` over L."""
-    return Fraction(scaled_min_sum_value(inst), inst.scaled_costs()[0])
-
-
 def scaled_min_sum_value(inst: Instance, without_agent: Optional[int] = None) -> int:
     """The min-sum optimum's value times the instance's L, over the edges
     that `without_agent` does not own (all edges when it is None): SC, or
@@ -609,8 +587,7 @@ def scaled_min_sum_value(inst: Instance, without_agent: Optional[int] = None) ->
         return memo.value.numerator * (scale // memo.value.denominator)
     skip = without_agent or 0  # owners start at 1, so 0 skips no edge
     if inst.mode != PATH:
-        kept = [(e.tail, e.head, c, e.id) for e, c in zip(inst.edges, costs) if e.owner != skip]
-        return sum(kept[i][2] for i in _edmonds(inst.node_count, inst.target_or_root, kept))
+        return sum(costs[i] for i in _edmonds(inst, skip))
     t = inst.target_or_root
     dist = _dijkstra(inst, stop=t, without_agent=skip)
     if dist[t] is None:

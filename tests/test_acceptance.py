@@ -155,7 +155,7 @@ def test_criterion_6_pareto_coverage_on_random_instances():
         rng = random.Random(1000 + seed)
         inst = random_integer_cost_instance(rng, 10, 2)
         pruned, weights, config = preprocess(inst, eps)
-        if config.short_circuit:
+        if config.baseline_sp == 0:
             continue
         outs = [lab.vector for lab in pareto_eps(pruned, weights, eps)]
         vectors = [

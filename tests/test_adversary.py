@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from minmax_procurement import (
+    PATH,
     AdversaryReport,
     ChainSpec,
+    Instance,
     Solution,
     brute_minmax,
     chain_exact_allocator,
@@ -109,6 +111,20 @@ def test_spec_refuses_counts_other_than_ints(agents, blocks):
 def test_expand_chain_refuses_inexact_helper_costs(eps, error):
     with pytest.raises(error):
         expand_chain(gen_chain(ChainSpec(2, 1)), eps)
+
+
+def test_expand_chain_refuses_a_block_without_an_agents_edge():
+    chain = gen_chain(ChainSpec(2, 2))  # block 1 holds edges 2 (agent 1) and 3 (agent 2)
+    with pytest.raises(ValueError, match="^instance is not a generated chain$"):
+        expand_chain(chain.without_edges([3]), F(1, 8))
+
+
+@pytest.mark.parametrize("source, target", [(0, 1), (1, 2), (2, 0)])
+def test_expand_chain_refuses_ends_other_than_0_and_l(source, target):
+    chain = gen_chain(ChainSpec(2, 2))
+    moved = Instance(False, chain.node_count, chain.edges, 2, PATH, source, target)
+    with pytest.raises(ValueError, match="^instance is not a generated chain$"):
+        expand_chain(moved, F(1, 8))
 
 
 def test_expand_chain_reads_helper_costs_exactly():

@@ -1,5 +1,6 @@
 """Truthfulness, weak-monotonicity, and edge-stability probes."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,19 +12,21 @@ from minmax_procurement import (
     PATH,
     Perturbation,
     Solution,
-    check_edge_stability,
     check_truthfulness,
     check_weak_monotonicity,
     edge_stability_perturbation,
+    edge_stability_witness,
     run_vcg,
     vcg_allocate,
 )
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain
+from minmax_procurement.graphs import agent_cost
 from minmax_procurement.audit import (
+    EDGE_STABILITY,
     InfeasibleAllocationError,
-    NonStrictPerturbationError,
     is_strict_edge_stability,
     random_arborescence_instance,
+    random_cost,
     random_path_instance,
     random_perturbation,
 )
@@ -125,7 +128,6 @@ def test_vcg_passes_random_truthfulness_probes():
 
 def test_pay_your_bid_mechanism_is_untruthful():
     from minmax_procurement.vcg import MechanismOutcome
-    from minmax_procurement.graphs import agent_cost
 
     def first_price(inst):
         alloc = vcg_allocate(inst)
@@ -187,8 +189,6 @@ def test_zero_cost_selected_edge_makes_perturbation_non_strict():
     pert = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
     assert pert.new_costs == {0: F(0)}
     assert not is_strict_edge_stability(inst, alloc, pert)
-    with pytest.raises(NonStrictPerturbationError):
-        check_edge_stability(vcg_allocate, inst, pert)
 
 
 def test_vcg_passes_stability_probes():
@@ -200,7 +200,9 @@ def test_vcg_passes_stability_probes():
         pert = edge_stability_perturbation(inst, alloc, agent, F(1, 2), F(1, 8))
         if not is_strict_edge_stability(inst, alloc, pert):
             continue
-        assert check_edge_stability(vcg_allocate, inst, pert) is None
+        owned = {e.id for e in inst.agent_edges(agent)}
+        assert vcg_allocate(pert.apply(inst)).edge_ids & owned == alloc.edge_ids & owned
+        assert check_weak_monotonicity(vcg_allocate, inst, pert) is None
 
 
 def test_stability_failure_is_a_strict_monotonicity_violation():
@@ -213,11 +215,45 @@ def test_stability_failure_is_a_strict_monotonicity_violation():
     alloc = perverse(inst)
     pert = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
     assert is_strict_edge_stability(inst, alloc, pert)
-    witness = check_edge_stability(perverse, inst, pert)
-    assert witness is not None
+    perturbed = pert.apply(inst)
+    assert perverse(perturbed) != alloc  # agent 1's selected edges changed
+    witness = edge_stability_witness(inst, perturbed, pert, alloc, perverse(perturbed))
     assert witness.reverify()
-    # the same pair also fails the plain monotonicity check
-    assert check_weak_monotonicity(perverse, inst, pert) is not None
+    # the same pair also fails the plain monotonicity check, on the same terms
+    assert check_weak_monotonicity(perverse, inst, pert).terms == witness.terms
+
+
+def test_edge_stability_witness_refuses_a_pair_without_a_violation():
+    inst = parallel_instance([1, 1])
+    alloc = Solution([0])
+    pert = edge_stability_perturbation(inst, alloc, 1, F(1, 2), F(1, 8))
+    with pytest.raises(AssertionError, match="without a strict monotonicity violation"):
+        edge_stability_witness(inst, pert.apply(inst), pert, alloc, alloc)
+
+
+def test_monotonicity_verdict_matches_the_rational_inequality():
+    # x and x' are min-sum optima of unrelated cost vectors, so the pair
+    # violates monotonicity on some seeds and not on others; profiles with
+    # different common denominators compare across both scales
+    verdicts = set()
+    for seed in range(150):
+        rng = random.Random(5_000 + seed)
+        inst = random_path_instance(rng, agents=2)
+        agent = rng.randint(1, 2)
+        pert = random_perturbation(rng, inst, agent)
+        other = inst.with_costs({e.id: random_cost(rng) for e in inst.edges})
+        x, x_prime = vcg_allocate(inst), vcg_allocate(other)
+        perturbed = pert.apply(inst)
+        witness = check_weak_monotonicity(
+            lambda i: x if i is inst else x_prime, inst, pert)
+        terms = (agent_cost(inst, x, agent), agent_cost(perturbed, x_prime, agent),
+                 agent_cost(inst, x_prime, agent), agent_cost(perturbed, x, agent))
+        violated = terms[0] + terms[1] > terms[2] + terms[3]
+        assert (witness is not None) == violated, seed
+        if witness is not None:
+            assert witness.terms == terms and witness.reverify()
+        verdicts.add(violated)
+    assert verdicts == {False, True}
 
 
 def test_truthful_mechanism_implies_monotone_allocation_on_sampled_pairs():
@@ -267,7 +303,8 @@ def test_edge_stability_witness_is_the_probe_and_adversary_witness():
     pert = edge_stability_perturbation(inst, perverse(inst), 1, F(1, 2), F(1, 8))
     perturbed = pert.apply(inst)
     witness = edge_stability_witness(inst, perturbed, pert, perverse(inst), perverse(perturbed))
-    assert witness == check_edge_stability(perverse, inst, pert)
+    probe = check_weak_monotonicity(perverse, inst, pert)
+    assert witness == dataclasses.replace(probe, kind=EDGE_STABILITY)
     assert witness.terms == (F(1), F(0), F(0), F(1, 2))
     assert witness.base_costs == ((0, F(1)),) and witness.perturbed_costs == ((0, F(1, 2)),)
 

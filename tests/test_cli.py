@@ -556,6 +556,68 @@ def test_vcg_and_solve_exit_0_1_or_2_without_a_traceback(tmp_path_factory, text)
         assert "Traceback" not in err.getvalue(), (argv, text)
 
 
+EPSILONS = ["1/4", "1", "0", "-1", f"1/{2**49}", str(2**49)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=instance_files(), epsilon=st.sampled_from(EPSILONS))
+def test_ptas_exits_0_1_or_2_without_a_traceback(tmp_path_factory, text, epsilon):
+    work = tmp_path_factory.getbasetemp() / "exit-codes"
+    work.mkdir(exist_ok=True)
+    path = work / "generated-ptas.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["ptas", "--instance", str(path), f"--epsilon={epsilon}",
+                     "--out", str(work / "out.json")])
+    assert code in (0, 1, 2), (epsilon, text)
+    assert "Traceback" not in err.getvalue(), (epsilon, text)
+
+
+HELPER_COSTS = st.one_of(st.fractions(-1, 2, max_denominator=64).map(str),
+                         st.sampled_from(["1/0", "1e-3", "x", f"1/{2**70}"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(agents=st.integers(2, 3), blocks=st.integers(1, 12),
+       mode=st.sampled_from(["path", "dmst"]), alg=st.sampled_from(cli.ALGORITHMS),
+       eps=st.one_of(st.none(), HELPER_COSTS))
+def test_adversary_run_exits_0_1_or_2_without_a_traceback(agents, blocks, mode, alg, eps):
+    argv = ["adversary", "run", "--alg", alg, "--agents", str(agents),
+            "--blocks", str(blocks), "--mode", mode]
+    if eps is not None:
+        argv.append(f"--eps={eps}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+# -- instance files the JSON decoder refuses ------------------------------------
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-100000-deep"),
+    pytest.param(b'{"nodes": ' + b"7" * 5000 + b"}", id="5000-digit-integer"),
+    pytest.param(b"\xff\xfe\x00", id="bytes-ff-fe-00"),
+])
+def test_instance_files_the_decoder_refuses_are_usage_errors(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["vcg", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+def test_a_json_syntax_error_names_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{\n"nodes": 2,\n}')
+    assert main(["vcg", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 3: ")
+
+
 # -- refused rational inputs ---------------------------------------------------
 
 

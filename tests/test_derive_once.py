@@ -195,7 +195,7 @@ def test_vcg_solves_once_per_agent_on_the_allocation(monkeypatch, tmp_path, chea
     dump_instance(gen_chain(ChainSpec(3, 5)).with_costs(cheap), path)
     builds, dijkstras = [], []
 
-    def adjacency(inst, _original=solvers._adjacency):
+    def adjacency(inst, _original=Instance.adjacency):
         if "_adjacency_cache" not in inst.__dict__:
             builds.append(inst)
         return _original(inst)
@@ -204,7 +204,7 @@ def test_vcg_solves_once_per_agent_on_the_allocation(monkeypatch, tmp_path, chea
         dijkstras.append((stop, without_agent))
         return _original(inst, stop, without_agent)
 
-    monkeypatch.setattr(solvers, "_adjacency", adjacency)
+    monkeypatch.setattr(Instance, "adjacency", adjacency)
     monkeypatch.setattr(solvers, "_dijkstra", dijkstra)
     derived = counting(monkeypatch, Instance, "_derive")
     code = cli.main(["vcg", "--instance", str(path), "--out", str(tmp_path / "vcg.json")])

@@ -23,7 +23,6 @@ from minmax_procurement import (
     Instance,
     min_arborescence,
     min_sum_optimum,
-    min_sum_value,
     run_adversary,
     shortest_path,
     validate_solution,
@@ -32,7 +31,8 @@ from minmax_procurement import (
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
 from minmax_procurement.graphs import PATH, Edge, Solution, cost_summary
-from minmax_procurement.solvers import MIN_SUM, NoFeasibleSolutionError, OptimumReport
+from minmax_procurement.solvers import (
+    MIN_SUM, NoFeasibleSolutionError, OptimumReport, scaled_min_sum_value)
 
 F = Fraction
 
@@ -342,10 +342,11 @@ def assert_matches_oracles(inst):
         with pytest.raises(NoFeasibleSolutionError, match=message):
             min_sum_optimum(inst)
         with pytest.raises(NoFeasibleSolutionError, match=message):
-            min_sum_value(inst)
+            scaled_min_sum_value(inst)
         value = None
     else:
-        value = min_sum_value(inst)  # solved before the optimum is memoized
+        # solved before the optimum is memoized
+        value = Fraction(scaled_min_sum_value(inst), inst.scaled_costs()[0])
         report = min_sum_optimum(inst)
         assert (report.value, report.witness) == (expected.value, expected.witness)
         assert report.objective == expected.objective

@@ -46,6 +46,21 @@ def rand_instance(rng, max_nodes, agents):
     return Instance(False, nodes, tuple(edges), agents, PATH, order[0], order[-1])
 
 
+def test_labels_do_not_depend_on_the_positions_of_the_edges():
+    # each node's steps are tried in edge-id order, so shuffling the edges'
+    # positions, ids kept, changes no label; equal-cost ties make the order show
+    for seed in range(40):
+        rng = random.Random(seed)
+        inst = rand_instance(rng, 8, 2)
+        moved = list(inst.edges)
+        rng.shuffle(moved)
+        shuffled = Instance(False, inst.node_count, tuple(moved), 2, PATH,
+                            inst.source, inst.target_or_root)
+        for eps in (F(1, 4), F(2)):
+            labels = [pareto_eps(*preprocess(i, eps)[:2], eps) for i in (inst, shuffled)]
+            assert labels[0] == labels[1], (seed, eps)
+
+
 # -- preprocessing ------------------------------------------------------------
 
 
@@ -84,7 +99,7 @@ def test_zero_shortest_path_short_circuits():
     edges = (Edge(0, 0, 1, 1, F(0)), Edge(1, 0, 1, 2, F(5)))
     inst = Instance(False, 2, edges, 2, PATH, 0, 1)
     _, _, config = preprocess(inst, F(1, 4))
-    assert config.short_circuit
+    assert config.baseline_sp == 0
     report = minmax_ptas(inst, F(1, 4))
     assert report.value == 0
     assert report.witness.edge_ids == {0}
@@ -139,7 +154,7 @@ def test_coverage_against_bruteforce_pareto_enumeration():
     for seed in range(30):
         inst = rand_instance(random.Random(seed), 10, 2)
         pruned, weights, config = preprocess(inst, eps)
-        if config.short_circuit:
+        if config.baseline_sp == 0:
             continue
         labels = pareto_eps(pruned, weights, eps)
         outs = [lab.vector for lab in labels]

@@ -169,7 +169,7 @@ def label_rows(labels):
 
 def assert_same_labels(inst, epsilon):
     pruned, weights, config = preprocess(inst, epsilon)
-    if config.short_circuit:
+    if config.baseline_sp == 0:
         return 0
     new = pareto_eps(pruned, weights, epsilon)
     old = old_pareto_eps(pruned, weights, epsilon)

@@ -1,7 +1,7 @@
 """VCG mechanism: allocation, Clarke payments, and the n-approximation.
 
 `former_clarke_payments` is the former payment loop: one `without_agent`
-copy and one value-only solve per agent that owns an edge, priced with
+copy and one min-sum solve per agent that owns an edge, priced with
 `cost_summary`'s Fractions. It is kept here only as the oracle the
 integer loop on the instance itself must match, payment for payment and
 pivotal agent for pivotal agent.
@@ -21,7 +21,6 @@ from minmax_procurement import (
     clarke_payments,
     cost_summary,
     min_sum_optimum,
-    min_sum_value,
     run_vcg,
     vcg_allocate,
 )
@@ -146,7 +145,7 @@ def former_clarke_payments(inst, alloc):
             payments.append(F(0))
             continue
         try:
-            sc_without = min_sum_value(inst.without_agent(agent))
+            sc_without = min_sum_optimum(inst.without_agent(agent)).value
         except NoFeasibleSolutionError:
             raise PivotalInfeasibleError(agent) from None
         payments.append(sc_without - (summary.sum_cost - summary.per_agent[agent - 1]))
