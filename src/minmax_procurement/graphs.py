@@ -9,7 +9,8 @@ Costs are `fractions.Fraction`s (or ints) at the API. Each instance scales
 them once to integers over their common denominator L (`Instance.scaled_costs`);
 the solvers and the pricing of solutions compare and sum only those, and
 build a Fraction only for a value they return. No floating point enters any
-comparison.
+comparison. An `Edge` is a named tuple, cheap to build by the thousand; loops
+over every edge unpack it, as its fields read slower by name.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 PATH = "path"
 ARBORESCENCE = "arborescence"
@@ -76,8 +77,8 @@ def scale_to_integers(values: Iterable[int | Fraction]) -> tuple[int, list[int]]
     return scale, [p * (scale // q) for p, q in ratios]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """Agent `owner`'s edge, `tail` to `head` if directed; equal and hashed by its fields."""
     id: int
     tail: int
     head: int
@@ -118,18 +119,19 @@ class Instance:
         if self.mode == ARBORESCENCE and not self.directed:
             raise ValueError("arborescence mode requires a directed graph")
         seen = set()
-        for e in self.edges:
-            if e.id in seen:
-                raise ValueError(f"duplicate edge id {e.id}")
-            seen.add(e.id)
-            if not (0 <= e.tail < self.node_count and 0 <= e.head < self.node_count):
-                raise ValueError(f"edge {e.id} has endpoints outside 0..{self.node_count - 1}")
-            if not (1 <= e.owner <= self.agent_count):
-                raise ValueError(f"edge {e.id} owner {e.owner} outside 1..{self.agent_count}")
-            if type(e.cost) not in (int, Fraction):
-                raise TypeError(f"edge {e.id} cost {e.cost!r} is not an int or a Fraction")
-            if e.cost.numerator < 0:
-                raise ValueError(f"edge {e.id} has negative cost")
+        nodes, agents = self.node_count, self.agent_count
+        for eid, tail, head, owner, cost in self.edges:
+            if eid in seen:
+                raise ValueError(f"duplicate edge id {eid}")
+            seen.add(eid)
+            if not (0 <= tail < nodes and 0 <= head < nodes):
+                raise ValueError(f"edge {eid} has endpoints outside 0..{nodes - 1}")
+            if not (1 <= owner <= agents):
+                raise ValueError(f"edge {eid} owner {owner} outside 1..{agents}")
+            if type(cost) not in (int, Fraction):
+                raise TypeError(f"edge {eid} cost {cost!r} is not an int or a Fraction")
+            if cost.numerator < 0:
+                raise ValueError(f"edge {eid} has negative cost")
         for node in (self.source, self.target_or_root):
             if not (0 <= node < self.node_count):
                 raise ValueError("designated node outside the node range")
@@ -167,10 +169,10 @@ class Instance:
         adj = self.__dict__.get("_adjacency_cache")
         if adj is None:
             adj = [[] for _ in range(self.node_count)]
-            for i, e in enumerate(self.edges):
-                adj[e.tail].append((e.head, i, e.owner))
+            for i, (_, tail, head, owner, _) in enumerate(self.edges):
+                adj[tail].append((head, i, owner))
                 if not self.directed:
-                    adj[e.head].append((e.tail, i, e.owner))
+                    adj[head].append((tail, i, owner))
             object.__setattr__(self, "_adjacency_cache", adj)
         return adj
 
@@ -335,18 +337,17 @@ def _integer(record: dict, key: str, where: str = "") -> int:
     return value
 
 
-def _file_cost(edge: dict, where: str) -> Fraction:
-    """An edge's cost from an int or a "p/q" string; floats and exponent
+def _file_cost(value, k: int) -> Fraction:
+    """Edge k's cost from an int or a "p/q" string; floats and exponent
     notation are refused.
 
     Strings "p" and "p/q" of decimal digits are split and read with int(),
     any other string through `as_cost`: the two accept the same strings, and
     past int()'s digit limit both raise int()'s ValueError.
     """
-    value = edge["cost"]
     if type(value) is not int and not isinstance(value, str):
         raise InstanceFormatError(
-            f"{where}cost must be an integer or a \"p/q\" string, got {value!r}")
+            f"edge {k} cost must be an integer or a \"p/q\" string, got {value!r}")
     try:
         if type(value) is str:
             num, slash, den = value.partition("/")
@@ -354,15 +355,9 @@ def _file_cost(edge: dict, where: str) -> Fraction:
                 return Fraction(int(num), int(den) if slash else 1)
         return as_cost(value)
     except ZeroDivisionError:
-        raise InstanceFormatError(f"{where}cost {value!r} has a zero denominator") from None
+        raise InstanceFormatError(f"edge {k} cost {value!r} has a zero denominator") from None
     except ValueError as exc:
-        raise InstanceFormatError(f"{where}cost {value!r}: {exc}") from None
-
-
-def _file_edge(edge: dict, where: str) -> Edge:
-    return Edge(_integer(edge, "id", where), _integer(edge, "tail", where),
-                _integer(edge, "head", where), _integer(edge, "owner", where),
-                _file_cost(edge, where))
+        raise InstanceFormatError(f"edge {k} cost {value!r}: {exc}") from None
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -388,11 +383,21 @@ def instance_from_dict(data: dict) -> Instance:
         if len(data["edges"]) > MAX_FILE_EDGES:
             raise InstanceFormatError(f"edges has {len(data['edges'])} entries, above the "
                                       f"limit of {MAX_FILE_EDGES}")
-        edges = tuple(_file_edge(e, f"edge {k} ") for k, e in enumerate(data["edges"]))
+        edges = []
+        for k, e in enumerate(data["edges"]):
+            try:
+                eid, tail, head, owner = e["id"], e["tail"], e["head"], e["owner"]
+                ok = type(eid) is type(tail) is type(head) is type(owner) is int
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:  # read the fields again in order: the first bad one raises
+                for key in ("id", "tail", "head", "owner"):
+                    _integer(e, key, f"edge {k} ")
+            edges.append(Edge(eid, tail, head, owner, _file_cost(e["cost"], k)))
         return Instance(
             directed=data["directed"],
             node_count=nodes,
-            edges=edges,
+            edges=tuple(edges),
             agent_count=agents,
             mode=data["mode"],
             source=_integer(data, "source"),
@@ -411,7 +416,7 @@ def dump_instance(inst: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 whatever the locale
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

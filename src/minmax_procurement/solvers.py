@@ -9,9 +9,10 @@ Fraction(x, L); brute force builds one Fraction, for the winner. Witnesses
 are deterministic.
 
 Cost of the min-sum layer, for V nodes and E edges:
-- `shortest_path`: one Dijkstra run, O(E log V), then one depth-first
-  search from the source over tight edges, O(E log E) with its per-node
-  sorts by edge id, zero-cost plateaus included, over the adjacency lists
+- `shortest_path`: one Dijkstra run, O(E log V), that pushes a node only
+  when its distance improves, then one depth-first search from the source
+  over tight edges, O(E log E) with its per-node sorts by edge id,
+  zero-cost plateaus included, over the adjacency lists
   `Instance.adjacency` builds once per instance.
 - `scaled_min_sum_value`: the value alone, optionally without one agent's
   edges, on the instance itself (no derived copy); one Dijkstra that stops
@@ -91,9 +92,11 @@ def _dijkstra(inst: Instance, stop: Optional[int] = None,
               without_agent: int = 0) -> list[Optional[int]]:
     """Scaled distances from the source over the edges that `without_agent`
     does not own (0, no agent, keeps them all); stops early once `stop` is
-    settled."""
+    settled. A node is pushed only when its distance improves on the least
+    pushed for it so far."""
     adj, costs = inst.adjacency(), inst.scaled_costs()[1]
     dist: list[Optional[int]] = [None] * inst.node_count
+    pushed = dist.copy()
     heap: list[tuple[int, int]] = [(0, inst.source)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -104,7 +107,10 @@ def _dijkstra(inst: Instance, stop: Optional[int] = None,
             break
         for v, i, owner in adj[u]:
             if dist[v] is None and owner != without_agent:
-                heapq.heappush(heap, (d + costs[i], v))
+                dv = d + costs[i]
+                if pushed[v] is None or dv < pushed[v]:
+                    pushed[v] = dv
+                    heapq.heappush(heap, (dv, v))
     return dist
 
 
@@ -136,8 +142,9 @@ def shortest_path(inst: Instance) -> OptimumReport:
 
     def tight_steps(u: int):
         du = dist[u]
-        return iter(sorted((edges[i].id, v, costs[i])
-                           for v, i, _ in adj[u] if du + costs[i] == dist[v]))
+        steps = [(edges[i].id, v, costs[i]) for v, i, _ in adj[u] if du + costs[i] == dist[v]]
+        steps.sort()
+        return iter(steps)
 
     entered = bytearray(inst.node_count)
     entered[s] = 1
@@ -197,11 +204,12 @@ def _edmonds(inst: Instance, without_agent: int = 0) -> list[int]:
     reverse order at the end.
     """
     node_count, root, edges = inst.node_count, inst.target_or_root, inst.edges
-    # In-edge heap per live node: (reduced cost + a per-heap constant, id, index).
-    heaps: list[list[tuple[int, int, int]]] = [[] for _ in range(node_count)]
-    for i, (e, cost) in enumerate(zip(edges, inst.scaled_costs()[1])):
-        if e.head != root and e.tail != e.head and e.owner != without_agent:
-            heaps[e.head].append((cost, e.id, i))
+    costs = inst.scaled_costs()[1]
+    # In-edge heap per live node: (reduced cost + a per-heap constant, id, index, tail).
+    heaps: list[list[tuple[int, int, int, int]]] = [[] for _ in range(node_count)]
+    for i, (eid, tail, head, owner, _) in enumerate(edges):
+        if head != root and tail != head and owner != without_agent:
+            heaps[head].append((costs[i], eid, i, tail))
     for v in range(node_count):
         if v != root and not heaps[v]:
             raise NoFeasibleSolutionError(f"node {v} is unreachable from the root")
@@ -232,11 +240,11 @@ def _edmonds(inst: Instance, without_agent: int = 0) -> list[int]:
         for v in cycle:
             if v != big:
                 delta = top - heaps[v][0][0]
-                for cost, eid, i in heaps[v]:
-                    if find(edges[i].tail) != s:
-                        heapq.heappush(heap, (cost + delta, eid, i))
+                for cost, eid, i, tail in heaps[v]:
+                    if find(tail) != s:
+                        heapq.heappush(heap, (cost + delta, eid, i, tail))
             heaps[v] = []
-        while heap and find(edges[heap[0][2]].tail) == s:
+        while heap and find(heap[0][3]) == s:
             heapq.heappop(heap)
         if not heap:
             raise NoFeasibleSolutionError(f"node {s} is unreachable from the root")
@@ -262,7 +270,7 @@ def _edmonds(inst: Instance, without_agent: int = 0) -> list[int]:
                 continue
             on_path[v] = len(path)
             path.append(v)
-            v = find(edges[heaps[v][0][2]].tail)
+            v = find(heaps[v][0][3])
         else:
             reached.update(path)
         start += 1

@@ -4,10 +4,15 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from minmax_procurement import cli, graphs, load_instance, minmax_ptas
@@ -86,6 +91,46 @@ def test_gen_base_is_read_as_a_rational(tmp_path):
                  "--out", str(cli_out)]) == 0
     dump_instance(gen_chain(ChainSpec(2, 3, F(3, 2))), lib_out)
     assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
+def sometimes_bad(good, bad):
+    """`good` four times in five, else `bad`."""
+    return st.integers(0, 4).flatmap(lambda k: bad if k == 0 else good)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=sometimes_bad(st.sampled_from(["chain", "expandedchain", "dmst-chain"]),
+                          st.just("tree")),
+       agents=sometimes_bad(st.integers(2, 4).map(str),
+                            st.sampled_from(["-1", "0", "1", "x", "2.5", "", "100000"])),
+       blocks=sometimes_bad(st.integers(1, 6).map(str),
+                            st.sampled_from(["-1", "0", "x", "1e3", "1000000"])),
+       base=sometimes_bad(
+           st.one_of(st.none(), st.fractions(F(1, 2), 3, max_denominator=16).map(str)),
+           st.sampled_from(["0", "-1", "1/0", "1e-3", "x", ""])),
+       eps=sometimes_bad(
+           st.one_of(st.none(), st.fractions(F(1, 64), F(1, 3), max_denominator=64).map(str)),
+           st.sampled_from(["0", "-1/4", "5", "1/0", "x", f"1/{2**70}"])),
+       missing_dir=sometimes_bad(st.just(False), st.just(True)))
+def test_gen_files_load_back_to_the_instance_gen_built(
+        tmp_path_factory, kind, agents, blocks, base, eps, missing_dir):
+    work = tmp_path_factory.getbasetemp() / "gen-round-trip"
+    work.mkdir(exist_ok=True)
+    out = work / "missing" / "x.json" if missing_dir else work / "x.json"
+    out.unlink(missing_ok=True)
+    argv = ["gen", kind, f"--agents={agents}", f"--blocks={blocks}", f"--out={out}"]
+    argv += [f"{option}={value}" for option, value in (("--base", base), ("--eps", eps))
+             if value is not None]
+    err = io.StringIO()
+    with mock.patch.object(cli, "dump_instance", wraps=graphs.dump_instance) as dump, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert out.exists() == (code == 0), argv
+    if code == 0:
+        assert load_instance(out) == dump.call_args.args[0], argv
 
 
 # -- solve --------------------------------------------------------------------
@@ -609,6 +654,35 @@ def test_instance_files_the_decoder_refuses_are_usage_errors(tmp_path, capsys, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
+def run_under_c_locale(*argv):
+    """`main(argv)` in a fresh interpreter whose locale encoding is ASCII:
+    LC_ALL=C, with UTF-8 mode off (LC_ALL also turns off locale coercion)."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("LC_") and k not in ("LANG", "PYTHONUTF8", "PYTHONPATH")}
+    env.update(LC_ALL="C", PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c",
+         "import sys; from minmax_procurement.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_instance_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "inst.json"
+    main(["gen", "chain", "--agents", "2", "--blocks", "1", "--out", str(path)])
+    data = json.loads(path.read_text())
+    data["edges"][0]["cost"] = "٣/٤"  # Arabic-Indic digits, 3/4
+    path.write_bytes(json.dumps(data, ensure_ascii=False).encode("utf-8"))
+    done = run_under_c_locale("solve", "--instance", str(path))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["value"] == "3/4"
+
+    path.write_bytes(path.read_bytes().replace("٣".encode("utf-8"), b"\xff"))
+    done = run_under_c_locale("solve", "--instance", str(path))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert done.stderr.count("\n") == 1
 
 
 def test_a_json_syntax_error_names_its_line(tmp_path, capsys):

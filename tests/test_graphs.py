@@ -317,6 +317,37 @@ def test_load_reports_parse_position(tmp_path):
         load_instance(path)
 
 
+def test_edge_fields_are_pinned_and_read_only():
+    assert Edge._fields == ("id", "tail", "head", "owner", "cost")
+    edge = Edge(7, 0, 1, 2, F(3, 4))
+    assert (edge.id, edge.tail, edge.head, edge.owner, edge.cost) == (7, 0, 1, 2, F(3, 4))
+    for field in Edge._fields:
+        with pytest.raises(AttributeError):
+            setattr(edge, field, 0)
+
+
+def test_edges_are_equal_and_hashed_by_their_fields():
+    edge = Edge(7, 0, 1, 2, F(3, 4))
+    same = Edge(7, 0, 1, 2, F(6, 8))
+    assert edge == same and hash(edge) == hash(same)
+    assert len({edge, same}) == 1
+    for field, value in zip(Edge._fields, (8, 1, 0, 1, F(1, 4))):
+        other = edge._replace(**{field: value})
+        assert other != edge and len({edge, other}) == 2
+
+
+@pytest.mark.parametrize("inst", [
+    parallel_instance([F(1, 3), 2, 0]),
+    gen_dmst_chain(ChainSpec(2, 2))[0],
+    expand_chain(gen_chain(ChainSpec(3, 2)), F(1, 12))[0],
+], ids=["parallel", "dmst", "expanded"])
+def test_instance_to_dict_round_trips_unchanged(inst):
+    data = instance_to_dict(inst)
+    again = instance_from_dict(json.loads(json.dumps(data)))
+    assert again == inst and instance_to_dict(again) == data
+    assert all(type(e) is Edge for e in again.edges)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.fractions(min_value=0, max_value=10), min_size=1, max_size=6))
 def test_round_trip_summary_identical_for_random_costs(costs):
