@@ -24,7 +24,7 @@ from minmax_procurement.adversary import (
     expand_chain,
     gen_chain,
 )
-from minmax_procurement.pareto import _bucket_base, _Bucketizer, _simplify_path
+from minmax_procurement.pareto import _cells, _simplify_path
 from minmax_procurement.solvers import _enumerate_paths
 
 F = Fraction
@@ -108,21 +108,81 @@ def test_zero_shortest_path_short_circuits():
 # -- bucketing ----------------------------------------------------------------
 
 
-def test_bucket_base_certified_exactly():
-    for eps in (F(1, 4), F(1, 7), F(2)):
-        for nodes in (2, 5, 12):
-            base = _bucket_base(eps, nodes)
-            assert base > 1
-            assert base ** max(nodes - 1, 1) <= 1 + eps
+# eps = p/q and V nodes give r = ceil(m (2q + p) / (2p)) with m = max(V - 1, 1)
+EPSILONS = [F(1, 2**48), F(1, 256), F(1, 4), F(1), F(2**48)]
+NODE_COUNTS = [2, 3, 9, 100]
 
 
-def test_bucket_index_is_exact_smallest_cover():
-    base = _bucket_base(F(1, 4), 6)
-    b = _Bucketizer(base, F(1, 8))
-    for value in (F(1, 16), F(1, 8), F(1, 7), F(3), F(100, 7)):
-        k = b.index(value)
-        assert F(1, 8) * base**k >= value
-        assert k == 0 or F(1, 8) * base ** (k - 1) < value
+def cell_r(eps, nodes):
+    p, q = eps.numerator, eps.denominator
+    return -(-max(nodes - 1, 1) * (2 * q + p) // (2 * p))
+
+
+@pytest.mark.parametrize("eps", EPSILONS, ids=str)
+def test_cell_ratio_certifies_epsilon_exactly(eps):
+    for nodes in NODE_COUNTS:
+        r, m = cell_r(eps, nodes), max(nodes - 1, 1)
+        assert (r + 1) ** m <= (1 + eps) * r**m
+
+
+@pytest.mark.parametrize("eps", EPSILONS, ids=str)
+def test_cells_of_the_first_three_octaves(eps):
+    # every integer up to 8 * least: cells never decrease, cell 0 is exactly
+    # v <= least, and each cell's lowest and highest value differ by a factor
+    # of at most 1 + 1/r
+    for nodes in NODE_COUNTS:
+        r = cell_r(eps, nodes)
+        for least in (1, 2, 7, 100, 1000):
+            cell = _cells(eps, nodes, least)
+            cells = [cell(v) for v in range(8 * least + 1)]
+            assert cells == sorted(cells)
+            assert [c == 0 for c in cells] == [v <= least for v in range(8 * least + 1)]
+            lowest = {}
+            for v, c in enumerate(cells):
+                lowest.setdefault(c, v)
+                if c:
+                    assert v * r <= lowest[c] * (r + 1), (nodes, least, v)
+
+
+@pytest.mark.parametrize("eps", EPSILONS, ids=str)
+def test_cells_hold_many_values_within_the_ratio(eps):
+    # a least far above r puts many values in each cell; each sampled cell's
+    # ends, found by bisection, differ by a factor of at most 1 + 1/r
+    rng = random.Random(4)
+    for nodes in NODE_COUNTS:
+        r = cell_r(eps, nodes)
+        least = (r << 20) + rng.getrandbits(40)
+        cell = _cells(eps, nodes, least)
+        # each piece's lower end in the first three octaves, past cell 0
+        samples = [least * (16 + i) << e >> 4 for e in range(3) for i in range(16)][1:]
+        samples += [rng.randint(least + 1, 8 * least) for _ in range(50)]
+        for v in samples:
+            c = cell(v)
+            lo, hi = least, v  # cell(lo) < c == cell(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if cell(mid) == c else (mid, hi)
+            low_end = hi
+            lo, hi = v, 16 * least  # cell(lo) == c < cell(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if cell(mid) == c else (lo, mid)
+            assert lo - low_end >= 1 << 16
+            assert lo * r <= low_end * (r + 1), (nodes, v)
+
+
+def test_labels_do_not_change_when_every_cost_is_scaled():
+    for seed in range(20):
+        inst = rand_instance(random.Random(200 + seed), 9, 3)
+        for factor in (F(3), F(1, 7), F(10**6, 13)):
+            scaled = inst.with_costs({e.id: e.cost * factor for e in inst.edges})
+            for eps in (F(1, 4), F(1, 32)):
+                labels = pareto_eps(*preprocess(inst, eps)[:2], eps)
+                moved = pareto_eps(*preprocess(scaled, eps)[:2], eps)
+                assert [(lab.bucket_index, lab.edge_ids) for lab in labels] == \
+                    [(lab.bucket_index, lab.edge_ids) for lab in moved]
+                assert [tuple(x * factor for x in lab.vector) for lab in labels] == \
+                    [lab.vector for lab in moved]
 
 
 # -- Pareto DP ----------------------------------------------------------------
@@ -249,8 +309,10 @@ def test_epsilon_below_the_floor_is_refused_before_any_float_guess():
     for tiny in (MIN_EPSILON / 2, F(1, 10**3000)):
         with pytest.raises(ValueError, match="2\\^-48"):
             pareto_eps(pruned, weights, tiny)
-    base = _bucket_base(MIN_EPSILON, inst.node_count)
-    assert 1 < base and base ** (inst.node_count - 1) <= 1 + MIN_EPSILON
+    # the floor itself runs, on integers alone, and keeps the bound
+    report = minmax_ptas(inst, MIN_EPSILON)
+    opt = brute_minmax(inst).value
+    assert opt <= report.value <= (1 + MIN_EPSILON) ** 2 * opt
 
 
 def test_preprocess_refuses_an_arborescence_instance_before_solving_it(monkeypatch):

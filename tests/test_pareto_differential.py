@@ -1,13 +1,11 @@
-"""The integer Pareto DP against the implementation it replaced.
+"""The integer Pareto DP against a Fraction implementation of the same scheme.
 
-`OldBucketizer` and `old_pareto_eps` are the former bucketing, which compared
-Fractions against exact powers delta * base^k, and the former DP over
-Fraction vectors, with `OldLabel`, its label linked to its predecessor;
-`old_ptas_winner` is the former scoring of the labels,
-one Fraction cost summary per label. They are kept here only as oracles: the
-new DP must return the same labels (node, cell, vector, edges) in the same
-order, `minmax_ptas` the same value, witness and label count, and the power
-brackets must give the exact floor d * p^k // q^k.
+`FractionCells` is the cell rule written from its definition in Fractions,
+and `old_pareto_eps` is the former DP over Fraction vectors, with `OldLabel`,
+its label linked to its predecessor; `old_ptas_winner` is the former scoring
+of the labels, one Fraction cost summary per label. They are kept here only as
+oracles: the DP must return the same labels (node, cell, vector, edges) in the
+same order, and `minmax_ptas` the same value, witness and label count.
 """
 
 import math
@@ -29,40 +27,40 @@ from minmax_procurement import (
     minmax_ptas,
     pareto_eps,
     preprocess,
+    validate_solution,
 )
-from minmax_procurement import pareto
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain
-from minmax_procurement.pareto import _bucket_base, _Bucketizer, _simplify_path
+from minmax_procurement.pareto import _simplify_path
 
 F = Fraction
 
 
-# -- the former implementation -----------------------------------------------
+# -- the oracles ----------------------------------------------------------------
 
 
-class OldBucketizer:
-    def __init__(self, base, delta):
-        self.base = base
+class FractionCells:
+    """Cell 0 holds values up to delta. Above it, the octave
+    [delta 2^e, delta 2^(e+1)) is cut into 16 equal pieces, and piece i into
+    ceil(r / (16 + i)) equal cells, r = ceil(m (2 + eps) / (2 eps)) with
+    m = max(V - 1, 1); cells count up from 1, octave by octave."""
+
+    def __init__(self, epsilon, node_count, delta):
         self.delta = delta
-        self._log_base = math.log(float(base))
-        self._powers = {}
-
-    def _power(self, k):
-        # the former table held every power up to the largest k; caching only
-        # the powers asked for compares the same Fractions in less memory
-        if k not in self._powers:
-            self._powers[k] = self.base**k
-        return self._powers[k]
+        r = math.ceil(max(node_count - 1, 1) * (2 + epsilon) / (2 * epsilon))
+        self.counts = [math.ceil(F(r, 16 + i)) for i in range(16)]
 
     def index(self, value):
         if value <= self.delta:
             return 0
-        k = max(int(math.log(float(value / self.delta)) / self._log_base), 0)
-        while self.delta * self._power(k) < value:
-            k += 1
-        while k > 0 and self.delta * self._power(k - 1) >= value:
-            k -= 1
-        return k
+        e = 0
+        while self.delta * 2 ** (e + 1) <= value:
+            e += 1
+        low = self.delta * 2**e
+        piece = math.floor((value - low) / (low / 16))
+        piece_start = low * (16 + piece) / 16
+        cell_width = low / 16 / self.counts[piece]
+        return (e * sum(self.counts) + 1 + sum(self.counts[:piece])
+                + math.floor((value - piece_start) / cell_width))
 
 
 @dataclass
@@ -88,7 +86,7 @@ def old_pareto_eps(inst, weights, epsilon):
     n = inst.agent_count
     s, t = inst.source, inst.target_or_root
     positive = [w for vec in weights.values() for w in vec if w > 0]
-    bucketizer = OldBucketizer(_bucket_base(epsilon, inst.node_count),
+    bucketizer = FractionCells(epsilon, inst.node_count,
                                min(positive) if positive else Fraction(1))
     incident = [[] for _ in range(inst.node_count)]
     for e in inst.edges:
@@ -194,13 +192,10 @@ def test_labels_match_former_dp_on_random_instances(agents):
     assert compared > 30
 
 
-# 2 x 3 blocks at 1/256 is left out: the oracle takes ~30 s there (~1 GB with
-# the former full power table)
 @pytest.mark.parametrize("blocks, eps", [
     pytest.param(blocks, eps, id=f"2x{blocks}-eps{eps}")
     for blocks in (1, 2, 3)
     for eps in (F(1, 4), F(1, 32), F(1, 64), F(1, 256))
-    if (blocks, eps) != (3, F(1, 256))
 ])
 def test_labels_match_former_dp_on_expanded_chains(blocks, eps):
     inst, _ = seeded_expanded_chain(2, blocks, seed=blocks)
@@ -222,137 +217,11 @@ def test_short_circuit_report_has_no_label_count():
     assert report.delta == 0 and report.baseline_sp == 0
 
 
-# -- bucketing ------------------------------------------------------------------
+# -- the bound against the chain DP ----------------------------------------
 
 
-def random_triples(rng, count, max_k):
-    for _ in range(count):
-        base = _bucket_base(F(1, rng.choice((2, 8, 64, 256, 1024))), rng.randint(2, 12))
-        d = rng.choice((1, rng.randint(1, 1000), rng.getrandbits(rng.randint(1, 90)) + 1))
-        yield base.numerator, base.denominator, d, rng.randint(0, max_k)
-
-
-def assert_bracket_holds(bucketizer, k):
-    p, q = bucketizer.base.numerator, bucketizer.base.denominator
-    lo, hi = bucketizer._bracket(k)
-    bits = bucketizer._bits
-    assert bits >= 64 + 2 * k.bit_length()
-    assert lo * q**k <= p**k << bits <= hi * q**k
-
-
-def test_power_bracket_contains_exact_power():
-    rng = random.Random(5)
-    for p, q, _, k in random_triples(rng, 300, 3000):
-        assert_bracket_holds(_Bucketizer(F(p, q), 1), k)
-
-
-def test_power_bracket_spans_three_table_levels():
-    # k >= 64^2 multiplies entries of levels 0, 1 and 2; 64^3 - 1 uses entry
-    # 63 of each, and 64^3 starts a fourth level
-    for base in (F(1025, 1024), _bucket_base(F(1, 64), 7)):
-        bucketizer = _Bucketizer(base, 1)
-        for k in (64**2, 64**2 + 64 + 1, 5 * 64**2 + 63, 64**3 - 1, 64**3):
-            assert_bracket_holds(bucketizer, k)
-        assert [len(row) for row in bucketizer._levels] == [64, 64, 64, 2]
-
-
-def test_floor_matches_exact_quotient():
-    rng = random.Random(6)
-    for p, q, d, k in random_triples(rng, 2000, 3000):
-        bucketizer = _Bucketizer(F(p, q), 1)
-        assert bucketizer._floor(d, k, *bucketizer._bracket(k)) == d * p**k // q**k
-
-
-def test_floor_falls_back_when_bracket_is_too_wide(monkeypatch):
-    monkeypatch.setattr(pareto, "_table_bits", lambda k: 2 * k.bit_length())
-    rng = random.Random(7)
-    fallbacks = 0
-    for p, q, d, k in random_triples(rng, 500, 3000):
-        bucketizer = _Bucketizer(F(p, q), 1)
-        lo, hi = bucketizer._bracket(k)
-        bits = bucketizer._bits
-        fallbacks += (d * lo >> bits) != (d * hi >> bits)
-        assert bucketizer._floor(d, k, lo, hi) == d * p**k // q**k
-        # the cell search, with its neighbour brackets, falls back exactly too
-        value = d * p**k // q**k + rng.randint(-1, 1)
-        cell = _Bucketizer(F(p, q), d).index(value)
-        assert value <= d * p**cell // q**cell
-        assert cell == 0 or value > d * p ** (cell - 1) // q ** (cell - 1)
-    assert fallbacks > 50
-
-
-def test_neighbour_bracket_holds_from_the_tightest_bracket():
-    # the float guess's neighbour k +- 1 is bracketed by multiplying k's
-    # bracket by base or 1 / base; from the tightest bracket of base^k, a
-    # rounding toward the exact value shows
-    rng = random.Random(10)
-    for p, q, _, k in random_triples(rng, 300, 50):
-        bits = 64
-        exact = p**k << bits
-        lo, hi = exact // q**k, -(-exact // q**k)
-        for num, den, j in ((p, q, k + 1), (q, p, k - 1)):
-            new_lo, new_hi = pareto._times(lo, hi, num, den)
-            if j >= 0:
-                assert new_lo * q**j <= p**j << bits <= new_hi * q**j
-
-
-class OffGuessBucketizer(_Bucketizer):
-    """Guesses `off` cells away from the float estimate and counts brackets."""
-
-    def __init__(self, base, delta, off):
-        super().__init__(base, delta)
-        self.off = off
-        self.brackets = 0
-
-    def _guess(self, m, d):
-        return max(super()._guess(m, d) + self.off, 1)
-
-    def _bracket(self, k):
-        self.brackets += 1
-        return super()._bracket(k)
-
-
-@pytest.mark.parametrize("offs", [range(-70, 71), [-1000, 1000]], ids=["near", "far"])
-def test_bucket_index_gallops_from_a_guess_far_off(offs):
-    # every offset up to 70 ends the doubling at each place a step can;
-    # values past cell 20,000 keep the guesses from being clamped at 1
-    rng = random.Random(9)
-    base = _bucket_base(F(1, 256), 7)
-    old = OldBucketizer(base, F(1))
-    for _ in range(10):
-        value = rng.randint(10**6, 10**9)
-        for off in offs:
-            new = OffGuessBucketizer(base, 1, off)
-            assert new.index(value) == old.index(F(value))
-            # one bracket for the guess, then doubling and bisecting
-            assert new.brackets <= 2 * math.ceil(math.log2(abs(off) + 1)) + 3
-
-
-def test_bucket_index_matches_former_on_fractions_and_ints():
-    rng = random.Random(8)
-    for _ in range(100):
-        base = _bucket_base(F(1, rng.choice((4, 16, 64))), rng.randint(2, 9))
-        delta = F(rng.randint(1, 50), rng.randint(1, 50))
-        new, old = _Bucketizer(base, delta), OldBucketizer(base, delta)
-        ints = _Bucketizer(base, rng.randint(1, 10**6))
-        ints_old = OldBucketizer(base, F(ints.delta))
-        for _ in range(10):
-            value = F(rng.randint(0, 10**6), rng.randint(1, 10**3))
-            assert new.index(value) == old.index(value)
-            scaled = rng.randint(0, ints.delta * 10**5)
-            assert ints.index(scaled) == ints_old.index(F(scaled))
-
-
-# -- regression: fine epsilon -----------------------------------------------
-
-
-@pytest.mark.parametrize("eps", [F(1, 1024), F(1, 10**5)], ids=str)
-def test_fine_epsilon_finishes_within_bound(eps):
-    inst, indexing = seeded_expanded_chain(2, 2, seed=11)
-    started = time.process_time()
-    report = minmax_ptas(inst, eps)
-    # the former power table needed minutes and gigabytes here
-    assert time.process_time() - started < 20
+def chain_opt(inst, indexing):
+    """The exact min-max value of an expanded chain, from its block routes."""
     vectors = []
     for routes in indexing.blocks:
         block = []
@@ -363,5 +232,29 @@ def test_fine_epsilon_finishes_within_bound(eps):
                 vec[edge.owner - 1] += edge.cost
             block.append(tuple(vec))
         vectors.append(block)
-    opt = chain_minmax_exact(inst.agent_count, vectors).value
+    return chain_minmax_exact(inst.agent_count, vectors).value
+
+
+@pytest.mark.parametrize("eps", [F(1, 1024), F(1, 10**5)], ids=str)
+def test_fine_epsilon_finishes_within_bound(eps):
+    inst, indexing = seeded_expanded_chain(2, 2, seed=11)
+    started = time.process_time()
+    report = minmax_ptas(inst, eps)
+    # the former power table needed minutes and gigabytes here
+    assert time.process_time() - started < 20
+    opt = chain_opt(inst, indexing)
     assert opt <= report.value <= (1 + eps) ** 2 * opt
+
+
+@pytest.mark.parametrize("agents, blocks, eps", [
+    pytest.param(agents, blocks, eps, id=f"{agents}x{blocks}-eps{eps}")
+    for agents, blocks, eps in ((2, 8, F(1, 32)), (2, 16, F(1, 4)), (3, 2, F(1, 4)))
+])
+def test_bound_holds_on_long_chains(agents, blocks, eps):
+    # the cover argument compounds the cell ratio b once per edge of a path,
+    # so paths of 24 to 48 edges test it where 2-block chains cannot
+    inst, indexing = seeded_expanded_chain(agents, blocks, seed=blocks)
+    report = minmax_ptas(inst, eps)
+    opt = chain_opt(inst, indexing)
+    assert opt <= report.value <= (1 + eps) ** 2 * opt
+    assert validate_solution(inst, report.witness)
