@@ -41,44 +41,102 @@ class UsageError(Exception):
     pass
 
 
+# Per dataclass the writer has met: its field names, sorted, each with its
+# encoded key. The module holds it, so it goes when a discarded import goes.
+_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
+
+
 def _json(obj, indent: str = "\n") -> str:
     """`obj` as JSON, in the bytes `json.dumps(..., indent=1, sort_keys=True)`
     writes, with Fractions as "p/q" strings, Solutions as their sorted ids
     and dataclasses as dicts of their fields. Dict keys become str(k) before
     sorting, so of keys that collide the last value wins. `indent` is the
     newline and spaces that precede obj's closing bracket.
+
+    Values of the exact types reports hold dispatch on `type(obj)`; their
+    subclasses, dicts with keys other than str and every other type take
+    the `isinstance` chain of `_json_other`.
     """
+    t = type(obj)
+    if t is tuple or t is list:
+        return _json_array(obj, indent)
+    if t is dict and all(type(k) is str for k in obj):
+        return _json_object(sorted(obj.items()), indent)
+    if t is str:
+        return _encode_str(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is Fraction:
+        return '"' + str(obj) + '"'
+    if t is Solution:
+        return _json_array(sorted(obj.edge_ids), indent)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    fields = _FIELDS.get(t)
+    if fields is not None:
+        inner = indent + " "
+        return _enclose("{", [key + _json(getattr(obj, name), inner) for name, key in fields],
+                        "}", indent)
+    return _json_other(obj, indent)
+
+
+def _json_array(seq, indent: str) -> str:
+    if not seq:
+        return "[]"
+    inner = indent + " "
+    # the last item rules out most mixed lists before the generator starts
+    if type(seq[-1]) is int and all(type(x) is int for x in seq):
+        return "[" + inner + ("," + inner).join(map(int.__repr__, seq)) + indent + "]"
+    parts = []
+    for x in seq:
+        t = type(x)
+        if t is int:
+            parts.append(int.__repr__(x))
+        elif t is Fraction:
+            parts.append('"' + str(x) + '"')
+        elif t is tuple or t is list:
+            parts.append(_json_array(x, inner))
+        else:
+            parts.append(_json(x, inner))
+    return _enclose("[", parts, "]", indent)
+
+
+def _json_object(items, indent: str) -> str:
+    """`items`, (str key, value) pairs in key order, as a JSON object."""
+    inner = indent + " "
+    return _enclose("{", [_encode_str(k) + ": " + _json(v, inner) for k, v in items], "}",
+                    indent)
+
+
+def _enclose(opening: str, parts: list[str], closing: str, indent: str) -> str:
+    """`parts`, one a line, between the brackets. The brackets join the end
+    parts, so the joined text is not copied once more."""
+    if not parts:
+        return opening + closing
+    inner = indent + " "
+    parts[0] = opening + inner + parts[0]
+    parts[-1] += indent + closing
+    return ("," + inner).join(parts)
+
+
+def _json_other(obj, indent: str) -> str:
     if isinstance(obj, Fraction):
         return '"' + str(obj) + '"'
     if isinstance(obj, Solution):
         obj = sorted(obj.edge_ids)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        _FIELDS[type(obj)] = tuple(sorted(
+            (f.name, _encode_str(f.name) + ": ") for f in dataclasses.fields(obj)))
+        return _json(obj, indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + " "
-        items = sorted({str(k): v for k, v in obj.items()}.items())
-        return "{" + inner + ("," + inner).join(
-            _encode_str(k) + ": " + _json(v, inner) for k, v in items) + indent + "}"
+        return _json_object(sorted({str(k): v for k, v in obj.items()}.items()), indent)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + " "
-        if all(type(x) is int for x in obj):
-            body = ("," + inner).join(map(int.__repr__, obj))
-        else:
-            body = ("," + inner).join(_json(v, inner) for v in obj)
-        return "[" + inner + body + indent + "]"
+        return _json_array(obj, indent)
     if isinstance(obj, str):
         return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
+    if isinstance(obj, int):  # bool and None, which have no subclasses, are done
         return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

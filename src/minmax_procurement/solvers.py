@@ -23,13 +23,14 @@ Cost of the min-sum layer, for V nodes and E edges:
   in-edge, from its members' in-edge heaps merged smaller into larger.
 
 The chain DP (`chain_minmax_exact`) runs on integers over the block costs'
-common denominator. It keeps only Pareto-minimal load vectors, and of those
+common denominator. Of the candidate load vectors after a block it keeps
 only the ones whose lower bound on the final max load does not exceed the
-max load of a greedy pick sequence. With S states, a block costs O(S log S)
-for n <= 3 agents: one sort and a sweep over a staircase of the last two
-coordinates. For n >= 4 the prune is a pairwise scan, O(S^2) per block; the
-bound keeps S small enough that 4 agents and 16 blocks take well under a
-second.
+max load of a greedy pick sequence, tested as the candidates are built, and
+of those only the Pareto-minimal ones. With S survivors, a block costs
+O(S log S) for n <= 3 agents: one sort and a sweep over a staircase of the
+last two coordinates. For n >= 4 the prune is a pairwise scan, O(S^2) per
+block; the bound keeps S small enough that 4 agents and 16 blocks take well
+under a second.
 
 Tie-breaking: the brute-force oracles return, among equal-value optima, the
 solution whose sorted edge-id sequence is lexicographically smallest. The
@@ -435,22 +436,26 @@ def chain_minmax_exact(
     pick sequence that reaches it.
 
     Two prunes keep the state count small; it is still exponential in n in
-    the worst case. Dominated load vectors are dropped. Then a state X after
-    block k is dropped when its bound, max_i(X_i + rest[k+1][i]) with
-    rest[j][i] the sum over blocks j, j+1, ... of agent i's cheapest choice,
-    exceeds UB, the max load of one real pick sequence (greedy: in each block
-    the first choice of smallest bound). Neither changes the result:
+    the worst case. A candidate X after block k is dropped when its bound,
+    max_i(X_i + rest[k+1][i]) with rest[j][i] the sum over blocks j, j+1, ...
+    of agent i's cheapest choice, exceeds UB, the max load of one real pick
+    sequence (greedy: in each block the first choice of smallest bound).
+    Then dominated load vectors are dropped from the survivors. Neither
+    changes the result:
     - A child's bound is never below its parent's, and after the last block
       the bound is the max load. So every ancestor of an optimal state has
       bound <= OPT <= UB and is kept, whatever the signs of the costs.
-    - X <= Y everywhere gives bound(X) <= bound(Y). So a dropped state
-      dominates no kept one, equal loads share their fate, and the kept
-      states' children are filtered as they would be among all children.
+    - X <= Y everywhere gives bound(X) <= bound(Y). So a dropped candidate
+      dominates no kept one, and equal loads share their fate: the
+      survivors that are Pareto-minimal among the survivors are the ones
+      Pareto-minimal among all candidates, and bounding first keeps the
+      states that bounding the Pareto-minimal ones would keep.
     - The survivors keep their order, so the first-copy rule and the final
       first-of-equal `min` pick the states they would pick without the bound.
-    The bound costs O(n) per kept state and the greedy O(n) per choice. With
-    S states, a block costs O(S log S) for n <= 3 (a sort and a staircase
-    sweep) and O(S^2) for n >= 4 (a pairwise scan).
+    The bound is one test per coordinate of each candidate, against the
+    limits UB - rest[k+1][i] computed once per block, and the greedy costs
+    O(n) per choice. With S survivors, a block costs O(S log S) for n <= 3
+    (a sort and a staircase sweep) and O(S^2) for n >= 4 (a pairwise scan).
 
     When `block_edges` is given (edge ids per block and choice), the witness
     Solution is assembled from the chosen blocks.
@@ -492,19 +497,27 @@ def chain_minmax_exact(
     # States are kept in lexicographic order of their pick sequences, each
     # with a parent pointer (choice, parent state's pointer). Expanding them
     # in that order, choices ascending, keeps the order, so of the candidates
-    # with equal loads the first has the smallest pick sequence.
+    # with equal loads the first has the smallest pick sequence. A candidate
+    # carries its (state, choice) position; it passes the bound iff its load
+    # is <= ub - rest[k+1] in each of the first n coordinates (a padded
+    # coordinate is 0 and gets the limit 0).
     loads: list[tuple[int, ...]] = [(0,) * max(n, 3)]
     parents: list[Optional[tuple]] = [None]
     for block, r in zip(blocks, rest[1:]):
-        m = len(block)
+        limit = tuple(ub - x for x in r)
         if n <= 3:
-            candidates = [(a + x, b + y, c + z) for a, b, c in loads for x, y, z in block]
+            la, lb, lc = limit + pad
+            candidates = [(p, q, w, s, ch) for s, (a, b, c) in enumerate(loads)
+                          for ch, (x, y, z) in enumerate(block)
+                          if (p := a + x) <= la and (q := b + y) <= lb and (w := c + z) <= lc]
         else:
-            candidates = [tuple(map(operator.add, load, vec)) for load in loads for vec in block]
-        kept = [i for i in _pareto_minimal(candidates)
-                if max(map(operator.add, candidates[i], r)) <= ub]
-        parents = [(i % m, parents[i // m]) for i in kept]
-        loads = [candidates[i] for i in kept]
+            candidates = [load + (s, ch) for s, prev in enumerate(loads)
+                          for ch, vec in enumerate(block)
+                          if all(map(operator.le,
+                                     (load := tuple(map(operator.add, prev, vec))), limit))]
+        kept = _pareto_minimal(candidates)
+        parents = [(t[-1], parents[t[-2]]) for t in kept]
+        loads = [t[:-2] for t in kept]
 
     # min returns the first of equal keys: the smallest pick sequence
     best = min(range(len(loads)), key=lambda i: max(loads[i][:n]))
@@ -524,42 +537,44 @@ def chain_minmax_exact(
                          choices=tuple(picks))
 
 
-def _pareto_minimal(loads: list[tuple[int, ...]]) -> list[int]:
-    """Indices, ascending, of the first copy of each Pareto-minimal load.
+def _pareto_minimal(candidates: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The first copy of each Pareto-minimal load among `candidates`, in the
+    order of the list.
 
-    A load is dropped when another one, or an earlier equal one, is <= it
-    everywhere. Any such load precedes it in a stable lexicographic sort, so
-    a sweep in that order only asks whether an earlier load dominates. For
-    three coordinates (a, b, c) the earlier loads have a <= the current a,
-    and the sweep keeps the Pareto staircase of their (b, c): b ascending,
-    c strictly descending. The current load is dominated iff the staircase
-    point with the largest b' <= b has c' <= c. More coordinates take a
-    pairwise scan.
+    A candidate is a load followed by two ints, its position in the list's
+    order (positions ascend along the list). A load is dropped when another
+    one, or an earlier equal one, is <= it everywhere. Any such load precedes
+    it in a lexicographic sort of the candidates, so a sweep in that order
+    only asks whether an earlier load dominates. For three coordinates
+    (a, b, c) the earlier loads have a <= the current a, and the sweep keeps
+    the Pareto staircase of their (b, c): b ascending, c strictly
+    descending. The current load is dominated iff the staircase point with
+    the largest b' <= b has c' <= c. More coordinates take a pairwise scan.
     """
-    order = sorted(range(len(loads)), key=loads.__getitem__)
-    kept: list[int] = []
-    if len(loads[0]) > 3:
-        for i in order:
-            load = loads[i]
-            if not any(all(a <= b for a, b in zip(loads[k], load)) for k in kept):
-                kept.append(i)
-        return sorted(kept)
-    bs: list[int] = []  # staircase, b ascending
-    cs: list[int] = []  # c strictly descending
-    for i in order:
-        _, b, c = loads[i]
-        pos = bisect_right(bs, b)
-        if pos and cs[pos - 1] <= c:
-            continue
-        kept.append(i)
-        # drop the points (b' >= b, c' >= c) the new one dominates
-        end = pos
-        while end < len(bs) and cs[end] >= c:
-            end += 1
-        start = pos - 1 if pos and bs[pos - 1] == b else pos
-        bs[start:end] = [b]
-        cs[start:end] = [c]
-    return sorted(kept)
+    order = sorted(candidates)
+    kept: list[tuple[int, ...]] = []
+    if order and len(order[0]) > 3 + 2:  # more than three load coordinates
+        for cand in order:
+            if not any(all(map(operator.le, k[:-2], cand)) for k in kept):
+                kept.append(cand)
+    else:
+        bs: list[int] = []  # staircase, b ascending
+        cs: list[int] = []  # c strictly descending
+        for cand in order:
+            b, c = cand[1], cand[2]
+            pos = bisect_right(bs, b)
+            if pos and cs[pos - 1] <= c:
+                continue
+            kept.append(cand)
+            # drop the points (b' >= b, c' >= c) the new one dominates
+            end = pos
+            while end < len(bs) and cs[end] >= c:
+                end += 1
+            start = pos - 1 if pos and bs[pos - 1] == b else pos
+            bs[start:end] = [b]
+            cs[start:end] = [c]
+    kept.sort(key=operator.itemgetter(-2, -1))
+    return kept
 
 
 # -- convenience ------------------------------------------------------------

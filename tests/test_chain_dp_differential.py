@@ -5,13 +5,24 @@ a pick tuple copied per state, a re-sort of the states by their picks at
 every block, and a quadratic dominance scan, with no bound on the states.
 It is kept here only as an oracle: `chain_minmax_exact` must return the same
 value, choices and witness on every input.
+
+The former DP takes seconds on the inputs the adversary gives it at 2 agents
+and up to 81 blocks, so its outputs there are committed, keyed by a digest
+of each input, in tests/former_chain_dp_outputs.json;
+
+    PYTHONPATH=src python tests/test_chain_dp_differential.py
+
+rewrites that file from the former DP alone.
 """
 
+import hashlib
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -226,13 +237,85 @@ def run_chain_exact(agents, blocks, eps=None):
     return run_adversary(adversary.chain_exact_allocator(indexing), spec, MODE_PATH)
 
 
+FORMER_OUTPUTS = Path(__file__).with_name("former_chain_dp_outputs.json")
+COMMITTED_SIZES = range(1, 82)  # 2-agent runs whose former outputs are committed
+
+
+def input_digest(n, vectors, edges):
+    text = json.dumps([n, [[[str(x) for x in vec] for vec in block] for block in vectors],
+                       edges])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def encode_output(report):
+    witness = None if report.witness is None else sorted(report.witness.edge_ids)
+    return [str(report.value), list(report.choices), witness]
+
+
+def former_outputs_of_runs(agents, sizes):
+    """The former DP's output on each input the adversary gives it, by digest,
+    with the former DP as the adversary's allocator."""
+    outputs = {}
+
+    def former(n, vectors, edges=None):
+        report = old_chain_minmax_exact(n, vectors, edges)
+        outputs[input_digest(n, vectors, edges)] = encode_output(report)
+        return report
+
+    saved = adversary.chain_minmax_exact
+    adversary.chain_minmax_exact = former
+    try:
+        for blocks in sizes:
+            run_chain_exact(agents, blocks)
+    finally:
+        adversary.chain_minmax_exact = saved
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def committed_outputs():
+    return json.loads(FORMER_OUTPUTS.read_text())
+
+
+@pytest.fixture
+def committed_allocator(monkeypatch, committed_outputs):
+    """Route the adversary's chain-exact allocator through a check against
+    the former DP's committed outputs; returns the digests checked."""
+    digests = []
+
+    def checked(n, vectors, edges=None):
+        new = chain_minmax_exact(n, vectors, edges)
+        digest = input_digest(n, vectors, edges)
+        value, choices, witness = committed_outputs[digest]
+        assert new == OptimumReport(MIN_MAX, Fraction(value),
+                                    None if witness is None else Solution(witness),
+                                    tuple(choices))
+        assert type(new.value) is Fraction
+        digests.append(digest)
+        return new
+
+    monkeypatch.setattr(adversary, "chain_minmax_exact", checked)
+    return digests
+
+
+def test_committed_former_outputs_rerun_live(committed_outputs):
+    live = former_outputs_of_runs(2, range(1, 21))
+    assert len(live) >= 2 * 20
+    assert {digest: committed_outputs[digest] for digest in live} == live
+
+
 @pytest.mark.parametrize("agents,sizes", [
-    (2, range(1, 82)), (3, range(1, 13)), (4, range(1, 9)), (5, range(1, 6)),
+    (2, COMMITTED_SIZES), (3, range(1, 13)), (4, range(1, 9)), (5, range(1, 6)),
 ])
-def test_adversary_inputs_match_the_former_dp(differential_allocator, agents, sizes):
+def test_adversary_inputs_match_the_former_dp(request, agents, sizes):
+    committed = agents == 2
+    checked = request.getfixturevalue(
+        "committed_allocator" if committed else "differential_allocator")
     for blocks in sizes:
         run_chain_exact(agents, blocks)
-    assert len(differential_allocator) >= 2 * len(sizes)
+    assert len(checked) >= 2 * len(sizes)
+    if committed:  # the adversary gave the DP the very inputs the former DP saw
+        assert set(checked) == set(request.getfixturevalue("committed_outputs"))
 
 
 @pytest.mark.parametrize("agents,blocks,eps", [
@@ -259,10 +342,10 @@ def unbounded_candidates(n, vectors):
     pad = (0,) * (3 - n)
     loads, total = [(0,) * max(n, 3)], 0
     for block in vectors:
-        candidates = [tuple(a + b for a, b in zip(load, tuple(vec) + pad))
-                      for load in loads for vec in block]
+        candidates = [tuple(a + b for a, b in zip(load, tuple(vec) + pad)) + (s, c)
+                      for s, load in enumerate(loads) for c, vec in enumerate(block)]
         total += len(candidates)
-        loads = [candidates[i] for i in solvers._pareto_minimal(candidates)]
+        loads = [t[:-2] for t in solvers._pareto_minimal(candidates)]
     return total
 
 
@@ -319,3 +402,11 @@ def test_costs_other_than_ints_and_fractions_are_refused(entry):
 def test_an_agent_count_other_than_an_int_is_refused(n):
     with pytest.raises(StructureError, match=f"^n must be an int, got {n!r}$"):
         chain_minmax_exact(n, [[(F(1), 1)]])
+
+
+if __name__ == "__main__":
+    outputs = former_outputs_of_runs(2, COMMITTED_SIZES)
+    FORMER_OUTPUTS.write_text("{\n" + ",\n".join(
+        json.dumps(digest) + ": " + json.dumps(output, separators=(",", ":"))
+        for digest, output in outputs.items()) + "\n}\n")
+    sys.exit(0)

@@ -639,6 +639,53 @@ def test_adversary_run_exits_0_1_or_2_without_a_traceback(agents, blocks, mode, 
     assert "Traceback" not in err.getvalue(), argv
 
 
+AUDIT_TOKENS = st.one_of(
+    st.sampled_from(["extra", "-", "--", "-x", "--jobs", "2", "--alg", "--seed", "--trials",
+                     "--seed=x", "--trials=1.5", "1/2", "-1", "monotonicity", "vcg"]),
+    st.text(max_size=3))
+VALID_TRIALS = st.sampled_from(["0", "1", "2", "3"])
+TRIALS = st.one_of(VALID_TRIALS, VALID_TRIALS,
+                   st.sampled_from(["-1", str(cli.MAX_TRIALS + 1), "x", "", "1e2"]))
+SEEDS = st.one_of(st.integers(-2**70, 2**70).map(str),
+                  st.sampled_from(["-1", str(2**64), str(2**64 + 1), "0x10", "1.0"]))
+
+
+@st.composite
+def audit_argv(draw):
+    """`audit` with a kind, --alg, --seed and junk tokens in any order or
+    missing, then --trials and --out: the last --trials and --out win, so
+    no run takes the default 100 trials and no junk token redirects --out."""
+    pieces = [[draw(AUDIT_TOKENS)] for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2])))]
+    if draw(st.integers(0, 9)):
+        kind = st.sampled_from(["monotonicity", "truthfulness"])
+        pieces.append([draw(kind if draw(st.integers(0, 8)) else AUDIT_TOKENS)])
+    if draw(st.booleans()):
+        pieces.append(["--alg", draw(st.sampled_from(["vcg", "vcg", "vcg", "chain-exact", ""]))])
+    if draw(st.booleans()):
+        pieces.append(["--seed", draw(SEEDS)])
+    argv = ["audit"] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+    trials = draw(TRIALS)
+    return argv + (["--trials", trials] if draw(st.booleans()) else [f"--trials={trials}"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=audit_argv())
+def test_audit_exits_0_1_or_2_without_a_traceback(tmp_path_factory, argv):
+    work = tmp_path_factory.getbasetemp() / "exit-codes"
+    work.mkdir(exist_ok=True)
+    out = work / "audit.json"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--out", str(out)])
+    event(f"exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if out.exists():  # written only by a run that exits 0 or 1
+        assert code in (0, 1), argv
+        assert json.loads(out.read_text())["command"] == "audit"
+
+
 # -- instance files the JSON decoder refuses ------------------------------------
 
 

@@ -55,6 +55,12 @@ OPS = [
                                          "--agents", "2", "--blocks", "4"], None),
     ("adversary-chain-exact-ratio", ["adversary", "run", "--alg", "chain-exact",
                                      "--agents", "3", "--blocks", "2", "--eps", "1/8"], None),
+    ("adversary-chain-exact-3x12", ["adversary", "run", "--alg", "chain-exact",
+                                    "--agents", "3", "--blocks", "12"], None),
+    ("adversary-chain-exact-2x80", ["adversary", "run", "--alg", "chain-exact",
+                                    "--agents", "2", "--blocks", "80"], None),
+    ("adversary-chain-exact-4x5", ["adversary", "run", "--alg", "chain-exact",
+                                   "--agents", "4", "--blocks", "5"], None),
     ("adversary-chain-exact-dmst-refused", ["adversary", "run", "--alg", "chain-exact",
                                             "--mode", "dmst", "--agents", "2",
                                             "--blocks", "2"], None),

@@ -41,7 +41,9 @@ def test_discarded_imports_of_the_package_are_collected():
         for _ in range(3):
             for m in _package_modules():
                 del sys.modules[m]
-            importlib.import_module("minmax_procurement.cli")
+            # the report writer caches the fields of each dataclass it writes
+            importlib.import_module("minmax_procurement.cli")._json(
+                sys.modules["minmax_procurement.graphs"].CostSummary((1,), 1, 1))
             for m in _package_modules():
                 refs.extend(weakref.ref(obj) for obj in vars(sys.modules[m]).values()
                             if isinstance(obj, type) and obj.__module__ == m)
