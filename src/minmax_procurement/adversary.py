@@ -254,8 +254,6 @@ class AdversaryStep:
 
 @dataclass(frozen=True)
 class AdversaryReport:
-    mode: str
-    spec: ChainSpec
     selections_per_agent: tuple[int, ...]  # l_i
     heavy_agent: int  # i*
     trace: tuple[AdversaryStep, ...]
@@ -334,8 +332,7 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
         trace.append(AdversaryStep(agent, new_sol, stable))
         if not stable:
             witness = edge_stability_witness(cur_inst, new_inst, pert, cur_sol, new_sol)
-            return AdversaryReport(mode, spec, tuple(counts), heavy,
-                                   tuple(trace), None, witness)
+            return AdversaryReport(tuple(counts), heavy, tuple(trace), None, witness)
         cur_inst, cur_sol = new_inst, new_sol
 
     alg_cost = cost_summary(cur_inst, cur_sol).max_cost
@@ -355,8 +352,7 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
         certified_ratio=ratio,
         guaranteed_bound=guaranteed_bound,
     )
-    return AdversaryReport(mode, spec, tuple(counts), heavy, tuple(trace),
-                           witness, None)
+    return AdversaryReport(tuple(counts), heavy, tuple(trace), witness, None)
 
 
 def _dmst_stable(indexing: BlockIndexing, heavy: int, heavy_blocks: list[int],

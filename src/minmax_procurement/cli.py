@@ -49,19 +49,39 @@ _FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
 def _json(obj, indent: str = "\n") -> str:
     """`obj` as JSON, in the bytes `json.dumps(..., indent=1, sort_keys=True)`
     writes, with Fractions as "p/q" strings, Solutions as their sorted ids
-    and dataclasses as dicts of their fields. Dict keys become str(k) before
-    sorting, so of keys that collide the last value wins. `indent` is the
-    newline and spaces that precede obj's closing bracket.
+    and dataclasses as dicts of their fields. `indent` is the newline and
+    spaces that precede obj's closing bracket.
 
-    Values of the exact types reports hold dispatch on `type(obj)`; their
-    subclasses, dicts with keys other than str and every other type take
-    the `isinstance` chain of `_json_other`.
+    Only the exact types reports hold are written: list, tuple, dict with
+    str keys, str, int, bool, None, Fraction, Solution and dataclasses. A
+    subclass of any of them (an `IntEnum` member, say), a dict key of
+    another type and every other value raise TypeError.
     """
     t = type(obj)
     if t is tuple or t is list:
-        return _json_array(obj, indent)
-    if t is dict and all(type(k) is str for k in obj):
-        return _json_object(sorted(obj.items()), indent)
+        if not obj:
+            return "[]"
+        inner = indent + " "
+        # the last item rules out most mixed lists before the generator starts
+        if type(obj[-1]) is int and all(type(x) is int for x in obj):
+            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]"
+        parts = []
+        for x in obj:
+            tx = type(x)
+            if tx is int:
+                parts.append(int.__repr__(x))
+            elif tx is Fraction:
+                parts.append('"' + str(x) + '"')
+            else:
+                parts.append(_json(x, inner))
+        return _enclose("[", parts, "]", indent)
+    if t is dict:
+        for k in obj:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        inner = indent + " "
+        return _enclose("{", [_encode_str(k) + ": " + _json(v, inner)
+                              for k, v in sorted(obj.items())], "}", indent)
     if t is str:
         return _encode_str(obj)
     if t is int:
@@ -69,45 +89,18 @@ def _json(obj, indent: str = "\n") -> str:
     if t is Fraction:
         return '"' + str(obj) + '"'
     if t is Solution:
-        return _json_array(sorted(obj.edge_ids), indent)
+        return _json(sorted(obj.edge_ids), indent)
     if t is bool:
         return "true" if obj else "false"
     if obj is None:
         return "null"
     fields = _FIELDS.get(t)
-    if fields is not None:
-        inner = indent + " "
-        return _enclose("{", [key + _json(getattr(obj, name), inner) for name, key in fields],
-                        "}", indent)
-    return _json_other(obj, indent)
-
-
-def _json_array(seq, indent: str) -> str:
-    if not seq:
-        return "[]"
+    if fields is None:  # dataclasses.fields raises TypeError for any other type
+        fields = _FIELDS[t] = tuple(sorted(
+            (f.name, _encode_str(f.name) + ": ") for f in dataclasses.fields(t)))
     inner = indent + " "
-    # the last item rules out most mixed lists before the generator starts
-    if type(seq[-1]) is int and all(type(x) is int for x in seq):
-        return "[" + inner + ("," + inner).join(map(int.__repr__, seq)) + indent + "]"
-    parts = []
-    for x in seq:
-        t = type(x)
-        if t is int:
-            parts.append(int.__repr__(x))
-        elif t is Fraction:
-            parts.append('"' + str(x) + '"')
-        elif t is tuple or t is list:
-            parts.append(_json_array(x, inner))
-        else:
-            parts.append(_json(x, inner))
-    return _enclose("[", parts, "]", indent)
-
-
-def _json_object(items, indent: str) -> str:
-    """`items`, (str key, value) pairs in key order, as a JSON object."""
-    inner = indent + " "
-    return _enclose("{", [_encode_str(k) + ": " + _json(v, inner) for k, v in items], "}",
-                    indent)
+    return _enclose("{", [key + _json(getattr(obj, name), inner) for name, key in fields],
+                    "}", indent)
 
 
 def _enclose(opening: str, parts: list[str], closing: str, indent: str) -> str:
@@ -119,26 +112,6 @@ def _enclose(opening: str, parts: list[str], closing: str, indent: str) -> str:
     parts[0] = opening + inner + parts[0]
     parts[-1] += indent + closing
     return ("," + inner).join(parts)
-
-
-def _json_other(obj, indent: str) -> str:
-    if isinstance(obj, Fraction):
-        return '"' + str(obj) + '"'
-    if isinstance(obj, Solution):
-        obj = sorted(obj.edge_ids)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _FIELDS[type(obj)] = tuple(sorted(
-            (f.name, _encode_str(f.name) + ": ") for f in dataclasses.fields(obj)))
-        return _json(obj, indent)
-    if isinstance(obj, dict):
-        return _json_object(sorted({str(k): v for k, v in obj.items()}.items()), indent)
-    if isinstance(obj, (list, tuple)):
-        return _json_array(obj, indent)
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, int):  # bool and None, which have no subclasses, are done
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -164,6 +137,8 @@ ALGORITHMS = ("vcg", "chain-exact")
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "chain" and args.eps is not None:
+        raise UsageError("gen chain takes no --eps: a plain chain has no helper edges")
     try:
         spec = adv.ChainSpec(args.agents, args.blocks, args.base, args.eps)
     except ValueError as exc:
@@ -332,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--base", type=_fraction, default="1")
     p.add_argument("--eps", type=_fraction, default=None,
-                   help="helper cost (default: the mode's standard choice)")
+                   help="helper cost of expandedchain and dmst-chain "
+                        "(default: the mode's standard choice)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -91,6 +92,18 @@ def test_gen_base_is_read_as_a_rational(tmp_path):
                  "--out", str(cli_out)]) == 0
     dump_instance(gen_chain(ChainSpec(2, 3, F(3, 2))), lib_out)
     assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
+def test_gen_chain_refuses_eps_before_writing(tmp_path, capsys):
+    # a plain chain has no helper edges, so --eps would change nothing
+    out = tmp_path / "x.json"
+    code = main(["gen", "chain", "--agents", "2", "--blocks", "2", "--eps", "1/3",
+                 "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--eps" in captured.err
+    assert not out.exists()
 
 
 def sometimes_bad(good, bad):
@@ -686,6 +699,111 @@ def test_audit_exits_0_1_or_2_without_a_traceback(tmp_path_factory, argv):
         assert json.loads(out.read_text())["command"] == "audit"
 
 
+# -- exit codes on argv of any subcommand ---------------------------------------
+
+# every subcommand's options; test_option_inventory_is_pinned checks the parser
+OPTIONS = {
+    "gen": ["--agents", "--blocks", "--base", "--eps", "--out"],
+    "solve": ["--instance", "--objective", "--out"],
+    "vcg": ["--instance", "--out"],
+    "ptas": ["--instance", "--epsilon", "--check-against-bruteforce", "--out"],
+    "audit": ["--alg", "--trials", "--seed", "--out"],
+    "adversary run": ["--alg", "--agents", "--blocks", "--mode", "--eps", "--out"],
+}
+POSITIONALS = {"gen": ["chain", "expandedchain", "dmst-chain"],
+               "audit": ["monotonicity", "truthfulness"]}
+# per option: (values it takes, values it refuses); file names are relative to
+# the test's directory, where each run starts with three instances and a
+# report that is not one, and "." is the directory itself
+OPTION_VALUES = {
+    "--agents": (["2", "3", "4"], ["1", "0", "-1", "x", "100000"]),
+    "--blocks": (["1", "2", "3", "5"], ["0", "-1", "1e3", "1000000"]),
+    "--base": (["1", "3/2", "2"], ["0", "-1", "1/0", "1e-3"]),
+    "--eps": (["1/8", "1/5", "1/3"], ["0", "5", "1/0", "x", f"1/{2**70}"]),
+    "--epsilon": (["1/4", "1", "1/16"], ["0", "-1", f"1/{2**49}", str(2**49), "x"]),
+    "--objective": (["minsum", "minmax"], ["max"]),
+    "--alg": (["vcg", "chain-exact"], ["minmax", ""]),
+    "--mode": (["path", "dmst"], ["tree"]),
+    "--trials": (["0", "1", "3"], ["-1", str(cli.MAX_TRIALS + 1), "1.5"]),
+    "--seed": (["0", "7", str(2**64)], ["-1.5", "0x10"]),
+    "--instance": (["chain.json", "exp.json", "dmst.json"], ["report.json", "missing.json", "."]),
+    "--out": (["out.json"], ["missing/out.json", "."]),
+}
+FLAGS = {"--check-against-bruteforce"}
+WORDS = ["gen", "solve", "vcg", "ptas", "audit", "adversary", "run", "-h", "--jobs", "-",
+         "--", "x", *POSITIONALS["gen"], *POSITIONALS["audit"]]
+
+
+def option_piece(option, clean=False):
+    if option in FLAGS:
+        return st.just([option])
+    good, bad = OPTION_VALUES[option]
+    values = st.sampled_from(good) if clean else sometimes_bad(st.sampled_from(good),
+                                                               st.sampled_from(bad))
+    return values.map(lambda value: [option, value])
+
+
+STRAY = st.one_of(
+    st.sampled_from(sorted({o for options in OPTIONS.values() for o in options})).flatmap(
+        option_piece),
+    st.sampled_from(WORDS).map(lambda word: [word]),
+    st.text(max_size=3).map(lambda text: [text]))
+
+
+@st.composite
+def any_argv(draw):
+    """Half the time a subcommand with all its options, good values and its
+    positional, in any order; else most of that, a bad value now and then,
+    and tokens of other subcommands or junk."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    clean = not draw(st.booleans())  # the simplest draw is the clean command
+    pieces = [draw(option_piece(option, clean)) for option in OPTIONS[command]
+              if clean or draw(st.integers(0, 7))]
+    if command in POSITIONALS and (clean or draw(st.integers(0, 7))):
+        pieces.append([draw(st.sampled_from(POSITIONALS[command]))])
+    if not clean:
+        pieces += [draw(STRAY) for _ in range(draw(st.sampled_from([0, 1, 2])))]
+    head = command.split()
+    if not (clean or draw(st.integers(0, 9))):
+        head = [draw(st.sampled_from(WORDS))]
+    return head + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+def fresh_directory(base):
+    from minmax_procurement import ChainSpec, dump_instance, gen_chain
+    from minmax_procurement.adversary import build_adversary_instance
+    work = base / "any-argv"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    spec = ChainSpec(2, 2)
+    dump_instance(gen_chain(spec), work / "chain.json")
+    dump_instance(build_adversary_instance(spec, "path")[0], work / "exp.json")
+    dump_instance(build_adversary_instance(spec, "dmst")[0], work / "dmst.json")
+    (work / "report.json").write_text('{"command": "vcg"}\n')
+    return work
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=any_argv())
+def test_any_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory, argv):
+    work = fresh_directory(tmp_path_factory.getbasetemp())
+    cwd = os.getcwd()
+    err = io.StringIO()
+    try:
+        # every relative name resolves in `work`, also one that an abbreviated
+        # option such as "--o" takes from a stray token
+        os.chdir(work)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if (work / "out.json").exists():  # written only by a run that exits 0 or 1
+        assert code in (0, 1), argv
+
+
 # -- instance files the JSON decoder refuses ------------------------------------
 
 
@@ -804,11 +922,4 @@ def test_option_inventory_is_pinned():
                 found.setdefault(name, []).extend(action.option_strings)
         return found
 
-    assert options(cli.build_parser()) == {
-        "gen": ["--agents", "--blocks", "--base", "--eps", "--out"],
-        "solve": ["--instance", "--objective", "--out"],
-        "vcg": ["--instance", "--out"],
-        "ptas": ["--instance", "--epsilon", "--check-against-bruteforce", "--out"],
-        "audit": ["--alg", "--trials", "--seed", "--out"],
-        "adversary run": ["--alg", "--agents", "--blocks", "--mode", "--eps", "--out"],
-    }
+    assert options(cli.build_parser()) == OPTIONS

@@ -65,6 +65,8 @@ OPS = [
                                             "--mode", "dmst", "--agents", "2",
                                             "--blocks", "2"], None),
     ("vcg-missing-file", ["vcg", "--instance", "missing.json"], None),
+    ("gen-chain-eps-refused", ["gen", "chain", "--agents", "2", "--blocks", "2",
+                               "--eps", "1/3", "--out", "refused.json"], None),
 ]
 
 

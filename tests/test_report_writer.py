@@ -3,7 +3,10 @@
 `old_report_text` is the former writer: `_jsonable` turned Fractions,
 Solutions and dataclasses into plain values, then `json.dumps(..., indent=1,
 sort_keys=True)` wrote them. It is kept here only as an oracle: `cli._json`
-must write the same bytes for every report.
+must write the same bytes for every value of the exact types reports hold
+(list, tuple, dict with str keys, str, int, bool, None, Fraction, Solution
+and dataclasses), and must refuse with TypeError everything else, subclasses
+of those types and dict keys that are not exactly str included.
 """
 
 import dataclasses
@@ -18,7 +21,6 @@ from hypothesis import strategies as st
 
 from minmax_procurement import cli
 from minmax_procurement.graphs import Solution
-
 
 
 def _jsonable(obj):
@@ -51,45 +53,31 @@ class Colour(IntEnum):
     GREEN = -7
 
 
+# subclasses of the types reports hold, which the writer refuses
 class Ratio(Fraction):
-    """A Fraction subclass; its own str shows whether the writer calls it."""
-
-    def __str__(self):
-        return "ratio " + super().__str__()
+    pass
 
 
 class Name(str):
-    def __str__(self):
-        return "name " + str.__str__(self)
+    pass
 
 
 class Count(int):
-    def __repr__(self):
-        return "Count(" + int.__repr__(self) + ")"
-
-    __str__ = __repr__
+    pass
 
 
 strings = st.text() | st.sampled_from(["", "é", "\x00", "\n\t\"\\", "\U0001f600", "1", "True"])
 fractions = st.fractions(max_denominator=50) | st.integers(-10**30, 10**30).map(Fraction)
 solutions = st.frozensets(st.integers(-5, 50), max_size=6).map(Solution)
-subclassed = (st.sampled_from(list(Colour)) | st.integers().map(Count)
-              | st.builds(Ratio, st.integers(-50, 50), st.integers(1, 50))
-              | strings.map(Name))
 # the witnesses' cost tables: (edge id, cost) pairs
 cost_tables = st.lists(st.tuples(st.integers(0, 10**6), fractions), max_size=6).map(tuple)
 leaves = (strings | st.integers() | st.booleans() | st.none() | fractions | solutions
-          | subclassed | cost_tables
-          | st.lists(st.integers() | st.booleans() | st.sampled_from(list(Colour)), max_size=5))
-# keys that collide once turned into strings: 1 and "1", None and "None", ...
-keys = (st.integers(-2, 2) | st.sampled_from(["0", "1", "-1", "None", "True", "a", "é"])
-        | st.booleans() | st.none() | fractions | subclassed)
+          | cost_tables | st.lists(st.integers() | st.booleans(), max_size=5))
 values = st.recursive(
     leaves,
     lambda inner: (st.lists(inner, max_size=4)
                    | st.tuples(inner, inner)
                    | st.tuples(st.builds(Pair, inner, inner), inner)
-                   | st.dictionaries(keys, inner, max_size=5)
                    | st.dictionaries(strings, inner, max_size=5)
                    | st.builds(Pair, inner, inner)),
     max_leaves=25)
@@ -106,27 +94,22 @@ def test_empty_containers(obj):
     assert cli._json(obj) == old_report_text(obj)
 
 
-def test_colliding_keys_keep_the_last_value():
-    obj = {1: "int", "1": "str", None: 0, "None": 1}
-    assert cli._json(obj) == old_report_text(obj) == '{\n "1": "str",\n "None": 1\n}'
-
-
 def test_a_bool_in_an_int_list_stays_a_bool():
     assert cli._json([1, True]) == old_report_text([1, True]) == "[\n 1,\n true\n]"
 
 
-def test_an_int_enum_member_is_written_as_its_int():
-    obj = [Colour.GREEN, {"c": Colour.RED}, Count(5)]
-    assert cli._json(obj) == old_report_text(obj) == '[\n -7,\n {\n  "c": 1\n },\n 5\n]'
-
-
-def test_a_fraction_subclass_is_written_as_its_str():
-    obj = [Ratio(1, 3), (4, Ratio(2))]
-    assert cli._json(obj) == old_report_text(obj)
-    assert cli._json(obj) == '[\n "ratio 1/3",\n [\n  4,\n  "ratio 2"\n ]\n]'
-
-
-@pytest.mark.parametrize("obj", [1.5, {"a": [float("nan")]}, b"bytes", {1, 2}, object()])
+@pytest.mark.parametrize("obj", [
+    1.5, {"a": [float("nan")]}, b"bytes", {1, 2}, object(),
+    pytest.param(Colour.GREEN, id="int-enum-member"),
+    pytest.param([3, Colour.RED], id="int-enum-member-in-an-int-list"),
+    pytest.param(Ratio(1, 3), id="fraction-subclass"),
+    pytest.param((4, Ratio(2)), id="fraction-subclass-in-a-pair"),
+    pytest.param(Name("a"), id="str-subclass"),
+    pytest.param({"n": Count(5)}, id="int-subclass"),
+    pytest.param({1: "int"}, id="int-key"),
+    pytest.param({"a": 1, Name("b"): 2}, id="str-subclass-key"),
+    pytest.param(Pair, id="dataclass-type"),
+])
 def test_other_types_are_refused(obj):
     with pytest.raises(TypeError):
         cli._json(obj)
