@@ -31,7 +31,6 @@ from .graphs import (
     Solution,
     as_rational,
     cost_summary,
-    scaled_loads,
     validate_solution,
 )
 from .audit import (
@@ -41,7 +40,7 @@ from .audit import (
     edge_stability_witness,
     is_strict_edge_stability,
 )
-from .solvers import chain_minmax_exact
+from .solvers import scaled_chain_minmax
 from .vcg import AllocationAlgorithm
 
 MODE_PATH = "path"
@@ -216,18 +215,37 @@ def build_adversary_instance(spec: ChainSpec, mode: str) -> tuple[Instance, Bloc
 def chain_exact_allocator(indexing: BlockIndexing) -> AllocationAlgorithm:
     """Wrap the exact block-structured min-max solver as an allocation rule.
 
-    Works for any cost assignment on the same expanded-chain topology: per
-    block it reads each route's per-agent loads off the instance, as integers
-    over the instance's L (`scaled_loads`), and lets the makespan DP choose
-    one route per block. Scaling every cost alike changes no comparison, so
-    the witness is the one the rational costs give.
+    Works for any cost assignment on the topology `indexing` was built with,
+    and assumes that every instance it is given lists that topology's edges
+    in one order, as the built instance and its `with_costs` copies do. The
+    first call reads each route's (edge position, owner) columns off its
+    instance; every call sums the instance's integer costs over L
+    (`Instance.scaled_costs`) along them into per-route load vectors, and
+    the integer makespan DP (`scaled_chain_minmax`) picks one route per
+    block. Scaling every cost alike changes no comparison, so the witness
+    is the one the rational costs give.
     """
     edge_lists = [[route.edge_ids for route in routes] for routes in indexing.blocks]
+    columns: list[list[list[tuple[int, int]]]] = []  # per block and route
 
     def allocate(inst: Instance) -> Solution:
-        vectors = [[scaled_loads(inst, route.edge_ids) for route in routes]
-                   for routes in indexing.blocks]
-        return chain_minmax_exact(inst.agent_count, vectors, edge_lists).witness
+        if not columns:
+            position = {e.id: i for i, e in enumerate(inst.edges)}
+            columns.extend([[(position[eid], inst.edge_by_id(eid).owner - 1)
+                              for eid in route.edge_ids] for route in routes]
+                            for routes in indexing.blocks)
+        n = inst.agent_count
+        scale, costs = inst.scaled_costs()
+        vectors = []
+        for routes in columns:
+            block = []
+            for route in routes:
+                load = [0] * n
+                for i, agent in route:
+                    load[agent] += costs[i]
+                block.append(tuple(load))
+            vectors.append(block)
+        return scaled_chain_minmax(n, vectors, scale, edge_lists).witness
 
     return allocate
 

@@ -295,13 +295,14 @@ def cmd_adversary(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: an option has one spelling, never a prefix
     parser = argparse.ArgumentParser(
-        prog="minmax-procurement",
+        prog="minmax-procurement", allow_abbrev=False,
         description="Min-max procurement auctions: solvers, VCG, audits, "
                     "approximation scheme, and adversarial lower-bound runs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a chain-family instance file")
+    p = sub.add_parser("gen", allow_abbrev=False, help="generate a chain-family instance file")
     p.add_argument("kind", choices=["chain", "expandedchain", "dmst-chain"])
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--blocks", type=int, required=True)
@@ -312,25 +313,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("solve", help="run an exact solver on an instance")
+    p = sub.add_parser("solve", allow_abbrev=False, help="run an exact solver on an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--objective", choices=["minsum", "minmax"], default="minsum")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("vcg", help="run the VCG mechanism with Clarke payments")
+    p = sub.add_parser("vcg", allow_abbrev=False, help="run the VCG mechanism with Clarke payments")
     p.add_argument("--instance", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_vcg)
 
-    p = sub.add_parser("ptas", help="run the min-max path approximation scheme")
+    p = sub.add_parser("ptas", allow_abbrev=False, help="run the min-max path approximation scheme")
     p.add_argument("--instance", required=True)
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--check-against-bruteforce", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_ptas)
 
-    p = sub.add_parser("audit", help="random truthfulness/monotonicity probes")
+    p = sub.add_parser("audit", allow_abbrev=False, help="random truthfulness/monotonicity probes")
     p.add_argument("kind", choices=["monotonicity", "truthfulness"])
     p.add_argument("--alg", choices=["vcg"], default="vcg")
     p.add_argument("--trials", type=int, default=100)
@@ -338,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("adversary", help="execute the lower-bound construction")
+    p = sub.add_parser("adversary", allow_abbrev=False, help="execute the lower-bound construction")
     adv_sub = p.add_subparsers(dest="subcommand", required=True)
-    pr = adv_sub.add_parser("run")
+    pr = adv_sub.add_parser("run", allow_abbrev=False)
     pr.add_argument("--alg", choices=ALGORITHMS, default="vcg")
     pr.add_argument("--agents", type=int, required=True)
     pr.add_argument("--blocks", type=int, required=True)

@@ -22,15 +22,19 @@ Cost of the min-sum layer, for V nodes and E edges:
   recursion; a contraction recomputes only the new super-node's best
   in-edge, from its members' in-edge heaps merged smaller into larger.
 
-The chain DP (`chain_minmax_exact`) runs on integers over the block costs'
-common denominator. Of the candidate load vectors after a block it keeps
-only the ones whose lower bound on the final max load does not exceed the
-max load of a greedy pick sequence, tested as the candidates are built, and
-of those only the Pareto-minimal ones. With S survivors, a block costs
-O(S log S) for n <= 3 agents: one sort and a sweep over a staircase of the
-last two coordinates. For n >= 4 the prune is a pairwise scan, O(S^2) per
-block; the bound keeps S small enough that 4 agents and 16 blocks take well
-under a second.
+The chain DP has two entries over one body. `chain_minmax_exact` checks its
+int or Fraction block costs and scales them to integers over their common
+denominator L; `scaled_chain_minmax` takes n-tuples of ints already over a
+given L, with no check and no rescale, as the chain-exact allocator does.
+Of the candidate load vectors after a block the DP keeps only the ones
+whose lower bound on the final max load does not exceed the max load of a
+greedy pick sequence, tested as the candidates are built, and of those only
+the Pareto-minimal ones, found by one front helper that the load width
+selects. With S survivors, a block costs O(S log S) for n <= 3 agents: one
+sort, then a linear sweep, with a running minimum of the last coordinate
+for n <= 2 and over a staircase of the last two coordinates for n = 3. For
+n >= 4 the prune is a pairwise scan, O(S^2) per block; the bound keeps S
+small enough that 4 agents and 16 blocks take well under a second.
 
 Tie-breaking: the brute-force oracles return, among equal-value optima, the
 solution whose sorted edge-id sequence is lexicographically smallest. The
@@ -429,33 +433,11 @@ def chain_minmax_exact(
     `block_cost_vectors[k][c][i]` is the cost agent i+1 pays when choice `c`
     is taken in block k, an int or a Fraction; any other entry, a bool too,
     raises StructureError, as does an `n` that is not an int. The costs are
-    scaled once to integers over their common denominator.
-
-    Among optimal load vectors the one whose per-block pick sequence is
-    lexicographically smallest wins, and each load vector keeps the smallest
-    pick sequence that reaches it.
-
-    Two prunes keep the state count small; it is still exponential in n in
-    the worst case. A candidate X after block k is dropped when its bound,
-    max_i(X_i + rest[k+1][i]) with rest[j][i] the sum over blocks j, j+1, ...
-    of agent i's cheapest choice, exceeds UB, the max load of one real pick
-    sequence (greedy: in each block the first choice of smallest bound).
-    Then dominated load vectors are dropped from the survivors. Neither
-    changes the result:
-    - A child's bound is never below its parent's, and after the last block
-      the bound is the max load. So every ancestor of an optimal state has
-      bound <= OPT <= UB and is kept, whatever the signs of the costs.
-    - X <= Y everywhere gives bound(X) <= bound(Y). So a dropped candidate
-      dominates no kept one, and equal loads share their fate: the
-      survivors that are Pareto-minimal among the survivors are the ones
-      Pareto-minimal among all candidates, and bounding first keeps the
-      states that bounding the Pareto-minimal ones would keep.
-    - The survivors keep their order, so the first-copy rule and the final
-      first-of-equal `min` pick the states they would pick without the bound.
-    The bound is one test per coordinate of each candidate, against the
-    limits UB - rest[k+1][i] computed once per block, and the greedy costs
-    O(n) per choice. With S survivors, a block costs O(S log S) for n <= 3
-    (a sort and a staircase sweep) and O(S^2) for n >= 4 (a pairwise scan).
+    scaled once to integers over their common denominator L, and
+    `scaled_chain_minmax` solves the scaled input: its tie-break, prunes and
+    cost are this function's. With S surviving states a block costs
+    O(S log S) for n <= 2 (one sort and a linear sweep) and for n = 3 (one
+    sort and a staircase sweep), and O(S^2) for n >= 4.
 
     When `block_edges` is given (edge ids per block and choice), the witness
     Solution is assembled from the chosen blocks.
@@ -481,10 +463,51 @@ def chain_minmax_exact(
     scale, scaled = scale_to_integers(
         x for block in block_cost_vectors for vec in block for x in vec)
     costs = iter(scaled)
-    pad = (0,) * (3 - n)  # loads of up to three agents get three coordinates
-    blocks = [[tuple(islice(costs, n)) + pad for _ in block] for block in block_cost_vectors]
-    # rest[k][i]: the least agent i pays in blocks k, k+1, ... Adding it to a
-    # load with map reads the load's first n coordinates: padding never counts.
+    blocks = [[tuple(islice(costs, n)) for _ in block] for block in block_cost_vectors]
+    return scaled_chain_minmax(n, blocks, scale, block_edges)
+
+
+def scaled_chain_minmax(
+    n: int,
+    blocks: Sequence[Sequence[tuple[int, ...]]],
+    scale: int,
+    block_edges: Optional[Sequence[Sequence[Sequence[int]]]] = None,
+) -> OptimumReport:
+    """`chain_minmax_exact` on loads already over a common L = `scale`.
+
+    `blocks[k][c]` is a tuple of n ints, what each agent pays for choice c
+    of block k times L. Nothing is checked or rescaled: at least one block,
+    each with at least one choice, is the caller's to give. The value is the
+    optimal max load over L, Fraction(max load, scale).
+
+    Among optimal load vectors the one whose per-block pick sequence is
+    lexicographically smallest wins, and each load vector keeps the smallest
+    pick sequence that reaches it.
+
+    Two prunes keep the state count small; it is still exponential in n in
+    the worst case. A candidate X after block k is dropped when its bound,
+    max_i(X_i + rest[k+1][i]) with rest[j][i] the sum over blocks j, j+1, ...
+    of agent i's cheapest choice, exceeds UB, the max load of one real pick
+    sequence (greedy: in each block the first choice of smallest bound).
+    Then dominated load vectors are dropped from the survivors. Neither
+    changes the result:
+    - A child's bound is never below its parent's, and after the last block
+      the bound is the max load. So every ancestor of an optimal state has
+      bound <= OPT <= UB and is kept, whatever the signs of the costs.
+    - X <= Y everywhere gives bound(X) <= bound(Y). So a dropped candidate
+      dominates no kept one, and equal loads share their fate: the
+      survivors that are Pareto-minimal among the survivors are the ones
+      Pareto-minimal among all candidates, and bounding first keeps the
+      states that bounding the Pareto-minimal ones would keep.
+    - The survivors keep their order, so the first-copy rule and the final
+      first-of-equal `min` pick the states they would pick without the bound.
+    The bound is one test per coordinate of each candidate, against the
+    limits UB - rest[k+1][i] computed once per block, and the greedy costs
+    O(n) per choice. With S survivors, a block costs O(S log S) for n <= 3:
+    one sort, then a linear sweep with a running minimum for n <= 2 or a
+    staircase sweep for n = 3. For n >= 4 it is a pairwise scan, O(S^2).
+    """
+    # rest[k][i]: the least agent i pays in blocks k, k+1, ...
     rest = [(0,) * n]
     for block in reversed(blocks):
         rest.append(tuple(map(operator.add, rest[-1], map(min, zip(*block)))))
@@ -498,15 +521,19 @@ def chain_minmax_exact(
     # with a parent pointer (choice, parent state's pointer). Expanding them
     # in that order, choices ascending, keeps the order, so of the candidates
     # with equal loads the first has the smallest pick sequence. A candidate
-    # carries its (state, choice) position; it passes the bound iff its load
-    # is <= ub - rest[k+1] in each of the first n coordinates (a padded
-    # coordinate is 0 and gets the limit 0).
-    loads: list[tuple[int, ...]] = [(0,) * max(n, 3)]
+    # is its load followed by its (state, choice) position; it passes the
+    # bound iff its load is <= ub - rest[k+1] in every coordinate.
+    loads: list[tuple[int, ...]] = [(0,) * n]
     parents: list[Optional[tuple]] = [None]
     for block, r in zip(blocks, rest[1:]):
         limit = tuple(ub - x for x in r)
-        if n <= 3:
-            la, lb, lc = limit + pad
+        if n == 2:
+            la, lb = limit
+            candidates = [(p, q, s, ch) for s, (a, b) in enumerate(loads)
+                          for ch, (x, y) in enumerate(block)
+                          if (p := a + x) <= la and (q := b + y) <= lb]
+        elif n == 3:
+            la, lb, lc = limit
             candidates = [(p, q, w, s, ch) for s, (a, b, c) in enumerate(loads)
                           for ch, (x, y, z) in enumerate(block)
                           if (p := a + x) <= la and (q := b + y) <= lb and (w := c + z) <= lc]
@@ -520,7 +547,7 @@ def chain_minmax_exact(
         loads = [t[:-2] for t in kept]
 
     # min returns the first of equal keys: the smallest pick sequence
-    best = min(range(len(loads)), key=lambda i: max(loads[i][:n]))
+    best = min(range(len(loads)), key=lambda i: max(loads[i]))
     picks: list[int] = []
     node = parents[best]
     while node is not None:
@@ -533,7 +560,7 @@ def chain_minmax_exact(
         for k, c in enumerate(picks):
             ids.extend(block_edges[k][c])
         witness = Solution(ids)
-    return OptimumReport(MIN_MAX, Fraction(max(loads[best][:n]), scale), witness,
+    return OptimumReport(MIN_MAX, Fraction(max(loads[best]), scale), witness,
                          choices=tuple(picks))
 
 
@@ -542,22 +569,30 @@ def _pareto_minimal(candidates: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     order of the list.
 
     A candidate is a load followed by two ints, its position in the list's
-    order (positions ascend along the list). A load is dropped when another
-    one, or an earlier equal one, is <= it everywhere. Any such load precedes
-    it in a lexicographic sort of the candidates, so a sweep in that order
-    only asks whether an earlier load dominates. For three coordinates
-    (a, b, c) the earlier loads have a <= the current a, and the sweep keeps
-    the Pareto staircase of their (b, c): b ascending, c strictly
-    descending. The current load is dominated iff the staircase point with
-    the largest b' <= b has c' <= c. More coordinates take a pairwise scan.
+    order (positions ascend along the list); all loads have one width w. A
+    load is dropped when another one, or an earlier equal one, is <= it
+    everywhere. Any such load precedes it in a lexicographic sort of the
+    candidates, so a sweep in that order only asks whether an earlier load
+    dominates, and how it asks depends on w (Kung, Luccio & Preparata 1975):
+    - w <= 2: the earlier loads have a first coordinate <= the current one,
+      so the current load is dominated iff its last coordinate is not below
+      the least last coordinate so far (for w = 1 only the first survives).
+    - w = 3, loads (a, b, c): the sweep keeps the Pareto staircase of the
+      earlier loads' (b, c), b ascending and c strictly descending. The
+      current load is dominated iff the staircase point with the largest
+      b' <= b has c' <= c.
+    - w >= 4: a pairwise scan against the loads kept so far.
     """
     order = sorted(candidates)
+    if not order:
+        return order
+    width = len(order[0]) - 2
     kept: list[tuple[int, ...]] = []
-    if order and len(order[0]) > 3 + 2:  # more than three load coordinates
+    if width > 3:
         for cand in order:
             if not any(all(map(operator.le, k[:-2], cand)) for k in kept):
                 kept.append(cand)
-    else:
+    elif width == 3:
         bs: list[int] = []  # staircase, b ascending
         cs: list[int] = []  # c strictly descending
         for cand in order:
@@ -573,6 +608,13 @@ def _pareto_minimal(candidates: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             start = pos - 1 if pos and bs[pos - 1] == b else pos
             bs[start:end] = [b]
             cs[start:end] = [c]
+    else:
+        col = width - 1
+        least = order[0][col] + 1  # the least last coordinate so far
+        for cand in order:
+            if cand[col] < least:
+                least = cand[col]
+                kept.append(cand)
     kept.sort(key=operator.itemgetter(-2, -1))
     return kept
 

@@ -14,6 +14,7 @@ from minmax_procurement import (
     Solution,
     brute_minmax,
     chain_exact_allocator,
+    chain_minmax_exact,
     cost_summary,
     expand_chain,
     gen_chain,
@@ -271,6 +272,29 @@ def test_exact_minmax_allocator_yields_strict_violation():
     assert witness.reverify()
     a, b, c, d = witness.terms
     assert a + b > c + d
+
+
+@pytest.mark.parametrize("agents,blocks", [(2, 6), (3, 4), (4, 2)])
+def test_chain_exact_allocator_is_the_dp_on_any_costs_of_its_topology(agents, blocks):
+    # the allocator reads its route columns off the first instance and only
+    # costs off later ones; the Fraction entry prices each route afresh
+    rng = random.Random(f"allocator/{agents}x{blocks}")
+    inst, indexing = build_adversary_instance(ChainSpec(agents, blocks), MODE_PATH)
+    alg = chain_exact_allocator(indexing)
+    edges = [[route.edge_ids for route in routes] for routes in indexing.blocks]
+    for _ in range(30):
+        costs = inst.with_costs({e.id: F(rng.randint(0, 6), rng.choice((1, 2, 3)))
+                                 for e in inst.edges if rng.random() < 0.7})
+        vectors = []
+        for routes in indexing.blocks:
+            vectors.append([])
+            for route in routes:
+                load = [F(0)] * agents
+                for eid in route.edge_ids:
+                    edge = costs.edge_by_id(eid)
+                    load[edge.owner - 1] += edge.cost
+                vectors[-1].append(tuple(load))
+        assert alg(costs) == chain_minmax_exact(agents, vectors, edges).witness
 
 
 def test_violation_witness_replays_against_the_algorithm():

@@ -1,6 +1,8 @@
 """Truthfulness, weak-monotonicity, and edge-stability probes."""
 
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -316,3 +318,48 @@ def test_edge_stability_witness_is_the_probe_and_adversary_witness():
     pert = Perturbation(violation.agent, dict(violation.perturbed_costs))
     perturbed = pert.apply(start)
     assert violation == edge_stability_witness(start, perturbed, pert, alg(start), alg(perturbed))
+
+
+# -- the audit's draw stream ------------------------------------------------------
+
+# SHA-256 of every (instance, perturbation) pair that `audit truthfulness` and
+# `audit monotonicity --trials 200` hand their check at seeds 0..3
+AUDIT_DRAWS_SHA256 = "d671deb0bd12d95dbf47562955aeec6a62a4711aefc57a573938378a19c4981a"
+
+
+def test_the_audit_draw_stream_is_pinned(monkeypatch, tmp_path):
+    # An audit report of a truthful rule holds only its pass count and an
+    # empty violation list, so its golden digest does not see what
+    # random_path_instance, random_arborescence_instance and
+    # random_perturbation draw. This digest does.
+    from minmax_procurement import audit
+    from minmax_procurement.cli import main
+
+    digest, pairs = hashlib.sha256(), []
+
+    def record(kind, inst, pert):
+        pairs.append(kind)
+        edges = [[*e[:4], str(e.cost)] for e in inst.edges]
+        costs = sorted((eid, str(cost)) for eid, cost in pert.new_costs.items())
+        digest.update(json.dumps([kind, inst.directed, inst.node_count, inst.mode,
+                                  inst.source, inst.target_or_root, inst.agent_count, edges,
+                                  pert.agent, costs]).encode() + b"\n")
+
+    monotonicity, truthfulness = audit.check_weak_monotonicity, audit.check_truthfulness
+
+    def checked_monotonicity(alg, inst, pert):
+        record("monotonicity", inst, pert)
+        return monotonicity(alg, inst, pert)
+
+    def checked_truthfulness(mech, inst, agent, pert):
+        record("truthfulness", inst, pert)
+        return truthfulness(mech, inst, agent, pert)
+
+    monkeypatch.setattr(audit, "check_weak_monotonicity", checked_monotonicity)
+    monkeypatch.setattr(audit, "check_truthfulness", checked_truthfulness)
+    for kind in ("truthfulness", "monotonicity"):
+        for seed in range(4):
+            assert main(["audit", kind, "--trials", "200", "--seed", str(seed),
+                         "--out", str(tmp_path / "audit.json")]) == 0
+    assert pairs == ["truthfulness"] * 800 + ["monotonicity"] * 800
+    assert digest.hexdigest() == AUDIT_DRAWS_SHA256

@@ -4,7 +4,10 @@
 a pick tuple copied per state, a re-sort of the states by their picks at
 every block, and a quadratic dominance scan, with no bound on the states.
 It is kept here only as an oracle: `chain_minmax_exact` must return the same
-value, choices and witness on every input.
+value, choices and witness on every input. The adversary's chain-exact
+allocator calls the integer DP, `scaled_chain_minmax`, on loads over the
+instance's L; the former DP, given those integer loads, returns its value
+over L too, and the hooks below compare the two over that same L.
 
 The former DP takes seconds on the inputs the adversary gives it at 2 agents
 and up to 81 blocks, so its outputs there are committed, keyed by a digest
@@ -15,6 +18,7 @@ of each input, in tests/former_chain_dp_outputs.json;
 rewrites that file from the former DP alone.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -22,6 +26,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -29,7 +34,8 @@ import pytest
 from minmax_procurement import adversary, chain_minmax_exact, cli, run_adversary, solvers
 from minmax_procurement.adversary import ChainSpec, MODE_PATH, build_adversary_instance
 from minmax_procurement.graphs import Solution
-from minmax_procurement.solvers import MIN_MAX, OptimumReport, StructureError
+from minmax_procurement.solvers import (
+    MIN_MAX, OptimumReport, StructureError, scaled_chain_minmax)
 
 F = Fraction
 
@@ -96,6 +102,16 @@ def assert_same(n, vectors, edges=None):
     return new
 
 
+def assert_same_scaled(n, vectors, scale, edges=None):
+    """`scaled_chain_minmax` against the former DP on the same integer loads,
+    whose value is over L = `scale`."""
+    new = scaled_chain_minmax(n, vectors, scale, edges)
+    old = old_chain_minmax_exact(n, vectors, edges)
+    assert new == dataclasses.replace(old, value=old.value / scale)
+    assert type(new.value) is Fraction
+    return new
+
+
 def random_vectors(rng, n):
     """Blocks of small rational vectors with zeros, repeats and one-choice blocks."""
     denominators = rng.choice([(1,), (1, 2), (1, 2, 3, 6), (4, 7)])
@@ -141,7 +157,8 @@ def test_random_inputs_match_the_former_dp(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_negative_costs_match_the_former_dp(n):
     # no cost is negative on a graph, but the DP does not refuse them, and
-    # they show whether the padded coordinates leak into the value
+    # with negative loads a zero coordinate padded onto n <= 2 loads would
+    # win the max and show in the value
     rng = random.Random(f"chain-dp-negative/{n}")
     for _ in range(100):
         vectors = [[tuple(F(rng.randint(-4, 2), rng.choice((1, 3))) for _ in range(n))
@@ -220,14 +237,14 @@ def test_dominated_and_equal_padded_coordinates():
 
 @pytest.fixture
 def differential_allocator(monkeypatch):
-    """Route the adversary's chain-exact allocator through `assert_same`."""
+    """Route the adversary's chain-exact allocator through `assert_same_scaled`."""
     calls = []
 
-    def checked(n, vectors, edges=None):
+    def checked(n, vectors, scale, edges=None):
         calls.append(len(vectors))
-        return assert_same(n, vectors, edges)
+        return assert_same_scaled(n, vectors, scale, edges)
 
-    monkeypatch.setattr(adversary, "chain_minmax_exact", checked)
+    monkeypatch.setattr(adversary, "scaled_chain_minmax", checked)
     return calls
 
 
@@ -254,21 +271,22 @@ def encode_output(report):
 
 def former_outputs_of_runs(agents, sizes):
     """The former DP's output on each input the adversary gives it, by digest,
-    with the former DP as the adversary's allocator."""
+    with the former DP as the adversary's allocator; values are over the
+    instance's L."""
     outputs = {}
 
-    def former(n, vectors, edges=None):
+    def former(n, vectors, scale, edges=None):
         report = old_chain_minmax_exact(n, vectors, edges)
         outputs[input_digest(n, vectors, edges)] = encode_output(report)
         return report
 
-    saved = adversary.chain_minmax_exact
-    adversary.chain_minmax_exact = former
+    saved = adversary.scaled_chain_minmax
+    adversary.scaled_chain_minmax = former
     try:
         for blocks in sizes:
             run_chain_exact(agents, blocks)
     finally:
-        adversary.chain_minmax_exact = saved
+        adversary.scaled_chain_minmax = saved
     return outputs
 
 
@@ -283,18 +301,18 @@ def committed_allocator(monkeypatch, committed_outputs):
     the former DP's committed outputs; returns the digests checked."""
     digests = []
 
-    def checked(n, vectors, edges=None):
-        new = chain_minmax_exact(n, vectors, edges)
+    def checked(n, vectors, scale, edges=None):
+        new = scaled_chain_minmax(n, vectors, scale, edges)
         digest = input_digest(n, vectors, edges)
-        value, choices, witness = committed_outputs[digest]
-        assert new == OptimumReport(MIN_MAX, Fraction(value),
+        value, choices, witness = committed_outputs[digest]  # value over L
+        assert new == OptimumReport(MIN_MAX, Fraction(value) / scale,
                                     None if witness is None else Solution(witness),
                                     tuple(choices))
         assert type(new.value) is Fraction
         digests.append(digest)
         return new
 
-    monkeypatch.setattr(adversary, "chain_minmax_exact", checked)
+    monkeypatch.setattr(adversary, "scaled_chain_minmax", checked)
     return digests
 
 
@@ -339,10 +357,9 @@ def test_large_two_agent_run_is_fast():
 def unbounded_candidates(n, vectors):
     """The candidates the DP would pass to `_pareto_minimal` with only the
     dominance prune: per block, the Pareto-minimal states times the choices."""
-    pad = (0,) * (3 - n)
-    loads, total = [(0,) * max(n, 3)], 0
+    loads, total = [(0,) * n], 0
     for block in vectors:
-        candidates = [tuple(a + b for a, b in zip(load, tuple(vec) + pad)) + (s, c)
+        candidates = [tuple(map(add, load, vec)) + (s, c)
                       for s, load in enumerate(loads) for c, vec in enumerate(block)]
         total += len(candidates)
         loads = [t[:-2] for t in solvers._pareto_minimal(candidates)]
@@ -365,20 +382,22 @@ def test_chain_exact_runs_past_three_agents_with_half_the_candidates(
         return pareto_minimal(candidates)
 
     vectors_seen = []
-    allocator = adversary.chain_minmax_exact
+    allocator = adversary.scaled_chain_minmax
 
-    def recorded(n, vectors, edges=None):
+    def recorded(n, vectors, scale, edges=None):
         vectors_seen.append((n, vectors))
-        return allocator(n, vectors, edges)
+        return allocator(n, vectors, scale, edges)
 
     monkeypatch.setattr(solvers, "_pareto_minimal", counted)
-    monkeypatch.setattr(adversary, "chain_minmax_exact", recorded)
+    monkeypatch.setattr(adversary, "scaled_chain_minmax", recorded)
     out = tmp_path / "report.json"
     assert cli.main(["adversary", "run", "--alg", "chain-exact", "--agents", str(agents),
                      "--blocks", str(blocks), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["outcome"] == "monotonicity-violation"
     assert report["violation_reverified"] is True
+    # every block of every allocation passes the front helper its candidates
+    assert len(seen) == sum(len(v) for _, v in vectors_seen) > 0
     if unbounded is None:
         return
     if agents <= 3:

@@ -790,8 +790,8 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory, argv):
     cwd = os.getcwd()
     err = io.StringIO()
     try:
-        # every relative name resolves in `work`, also one that an abbreviated
-        # option such as "--o" takes from a stray token
+        # every relative name resolves in `work`, also one that an option
+        # such as "--out" takes from a stray token
         os.chdir(work)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
@@ -923,3 +923,27 @@ def test_option_inventory_is_pinned():
         return found
 
     assert options(cli.build_parser()) == OPTIONS
+
+
+@pytest.mark.parametrize("prefixed,full", [
+    (["ptas", "--instance", "exp.json", "--eps", "1/4", "--out", "out.json"],
+     ["ptas", "--instance", "exp.json", "--epsilon", "1/4", "--out", "out.json"]),
+    (["gen", "expandedchain", "--ag", "2", "--bl", "2", "--o", "out.json"],
+     ["gen", "expandedchain", "--agents", "2", "--blocks", "2", "--out", "out.json"]),
+    (["audit", "monotonicity", "--tri", "2", "--o", "out.json"],
+     ["audit", "monotonicity", "--trials", "2", "--out", "out.json"]),
+    (["adversary", "run", "--ag", "2", "--bl", "2", "--o", "out.json"],
+     ["adversary", "run", "--agents", "2", "--blocks", "2", "--out", "out.json"]),
+], ids=["ptas", "gen", "audit", "adversary"])
+def test_an_option_has_one_spelling(tmp_path, monkeypatch, capsys, prefixed, full):
+    # argparse takes a unique prefix of an option for the option unless
+    # allow_abbrev is off; every parser turns it off
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "expandedchain", "--agents", "2", "--blocks", "2",
+                 "--out", "exp.json"]) == 0
+    capsys.readouterr()
+    assert main(prefixed) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    assert not (tmp_path / "out.json").exists()
+    assert main(full) == 0 and (tmp_path / "out.json").exists()

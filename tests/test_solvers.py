@@ -318,3 +318,45 @@ def test_chain_exact_witness_assembled_from_block_edges():
     assert report.value == 1
     picks = report.choices
     assert len(picks) == 2 and picks[0] != picks[1]
+
+
+def test_the_integer_entry_returns_the_value_over_the_given_scale():
+    blocks = [[(F(1, 2), F(0)), (F(0), F(1, 3))], [(F(1, 6), F(1, 6)), (F(1), F(0))]]
+    report = chain_minmax_exact(2, blocks)
+    scaled = [[tuple(int(x * 6) for x in vec) for vec in block] for block in blocks]
+    assert solvers.scaled_chain_minmax(2, scaled, 6) == report
+    assert report.value == F(1, 2) and report.choices == (1, 0)
+
+
+# -- the nondominated front of the chain DP -----------------------------------
+
+
+def brute_front(candidates):
+    """The first copy of each Pareto-minimal load, in list order: a load goes
+    when another one is <= it everywhere and differs from it or comes first."""
+    kept = []
+    for i, cand in enumerate(candidates):
+        load = cand[:-2]
+        if not any(all(a <= b for a, b in zip(other[:-2], load)) and (other[:-2] != load or j < i)
+                   for j, other in enumerate(candidates) if j != i):
+            kept.append(cand)
+    return kept
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_front_helper_matches_brute_force(width):
+    rng = random.Random(f"pareto-front/{width}")
+    lengths = []
+    for _ in range(300):
+        top = rng.choice([0, 1, 2, 5])  # small ranges: ties, duplicates, all-zero loads
+        loads = [tuple(rng.randint(0, top) for _ in range(width))
+                 for _ in range(rng.randint(0, 24))]
+        for _ in range(rng.randint(0, 3)):  # exact duplicates anywhere in the list
+            if loads:
+                loads.insert(rng.randrange(len(loads) + 1), rng.choice(loads))
+        # positions ascend along the list, as the DP's (state, choice) pairs do
+        candidates = [load + divmod(i, 3) for i, load in enumerate(loads)]
+        kept = solvers._pareto_minimal(list(candidates))
+        assert kept == brute_front(candidates)
+        lengths.append(len(kept))
+    assert 0 in lengths and max(lengths) >= (1 if width == 1 else 3)
