@@ -13,7 +13,14 @@ Black-box checks against allocation algorithms and mechanisms:
 
 Verdicts are exact (rational arithmetic, no tolerances) and every violation
 witness carries the evaluated terms so it can be re-verified from its own
-data. The random probe generators are fully determined by their seed.
+data.
+
+The random probe generators are fully determined by their generator's state.
+They read only its `getrandbits` and `random()`: each bounded draw is
+`draw_below`, the rejection rule `random.Random.randrange` applies to
+`getrandbits`, so they draw what `randint`, `choice`, `shuffle` and
+`sample` would. Trial i of `audit --seed s` seeds `random.Random(s *
+1_000_003 + i)`.
 """
 
 from __future__ import annotations
@@ -207,8 +214,56 @@ _RANDOM_COSTS = {(p, q): Fraction(p, q) for p in range(MAX_NUMERATOR + 1)
                  for q in range(1, MAX_DENOMINATOR + 1)}
 
 
+def draw_below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n) made as `random.Random.randrange(n)` makes it:
+    `bits(k)` for k = n.bit_length(), redrawn while it is n or more.
+
+    `bits` is a Random's `getrandbits`. Raises ValueError for n <= 0, for
+    which no draw ends (bits(0) is always 0).
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _shuffle(bits: Callable[[int], int], x: list) -> None:
+    """Shuffle `x` in place as `random.Random.shuffle` does."""
+    for i in range(len(x) - 1, 0, -1):
+        j = draw_below(bits, i + 1)
+        x[i], x[j] = x[j], x[i]
+
+
+def _node_pair(bits: Callable[[int], int], n: int) -> tuple[int, int]:
+    """Two distinct nodes of range(n), drawn as `random.Random.sample(range(n), 2)`
+    draws them: from a shrinking pool for n <= 21, else by redrawing a repeat."""
+    first = draw_below(bits, n)
+    if n <= 21:
+        second = draw_below(bits, n - 1)
+        return first, n - 1 if second == first else second
+    second = draw_below(bits, n)
+    while second == first:
+        second = draw_below(bits, n)
+    return first, second
+
+
+def _rival(bits: Callable[[int], int], n: int, owner: int) -> int:
+    """An owner of 1..n other than `owner`, drawn as `random.Random.choice`
+    draws from the list of them."""
+    j = 1 + draw_below(bits, n - 1)
+    return j if j < owner else j + 1
+
+
+def _cost(bits: Callable[[int], int]) -> Fraction:
+    return _RANDOM_COSTS[draw_below(bits, MAX_NUMERATOR + 1),
+                         1 + draw_below(bits, MAX_DENOMINATOR)]
+
+
 def random_cost(rng: random.Random) -> Fraction:
-    return _RANDOM_COSTS[rng.randrange(MAX_NUMERATOR + 1), rng.randrange(1, MAX_DENOMINATOR + 1)]
+    return _cost(rng.getrandbits)
 
 
 def random_path_instance(rng: random.Random, max_nodes: int = 8,
@@ -220,27 +275,27 @@ def random_path_instance(rng: random.Random, max_nodes: int = 8,
     edges (no agent is pivotal-infeasible by construction: every edge gets a
     same-route sibling owned by a different agent when n > 1).
     """
-    n = agents if agents is not None else rng.randint(1, 3)
-    nodes = rng.randint(3, max_nodes)
+    bits = rng.getrandbits
+    n = agents if agents is not None else 1 + draw_below(bits, 3)
+    nodes = 3 + draw_below(bits, max_nodes - 2)
     edges: list[Edge] = []
 
     def add(u, v, owner=None):
-        edges.append(Edge(len(edges), u, v, owner if owner else rng.randint(1, n),
-                          random_cost(rng)))
+        owner = owner if owner else 1 + draw_below(bits, n)
+        edges.append(Edge(len(edges), u, v, owner, _cost(bits)))
+        return owner
 
     order = list(range(nodes))
-    rng.shuffle(order)
+    _shuffle(bits, order)
     s, t = order[0], order[-1]
     for u, v in zip(order, order[1:]):
-        add(u, v)
+        owner = add(u, v)
         # sibling parallel edge under a different owner keeps every agent
         # non-pivotal when n > 1
         if n > 1:
-            other = rng.choice([a for a in range(1, n + 1) if a != edges[-1].owner])
-            add(u, v, owner=other)
-    for _ in range(rng.randint(0, nodes)):
-        u, v = rng.sample(range(nodes), 2)
-        add(u, v)
+            add(u, v, owner=_rival(bits, n, owner))
+    for _ in range(draw_below(bits, nodes + 1)):
+        add(*_node_pair(bits, nodes))
     return Instance(False, nodes, tuple(edges), n, PATH, s, t)
 
 
@@ -248,23 +303,24 @@ def random_arborescence_instance(rng: random.Random, max_nodes: int = 8,
                                  agents: int | None = None) -> Instance:
     """Rooted directed instance where every node stays reachable without any
     single agent (each non-root node gets in-edges from two owners when n > 1)."""
-    n = agents if agents is not None else rng.randint(1, 3)
-    nodes = rng.randint(3, max_nodes)
+    bits = rng.getrandbits
+    n = agents if agents is not None else 1 + draw_below(bits, 3)
+    nodes = 3 + draw_below(bits, max_nodes - 2)
     root = 0
     edges: list[Edge] = []
 
     def add(u, v, owner=None):
-        edges.append(Edge(len(edges), u, v, owner if owner else rng.randint(1, n),
-                          random_cost(rng)))
+        owner = owner if owner else 1 + draw_below(bits, n)
+        edges.append(Edge(len(edges), u, v, owner, _cost(bits)))
+        return owner
 
     for v in range(1, nodes):
-        u = rng.randint(0, v - 1)
-        add(u, v)
+        owner = add(draw_below(bits, v), v)
         if n > 1:
-            other = rng.choice([a for a in range(1, n + 1) if a != edges[-1].owner])
-            add(rng.randint(0, v - 1), v, owner=other)
-    for _ in range(rng.randint(0, nodes)):
-        u, v = rng.sample(range(nodes), 2)
+            other = _rival(bits, n, owner)  # drawn before the edge's tail
+            add(draw_below(bits, v), v, owner=other)
+    for _ in range(draw_below(bits, nodes + 1)):
+        u, v = _node_pair(bits, nodes)
         if v != root:
             add(u, v)
     return Instance(True, nodes, tuple(edges), n, ARBORESCENCE, root, root)
@@ -274,9 +330,10 @@ def random_perturbation(rng: random.Random, inst: Instance, agent: int,
                         alloc: Optional[Solution] = None) -> Perturbation:
     """Half edge-stability shaped (when an allocation is supplied), half
     unstructured resampling of the agent's costs."""
+    bits = rng.getrandbits
     owned = inst.agent_edges(agent)
     if alloc is not None and rng.random() < 0.5:
-        shrink = Fraction(rng.randint(1, 3), 4)
-        bump = Fraction(1, rng.randint(1, 8))
+        shrink = Fraction(1 + draw_below(bits, 3), 4)
+        bump = Fraction(1, 1 + draw_below(bits, 8))
         return edge_stability_perturbation(inst, alloc, agent, shrink, bump)
-    return Perturbation(agent, {e.id: random_cost(rng) for e in owned})
+    return Perturbation(agent, {e.id: _cost(bits) for e in owned})

@@ -224,12 +224,13 @@ def cmd_ptas(args) -> int:
 
 def _audit_one(kind: str, seed: int, index: int):
     rng = random.Random(seed * 1_000_003 + index)
-    agents = rng.randint(2, 3)
+    bits = rng.getrandbits
+    agents = 2 + audit_mod.draw_below(bits, 2)
     if kind == "truthfulness" or rng.random() < 0.5:
         inst = audit_mod.random_path_instance(rng, agents=agents)
     else:
         inst = audit_mod.random_arborescence_instance(rng, agents=agents)
-    agent = rng.randint(1, inst.agent_count)
+    agent = 1 + audit_mod.draw_below(bits, inst.agent_count)
     alloc = vcg_mod.vcg_allocate(inst)
     pert = audit_mod.random_perturbation(rng, inst, agent, alloc)
     if kind == "monotonicity":
