@@ -1,22 +1,20 @@
 """Command-line harness: instance generation, solving, mechanism runs,
 audits, the approximation scheme, and adversary executions.
 
-Reports are JSON documents whose numeric fields are exact rationals encoded
-as strings ("p" or "p/q"); each report echoes the configuration (including
-the seed) needed to reproduce it byte for byte. Exit codes: 0 on success or
-an expected witness, 1 on an unexpected property failure, 2 on usage or I/O
-errors.
+Reports are JSON documents, written by `graphs.json_text`, whose numeric
+fields are exact rationals encoded as strings ("p" or "p/q"); each report
+echoes the configuration (including the seed) needed to reproduce it byte
+for byte. Exit codes: 0 on success or an expected witness, 1 on an
+unexpected property failure, 2 on usage or I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import random
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import adversary as adv
 from . import audit as audit_mod
@@ -25,10 +23,10 @@ from . import solvers
 from . import vcg as vcg_mod
 from .graphs import (
     InstanceFormatError,
-    Solution,
     as_rational,
     cost_summary,
     dump_instance,
+    json_text,
     load_instance,
 )
 
@@ -41,86 +39,15 @@ class UsageError(Exception):
     pass
 
 
-# Per dataclass the writer has met: its field names, sorted, each with its
-# encoded key. The module holds it, so it goes when a discarded import goes.
-_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
-
-
-def _json(obj, indent: str = "\n") -> str:
-    """`obj` as JSON, in the bytes `json.dumps(..., indent=1, sort_keys=True)`
-    writes, with Fractions as "p/q" strings, Solutions as their sorted ids
-    and dataclasses as dicts of their fields. `indent` is the newline and
-    spaces that precede obj's closing bracket.
-
-    Only the exact types reports hold are written: list, tuple, dict with
-    str keys, str, int, bool, None, Fraction, Solution and dataclasses. A
-    subclass of any of them (an `IntEnum` member, say), a dict key of
-    another type and every other value raise TypeError.
-    """
-    t = type(obj)
-    if t is tuple or t is list:
-        if not obj:
-            return "[]"
-        inner = indent + " "
-        # the last item rules out most mixed lists before the generator starts
-        if type(obj[-1]) is int and all(type(x) is int for x in obj):
-            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]"
-        parts = []
-        for x in obj:
-            tx = type(x)
-            if tx is int:
-                parts.append(int.__repr__(x))
-            elif tx is Fraction:
-                parts.append('"' + str(x) + '"')
-            else:
-                parts.append(_json(x, inner))
-        return _enclose("[", parts, "]", indent)
-    if t is dict:
-        for k in obj:
-            if type(k) is not str:
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-        inner = indent + " "
-        return _enclose("{", [_encode_str(k) + ": " + _json(v, inner)
-                              for k, v in sorted(obj.items())], "}", indent)
-    if t is str:
-        return _encode_str(obj)
-    if t is int:
-        return int.__repr__(obj)
-    if t is Fraction:
-        return '"' + str(obj) + '"'
-    if t is Solution:
-        return _json(sorted(obj.edge_ids), indent)
-    if t is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    fields = _FIELDS.get(t)
-    if fields is None:  # dataclasses.fields raises TypeError for any other type
-        fields = _FIELDS[t] = tuple(sorted(
-            (f.name, _encode_str(f.name) + ": ") for f in dataclasses.fields(t)))
-    inner = indent + " "
-    return _enclose("{", [key + _json(getattr(obj, name), inner) for name, key in fields],
-                    "}", indent)
-
-
-def _enclose(opening: str, parts: list[str], closing: str, indent: str) -> str:
-    """`parts`, one a line, between the brackets. The brackets join the end
-    parts, so the joined text is not copied once more."""
-    if not parts:
-        return opening + closing
-    inner = indent + " "
-    parts[0] = opening + inner + parts[0]
-    parts[-1] += indent + closing
-    return ("," + inner).join(parts)
-
-
 def _emit(report: dict, out: str | None) -> None:
-    text = _json(report) + "\n"
+    text = json_text(report)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+            fh.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def _fraction(text: str) -> Fraction:

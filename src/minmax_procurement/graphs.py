@@ -11,16 +11,24 @@ the solvers and the pricing of solutions compare and sum only those, and
 build a Fraction only for a value they return. No floating point enters any
 comparison. An `Edge` is a named tuple, cheap to build by the thousand; loops
 over every edge unpack it, as its fields read slower by name.
+
+`json_text` is the package's one JSON writer: the CLI's reports and the
+instance files of `dump_instance` go through it. `dump_instance` makes and
+writes the edge records a bounded chunk at a time; `json` only loads.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _encode_str
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 PATH = "path"
 ARBORESCENCE = "arborescence"
@@ -311,8 +319,120 @@ def validate_solution(inst: Instance, sol: Solution) -> bool:
 
 # -- serialization -----------------------------------------------------------
 
+# Per dataclass the writer has met: its field names. The module holds it, so
+# it goes when a discarded import goes.
+_FIELDS: dict[type, tuple[str, ...]] = {}
 
-def instance_to_dict(inst: Instance) -> dict:
+
+@functools.lru_cache(maxsize=256)
+def _members(names: tuple[str, ...], indent: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """`names` sorted, and the text around their values in an object that
+    closes at `indent`: the opening brace and the first key, a comma and
+    each further key, and the closing brace."""
+    names = tuple(sorted(names))
+    inner = indent + " "
+    return names, (*(("," if i else "{") + inner + _encode_str(k) + ": "
+                     for i, k in enumerate(names)), indent + "}")
+
+
+def json_text(obj, indent: str = "\n") -> str:
+    """`obj` as JSON, in the bytes `json.dumps(..., indent=1, sort_keys=True)`
+    writes, with Fractions as "p/q" strings, Solutions as their sorted ids
+    and dataclasses as dicts of their fields. `indent` is the newline and
+    spaces that precede obj's closing bracket. Reports and instance files
+    are written by it alone.
+
+    Only the exact types reports hold are written: list, tuple, dict with
+    str keys, str, int, bool, None, Fraction, Solution and dataclasses. A
+    subclass of any of them (an `IntEnum` member, say), a dict key of
+    another type and every other value raise TypeError.
+    """
+    t = type(obj)
+    if t is dict:
+        for k in obj:
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        names, frame = _members(tuple(obj), indent)
+        return _enclose(map(obj.__getitem__, names), indent, frame)
+    if t is tuple or t is list:
+        # the last item rules out most mixed lists before the generator starts
+        if obj and type(obj[-1]) is int and all(type(x) is int for x in obj):
+            inner = indent + " "
+            return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]"
+        return _enclose(obj, indent)
+    if t is str:
+        return _encode_str(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is Fraction:
+        return '"%s"' % obj
+    if t is Solution:
+        return json_text(sorted(obj.edge_ids), indent)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    fields = _FIELDS.get(t)
+    if fields is None:  # dataclasses.fields raises TypeError for any other type
+        fields = _FIELDS[t] = tuple(f.name for f in dataclasses.fields(t))
+    names, frame = _members(fields, indent)
+    return _enclose(map(getattr, repeat(obj), names), indent, frame)
+
+
+def _enclose(values: Iterable, indent: str, frame: tuple[str, ...] | None = None) -> str:
+    """`values`, one a line, as an array that closes at `indent` or, given
+    the `frame` of `_members`, as the values of an object's members. This
+    is the one scalar dispatch of lists, dicts and dataclasses: an int, str
+    or Fraction member is written here, without a call, and any other
+    through `json_text`."""
+    inner = indent + " "
+    parts = []
+    for v in values:
+        t = type(v)
+        if t is int:
+            parts.append(int.__repr__(v))
+        elif t is Fraction:
+            parts.append('"%s"' % v)
+        elif t is str:
+            parts.append(_encode_str(v))
+        else:
+            parts.append(json_text(v, inner))
+    if frame is not None:
+        if not parts:
+            return "{}"
+        text = [None] * (2 * len(parts) + 1)  # the frame's pieces around the values
+        text[::2] = frame
+        text[1::2] = parts
+        return "".join(text)
+    if not parts:
+        return "[]"
+    # the brackets join the end parts, so the joined text is not copied once more
+    parts[0] = "[" + inner + parts[0]
+    parts[-1] += indent + "]"
+    return ("," + inner).join(parts)
+
+
+def _write_object(write: Callable[[str], object], obj: dict, key: str,
+                  chunks: Iterable[list]) -> None:
+    """Write `json_text` of `obj` with one more member, `key`, whose value is
+    the list of the items of every list in `chunks`. The member goes among
+    obj's sorted keys, and its items' text is made and written one chunk at
+    a time, so neither all the items nor the whole text is held."""
+    inner, item = "\n ", "\n  "
+    names, frame = _members((*obj, key), "\n")
+    at = names.index(key)
+    texts = [json_text(obj[n], inner) for n in names if n != key]
+    write("".join(map(str.__add__, frame[:at], texts[:at])) + frame[at] + "[")
+    lead = item  # what comes before the next chunk's first item
+    for items in chunks:
+        write(lead + ("," + item).join([json_text(x, item) for x in items]))
+        lead = "," + item
+    write(("]" if lead == item else inner + "]")
+          + "".join(map(str.__add__, frame[at + 1:], texts[at:])) + frame[-1])
+
+
+def _header(inst: Instance) -> dict:
+    """An instance file's members but its edges."""
     return {
         "version": FILE_FORMAT_VERSION,
         "directed": inst.directed,
@@ -321,12 +441,17 @@ def instance_to_dict(inst: Instance) -> dict:
         "source": inst.source,
         "target_or_root": inst.target_or_root,
         "agents": inst.agent_count,
-        "edges": [
-            {"id": e.id, "tail": e.tail, "head": e.head, "owner": e.owner,
-             "cost": str(e.cost)}
-            for e in inst.edges
-        ],
     }
+
+
+def _edge_records(edges: Iterable[Edge]) -> list[dict]:
+    """The edges' records in an instance file; costs as "p" or "p/q"."""
+    return [{"id": eid, "tail": tail, "head": head, "owner": owner, "cost": str(cost)}
+            for eid, tail, head, owner, cost in edges]
+
+
+def instance_to_dict(inst: Instance) -> dict:
+    return {**_header(inst), "edges": _edge_records(inst.edges)}
 
 
 def _integer(record: dict, key: str, where: str = "") -> int:
@@ -409,9 +534,17 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError(f"bad instance data: {exc}") from exc
 
 
+# Edge records dump_instance makes, writes and drops at a time.
+EDGE_CHUNK = 4096
+
+
 def dump_instance(inst: Instance, path) -> None:
+    """Write `instance_to_dict(inst)` to `path` as `json_text` writes it, and
+    a newline; the edge records are made EDGE_CHUNK at a time."""
+    edges = inst.edges
+    chunks = (_edge_records(edges[i:i + EDGE_CHUNK]) for i in range(0, len(edges), EDGE_CHUNK))
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=1, sort_keys=True)
+        _write_object(fh.write, _header(inst), "edges", chunks)
         fh.write("\n")
 
 

@@ -42,7 +42,7 @@ def test_discarded_imports_of_the_package_are_collected():
             for m in _package_modules():
                 del sys.modules[m]
             # the report writer caches the fields of each dataclass it writes
-            importlib.import_module("minmax_procurement.cli")._json(
+            importlib.import_module("minmax_procurement.graphs").json_text(
                 sys.modules["minmax_procurement.graphs"].CostSummary((1,), 1, 1))
             for m in _package_modules():
                 refs.extend(weakref.ref(obj) for obj in vars(sys.modules[m]).values()

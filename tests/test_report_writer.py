@@ -2,11 +2,13 @@
 
 `old_report_text` is the former writer: `_jsonable` turned Fractions,
 Solutions and dataclasses into plain values, then `json.dumps(..., indent=1,
-sort_keys=True)` wrote them. It is kept here only as an oracle: `cli._json`
-must write the same bytes for every value of the exact types reports hold
-(list, tuple, dict with str keys, str, int, bool, None, Fraction, Solution
-and dataclasses), and must refuse with TypeError everything else, subclasses
-of those types and dict keys that are not exactly str included.
+sort_keys=True)` wrote them. It is kept here only as an oracle:
+`graphs.json_text` must write the same bytes for every value of the exact
+types reports hold (list, tuple, dict with str keys, str, int, bool, None,
+Fraction, Solution and dataclasses), and must refuse with TypeError
+everything else, subclasses of those types and dict keys that are not
+exactly str included, whether they stand alone, in a list, as a dict value
+or as a dataclass field.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmax_procurement import cli
-from minmax_procurement.graphs import Solution
+from minmax_procurement.graphs import Solution, json_text
 
 
 def _jsonable(obj):
@@ -86,16 +88,16 @@ values = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(values)
 def test_nested_values_match_the_former_writer(obj):
-    assert cli._json(obj) == old_report_text(obj)
+    assert json_text(obj) == old_report_text(obj)
 
 
 @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}}, {"a": []}, [[], {}], Solution(())])
 def test_empty_containers(obj):
-    assert cli._json(obj) == old_report_text(obj)
+    assert json_text(obj) == old_report_text(obj)
 
 
 def test_a_bool_in_an_int_list_stays_a_bool():
-    assert cli._json([1, True]) == old_report_text([1, True]) == "[\n 1,\n true\n]"
+    assert json_text([1, True]) == old_report_text([1, True]) == "[\n 1,\n true\n]"
 
 
 @pytest.mark.parametrize("obj", [
@@ -106,13 +108,18 @@ def test_a_bool_in_an_int_list_stays_a_bool():
     pytest.param((4, Ratio(2)), id="fraction-subclass-in-a-pair"),
     pytest.param(Name("a"), id="str-subclass"),
     pytest.param({"n": Count(5)}, id="int-subclass"),
+    pytest.param({"n": 2, "colour": Colour.RED}, id="int-enum-member-as-a-dict-value"),
+    pytest.param(Pair(Fraction(1, 2), Ratio(1, 3)), id="fraction-subclass-as-a-field"),
+    pytest.param({"name": Name("a")}, id="str-subclass-as-a-dict-value"),
+    pytest.param(Pair(Name("a"), 1), id="str-subclass-as-a-field"),
+    pytest.param(Pair(3, Count(4)), id="int-subclass-as-a-field"),
     pytest.param({1: "int"}, id="int-key"),
     pytest.param({"a": 1, Name("b"): 2}, id="str-subclass-key"),
     pytest.param(Pair, id="dataclass-type"),
 ])
 def test_other_types_are_refused(obj):
     with pytest.raises(TypeError):
-        cli._json(obj)
+        json_text(obj)
 
 
 def test_one_report_of_every_subcommand(tmp_path, monkeypatch):
