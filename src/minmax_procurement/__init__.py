@@ -28,7 +28,14 @@ from .solvers import (
     min_sum_optimum,
     shortest_path,
 )
-from .vcg import MechanismOutcome, clarke_payments, run_vcg, vcg_allocate
+from .vcg import (
+    MechanismOutcome,
+    clarke_payment,
+    clarke_payments,
+    run_vcg,
+    vcg_allocate,
+    vcg_mechanism,
+)
 from .pareto import PtasReport, minmax_ptas, pareto_eps, preprocess
 from .audit import (
     Perturbation,
@@ -59,7 +66,8 @@ __all__ = [
     "OptimumReport", "brute_minmax", "chain_minmax_exact", "min_arborescence",
     "min_sum_optimum", "shortest_path",
     # vcg
-    "MechanismOutcome", "clarke_payments", "run_vcg", "vcg_allocate",
+    "MechanismOutcome", "clarke_payment", "clarke_payments", "run_vcg",
+    "vcg_allocate", "vcg_mechanism",
     # pareto
     "PtasReport", "minmax_ptas", "pareto_eps", "preprocess",
     # audit

@@ -222,8 +222,10 @@ def chain_exact_allocator(indexing: BlockIndexing) -> AllocationAlgorithm:
     instance; every call sums the instance's integer costs over L
     (`Instance.scaled_costs`) along them into per-route load vectors, and
     the integer makespan DP (`scaled_chain_minmax`) picks one route per
-    block. Scaling every cost alike changes no comparison, so the witness
-    is the one the rational costs give.
+    block. An adversary step's copy takes its integers from its parent's,
+    computing only the perturbed agent's, over a common denominator that
+    need not be the least. Scaling every cost alike changes no comparison,
+    so the witness is the one the rational costs give, whatever L is.
     """
     edge_lists = [[route.edge_ids for route in routes] for routes in indexing.blocks]
     columns: list[list[list[tuple[int, int]]]] = []  # per block and route

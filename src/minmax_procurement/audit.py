@@ -36,11 +36,12 @@ from .graphs import (
     Edge,
     Instance,
     Solution,
+    agent_cost,
     as_rational,
     scaled_agent_cost,
     validate_solution,
 )
-from .vcg import AllocationAlgorithm, MechanismOutcome
+from .vcg import AllocationAlgorithm
 
 WEAK_MONOTONICITY = "weak-monotonicity"
 TRUTHFULNESS = "truthfulness"
@@ -61,7 +62,8 @@ class Perturbation:
 
     def validate(self, inst: Instance) -> dict[int, Fraction]:
         """The new costs as Fractions, each checked once against `inst`."""
-        owned = {e.id for e in inst.agent_edges(self.agent)}
+        agent = self.agent
+        owned = {e.id for e in inst.edges if e.owner == agent}
         costs = {}
         for eid, cost in self.new_costs.items():
             if eid not in owned:
@@ -136,8 +138,10 @@ def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
     return _violation(WEAK_MONOTONICITY, inst, perturbed, pert.agent, x, x_prime)
 
 
-# string names keep the package's classes out of typing's caches (see vcg)
-Mechanism = Callable[["Instance"], "MechanismOutcome"]
+# `mech(profile, agent)` returns the allocation for the profile and the
+# agent's payment; string names keep the package's classes out of typing's
+# caches (see vcg)
+Mechanism = Callable[["Instance", int], "tuple[Solution, Fraction]"]
 
 
 def check_truthfulness(mech: Mechanism, inst: Instance, agent: int,
@@ -145,19 +149,21 @@ def check_truthfulness(mech: Mechanism, inst: Instance, agent: int,
     """None on pass; a witness when the misreport beats truth-telling.
 
     `inst` carries the true profile; `misreport` is the alternative report of
-    `agent`. Utilities are evaluated with the true costs.
+    `agent`. The mechanism is asked for the probed agent's payment alone
+    under each profile, and utilities are evaluated with the true costs.
     """
     if misreport.agent != agent:
         raise ValueError("misreport must belong to the probed agent")
-    reported = misreport.apply(inst)
-    truthful = mech(inst)
-    deviated = mech(reported)
-    u_truth = truthful.utility(inst, agent)
-    u_dev = deviated.utility(inst, agent)
+    new_costs = misreport.validate(inst)  # a bad misreport is refused before any solve
+    x, pay = mech(inst, agent)
+    reported = inst.with_costs(new_costs)  # shares what the mechanism built on inst
+    x_dev, pay_dev = mech(reported, agent)
+    u_truth = pay - agent_cost(inst, x, agent)
+    u_dev = pay_dev - agent_cost(inst, x_dev, agent)
     if u_truth >= u_dev:
         return None
-    return _witness(TRUTHFULNESS, inst, reported, agent, truthful.allocation,
-                    deviated.allocation, (u_truth, u_dev, Fraction(0), Fraction(0)))
+    return _witness(TRUTHFULNESS, inst, reported, agent, x, x_dev,
+                    (u_truth, u_dev, Fraction(0), Fraction(0)))
 
 
 def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,

@@ -162,7 +162,7 @@ def _audit_one(kind: str, seed: int, index: int):
     pert = audit_mod.random_perturbation(rng, inst, agent, alloc)
     if kind == "monotonicity":
         return audit_mod.check_weak_monotonicity(vcg_mod.vcg_allocate, inst, pert)
-    return audit_mod.check_truthfulness(vcg_mod.run_vcg, inst, agent, pert)
+    return audit_mod.check_truthfulness(vcg_mod.vcg_mechanism, inst, agent, pert)
 
 
 def cmd_audit(args) -> int:

@@ -5,12 +5,17 @@ multigraph, or an arborescence problem on a directed multigraph rooted at a
 designated node. Edges carry an owning agent and a nonnegative rational cost;
 parallel edges are allowed and edges are identified by integer id only.
 
-Costs are `fractions.Fraction`s (or ints) at the API. Each instance scales
-them once to integers over their common denominator L (`Instance.scaled_costs`);
-the solvers and the pricing of solutions compare and sum only those, and
-build a Fraction only for a value they return. No floating point enters any
-comparison. An `Edge` is a named tuple, cheap to build by the thousand; loops
-over every edge unpack it, as its fields read slower by name.
+Costs are `fractions.Fraction`s (or ints) at the API. Each instance holds
+them once as integers over a common denominator L (`Instance.scaled_costs`):
+the least one for a built or loaded instance, and for a cost-only copy
+(`Instance.with_costs`) of an instance that has its integers, the lcm of
+its parent's L and the replaced costs' denominators, so that the copy
+rescales none of the costs it keeps. The solvers and the pricing of
+solutions compare and sum only those integers, and build a Fraction only
+for a value they return. No floating point enters any comparison. An
+`Edge` is a named tuple, cheap to build by the thousand. A loop over every
+edge that reads most of its fields unpacks it; one that reads one or two
+reads them by name, which is faster than unpacking all five.
 
 `json_text` is the package's one JSON writer: the CLI's reports and the
 instance files of `dump_instance` go through it. `dump_instance` makes and
@@ -103,10 +108,14 @@ class Instance:
     `target_or_root` (ARBORESCENCE; `source` conventionally equals the root).
 
     Derived copies (`with_costs`, `without_agent`, `without_edges`) skip the
-    constructor's per-edge checks, which their parent passed, and carry only
-    the fields: no derived data, such as the integer costs, comes from the
-    parent. Besides the edge index, the integer costs and the adjacency
-    lists, `solvers` keeps one cache on an instance: its min-sum optimum.
+    constructor's per-edge checks, which their parent passed. A cost-only
+    copy (`with_costs`) keeps ids, endpoints, owners and `directed`, so it
+    shares what its parent has built of the edge index and the adjacency
+    lists, and derives its integer costs from the parent's, if built,
+    computing only the replaced ones. `without_agent` and `without_edges`
+    change the topology and carry only the fields. Besides these, `solvers`
+    keeps one cache on an instance, its min-sum optimum, which no copy
+    shares.
     """
 
     directed: bool
@@ -163,8 +172,10 @@ class Instance:
         return index
 
     def scaled_costs(self) -> tuple[int, list[int]]:
-        """The costs' common denominator L and each edge's cost times L, in
-        edge order; computed on first use. The list is shared: do not change it."""
+        """A common denominator L of the costs and each edge's cost times L,
+        in edge order: edge i costs Fraction(x_i, L). Computed on first use,
+        with the least L, unless a `with_costs` copy took them from its
+        parent (see the module docstring). The list is shared: do not change it."""
         scaled = self.__dict__.get("_scaled_cache")
         if scaled is None:
             scaled = scale_to_integers(e.cost for e in self.edges)
@@ -190,11 +201,43 @@ class Instance:
     # -- derived instances -------------------------------------------------
 
     def with_costs(self, new_costs: Mapping[int, Fraction]) -> "Instance":
-        """Copy with the given edge costs replaced (same topology and ids)."""
-        return self._derive(tuple(
-            Edge(e.id, e.tail, e.head, e.owner, as_cost(new_costs[e.id]))
-            if e.id in new_costs else e
-            for e in self.edges))
+        """Copy with the given edge costs replaced (same topology and ids).
+
+        An id the instance does not have raises ValueError, and each cost
+        goes through `as_cost`, before the copy is built. The copy shares
+        the edge index and adjacency lists its parent has built, never the
+        min-sum memo. From the parent's integer costs over L, if built, it
+        derives its own over L' = lcm(L, the replaced costs' denominators):
+        the kept ones reused, times L'/L when L' != L, and only the replaced
+        ones computed.
+        """
+        index = self.__dict__.get("_edge_index_cache")
+        if index is None:  # one scan that keeps nothing
+            index = {e.id: i for i, e in enumerate(self.edges) if e.id in new_costs}
+        replaced = []
+        for eid, cost in new_costs.items():
+            if eid not in index:
+                raise ValueError(f"unknown edge id {eid}")
+            replaced.append((index[eid], as_cost(cost)))
+        edges = list(self.edges)
+        for i, cost in replaced:
+            eid, tail, head, owner, _ = edges[i]
+            edges[i] = Edge(eid, tail, head, owner, cost)
+        copy = self._derive(tuple(edges))
+        mine, shared = self.__dict__, copy.__dict__
+        for cache in ("_edge_index_cache", "_adjacency_cache"):
+            if cache in mine:
+                shared[cache] = mine[cache]
+        if "_scaled_cache" in mine:
+            scale, scaled = mine["_scaled_cache"]
+            ratios = [(i, *cost.as_integer_ratio()) for i, cost in replaced]
+            new_scale = math.lcm(scale, *(q for *_, q in ratios))
+            factor = new_scale // scale
+            ints = scaled.copy() if factor == 1 else [x * factor for x in scaled]
+            for i, p, q in ratios:
+                ints[i] = p * (new_scale // q)
+            shared["_scaled_cache"] = (new_scale, ints)
+        return copy
 
     def without_agent(self, agent: int) -> "Instance":
         """Copy with all of `agent`'s edges deleted (agent ids unchanged)."""

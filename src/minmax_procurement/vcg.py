@@ -5,6 +5,9 @@ minimum arborescence depending on the instance mode), which makes the
 mechanism truthful and an n-approximation of the min-max optimum. Payments
 follow the Clarke pivot rule: each agent receives the externality it imposes,
 P_i = SC_without_i - (SC - own_share), which is individually rational here.
+`clarke_payment` prices one agent; `run_vcg` pays every agent, and
+`vcg_mechanism` gives the allocation and one agent's payment, the contract
+the truthfulness audit asks for.
 
 All quantities are exact rationals; the mechanism is deterministic.
 """
@@ -48,34 +51,51 @@ def vcg_allocate(inst: Instance) -> Solution:
     return min_sum_optimum(inst).witness
 
 
-def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
-    """Clarke pivot payments for the given min-sum allocation.
+_ZERO = Fraction(0)  # immutable, so every idle agent's payment is this one
+
+
+def clarke_payment(inst: Instance, alloc: Solution, agent: int) -> Fraction:
+    """Agent's Clarke pivot payment for the given min-sum allocation.
 
     P_i = SC_{-i} - (SC - t_i(alloc)), where SC_{-i} is the min-sum optimum
     with agent i's edges deleted, from `scaled_min_sum_value(inst, i)`: a
     solve on the instance itself that skips agent i's edges, with no derived
-    copy. Everything is an integer over the instance's L until one Fraction
-    per payment. Agents with no edge in the graph are paid 0 with no solve.
-    So is an agent that owns no edge of the memoized min-sum optimum, which
-    `run_vcg` allocates: that optimum stays feasible without the agent, so
-    SC_{-i} = SC, and the solve is skipped. The shortcut rests on the memo's
-    witness, not on `alloc`, so any allocation gets exact payments.
+    copy. Everything is an integer over the instance's L until the one
+    Fraction returned. An agent with no edge in the graph is paid 0 with no
+    solve. So is an agent that owns no edge of the memoized min-sum optimum,
+    which `run_vcg` allocates: that optimum stays feasible without the agent,
+    so SC_{-i} = SC, and the solve is skipped. The shortcut rests on the
+    memo's witness, not on `alloc`, so any allocation gets the exact payment.
+    Raises PivotalInfeasibleError when no solution avoids the agent's edges,
+    and ValueError for an agent outside 1..n.
     """
-    scale = inst.scaled_costs()[0]
+    if not 1 <= agent <= inst.agent_count:
+        raise ValueError(f"agent {agent} is not one of 1..{inst.agent_count}")
+    loads = scaled_loads(inst, alloc.edge_ids)
+    owns = any(e.owner == agent for e in inst.edges)
+    return _pivot(inst, loads, sum(loads), agent, owns)
+
+
+def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
+    """`clarke_payment` for agents 1..n in order, with the allocation priced
+    once; the first pivotal agent raises."""
     loads = scaled_loads(inst, alloc.edge_ids)
     total = sum(loads)
     owners = {e.owner for e in inst.edges}
-    payments = []
-    for agent in range(1, inst.agent_count + 1):
-        if agent not in owners:
-            payments.append(Fraction(0))
-            continue
-        try:
-            sc_without = scaled_min_sum_value(inst, agent)
-        except NoFeasibleSolutionError:
-            raise PivotalInfeasibleError(agent) from None
-        payments.append(Fraction(sc_without - (total - loads[agent - 1]), scale))
-    return tuple(payments)
+    return tuple(_pivot(inst, loads, total, agent, agent in owners)
+                 for agent in range(1, inst.agent_count + 1))
+
+
+def _pivot(inst: Instance, loads: list[int], total: int, agent: int, owns: bool) -> Fraction:
+    """`clarke_payment` from the allocation's per-agent loads, their total
+    and whether the agent owns an edge of the graph."""
+    if not owns:
+        return _ZERO
+    try:
+        sc_without = scaled_min_sum_value(inst, agent)
+    except NoFeasibleSolutionError:
+        raise PivotalInfeasibleError(agent) from None
+    return Fraction(sc_without - (total - loads[agent - 1]), inst.scaled_costs()[0])
 
 
 def run_vcg(inst: Instance) -> MechanismOutcome:
@@ -86,3 +106,10 @@ def run_vcg(inst: Instance) -> MechanismOutcome:
     """
     alloc = vcg_allocate(inst)
     return MechanismOutcome(alloc, clarke_payments(inst, alloc))
+
+
+def vcg_mechanism(inst: Instance, agent: int) -> tuple[Solution, Fraction]:
+    """VCG as `audit.Mechanism`: the min-sum allocation and `agent`'s Clarke
+    payment alone, so one pivot solve at most, and only for that agent."""
+    alloc = vcg_allocate(inst)
+    return alloc, clarke_payment(inst, alloc, agent)

@@ -30,6 +30,7 @@ from minmax_procurement import (
     preprocess,
     run_adversary,
     run_vcg,
+    vcg_mechanism,
     vcg_allocate,
 )
 from minmax_procurement.adversary import MODE_DMST, MODE_PATH, build_adversary_instance
@@ -211,7 +212,7 @@ def test_criterion_8_vcg_truthfulness_and_monotonicity_probes():
         if check_weak_monotonicity(vcg_allocate, inst, pert) is not None:
             mono_viol += 1
         if seed % 2 == 0:  # payments need instances with no pivotal agent
-            if check_truthfulness(run_vcg, inst, agent, pert) is not None:
+            if check_truthfulness(vcg_mechanism, inst, agent, pert) is not None:
                 truth_viol += 1
     truth_probes = 0
     for seed in range(1000):
@@ -220,7 +221,7 @@ def test_criterion_8_vcg_truthfulness_and_monotonicity_probes():
         agent = rng.randint(1, inst.agent_count)
         pert = random_perturbation(rng, inst, agent, vcg_allocate(inst))
         truth_probes += 1
-        if check_truthfulness(run_vcg, inst, agent, pert) is not None:
+        if check_truthfulness(vcg_mechanism, inst, agent, pert) is not None:
             truth_viol += 1
     elapsed = done()
     verdict(8, mono_viol == 0 and truth_viol == 0,

@@ -18,13 +18,15 @@ from minmax_procurement import (
     check_weak_monotonicity,
     edge_stability_perturbation,
     edge_stability_witness,
-    run_vcg,
+    vcg_mechanism,
     vcg_allocate,
 )
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain
-from minmax_procurement.graphs import agent_cost
+from minmax_procurement.graphs import agent_cost, scaled_loads
 from minmax_procurement.audit import (
     EDGE_STABILITY,
+    TRUTHFULNESS,
+    ViolationWitness,
     InfeasibleAllocationError,
     is_strict_edge_stability,
     random_arborescence_instance,
@@ -32,6 +34,8 @@ from minmax_procurement.audit import (
     random_path_instance,
     random_perturbation,
 )
+from minmax_procurement.solvers import NoFeasibleSolutionError, scaled_min_sum_value
+from minmax_procurement.vcg import MechanismOutcome, PivotalInfeasibleError
 
 F = Fraction
 
@@ -105,17 +109,17 @@ def test_perturbation_must_cover_only_owned_edges():
 
 def test_truthful_report_passes_with_equality():
     inst = parallel_instance([1, 3])
-    assert check_truthfulness(run_vcg, inst, 1, Perturbation(1, {0: F(1)})) is None
+    assert check_truthfulness(vcg_mechanism, inst, 1, Perturbation(1, {0: F(1)})) is None
 
 
 def test_misreport_that_keeps_the_win_does_not_help():
     inst = parallel_instance([1, 3])
-    assert check_truthfulness(run_vcg, inst, 1, Perturbation(1, {0: F(2)})) is None
+    assert check_truthfulness(vcg_mechanism, inst, 1, Perturbation(1, {0: F(2)})) is None
 
 
 def test_misreport_that_loses_the_auction_does_not_help():
     inst = parallel_instance([1, 3])
-    assert check_truthfulness(run_vcg, inst, 1, Perturbation(1, {0: F(4)})) is None
+    assert check_truthfulness(vcg_mechanism, inst, 1, Perturbation(1, {0: F(4)})) is None
 
 
 def test_vcg_passes_random_truthfulness_probes():
@@ -125,22 +129,123 @@ def test_vcg_passes_random_truthfulness_probes():
         agent = rng.randint(1, inst.agent_count)
         alloc = vcg_allocate(inst)
         pert = random_perturbation(rng, inst, agent, alloc)
-        assert check_truthfulness(run_vcg, inst, agent, pert) is None
+        assert check_truthfulness(vcg_mechanism, inst, agent, pert) is None
+
+
+def first_price(inst, agent):
+    """Pay-your-bid: the min-sum allocation, and the agent paid its reported cost."""
+    alloc = vcg_allocate(inst)
+    return alloc, agent_cost(inst, alloc, agent)
 
 
 def test_pay_your_bid_mechanism_is_untruthful():
-    from minmax_procurement.vcg import MechanismOutcome
-
-    def first_price(inst):
-        alloc = vcg_allocate(inst)
-        pay = tuple(agent_cost(inst, alloc, a)
-                    for a in range(1, inst.agent_count + 1))
-        return MechanismOutcome(alloc, pay)
-
     inst = parallel_instance([1, 3])
     witness = check_truthfulness(first_price, inst, 1, Perturbation(1, {0: F(2)}))
     assert witness is not None and witness.reverify()
     assert witness.terms[0] < witness.terms[1]  # overbidding strictly helps
+
+
+# -- the former truthfulness check as the oracle --------------------------------
+
+
+def former_run_vcg(inst):
+    """The former `run_vcg`: the min-sum allocation and every agent's Clarke
+    payment, from the former payment loop."""
+    alloc = vcg_allocate(inst)
+    scale = inst.scaled_costs()[0]
+    loads = scaled_loads(inst, alloc.edge_ids)
+    total = sum(loads)
+    owners = {e.owner for e in inst.edges}
+    payments = []
+    for agent in range(1, inst.agent_count + 1):
+        if agent not in owners:
+            payments.append(F(0))
+            continue
+        try:
+            sc_without = scaled_min_sum_value(inst, agent)
+        except NoFeasibleSolutionError:
+            raise PivotalInfeasibleError(agent) from None
+        payments.append(F(sc_without - (total - loads[agent - 1]), scale))
+    return MechanismOutcome(alloc, tuple(payments))
+
+
+def former_first_price(inst):
+    alloc = vcg_allocate(inst)
+    return MechanismOutcome(alloc, tuple(agent_cost(inst, alloc, a)
+                                         for a in range(1, inst.agent_count + 1)))
+
+
+def former_check_truthfulness(mech, inst, agent, misreport):
+    """The former check: the whole outcome under each profile, the reported
+    profile built through the validating constructor."""
+    reported = Instance(inst.directed, inst.node_count, tuple(
+        Edge(e.id, e.tail, e.head, e.owner, F(misreport.new_costs.get(e.id, e.cost)))
+        for e in inst.edges), inst.agent_count, inst.mode, inst.source, inst.target_or_root)
+    truthful, deviated = mech(inst), mech(reported)
+    u_truth, u_dev = truthful.utility(inst, agent), deviated.utility(inst, agent)
+    if u_truth >= u_dev:
+        return None
+    base, changed = (tuple((e.id, e.cost) for e in profile.agent_edges(agent))
+                     for profile in (inst, reported))
+    return ViolationWitness(TRUTHFULNESS, agent, base, changed, truthful.allocation,
+                            deviated.allocation, (u_truth, u_dev, F(0), F(0)))
+
+
+def fresh(inst):
+    return Instance(inst.directed, inst.node_count, inst.edges, inst.agent_count,
+                    inst.mode, inst.source, inst.target_or_root)
+
+
+@pytest.mark.parametrize("mech, former, least, most", [
+    (vcg_mechanism, former_run_vcg, 0, 0),
+    (first_price, former_first_price, 20, 300),  # pay-your-bid fails on 27 probes
+])
+def test_truthfulness_verdicts_and_witnesses_match_the_former_check(mech, former,
+                                                                    least, most):
+    found = 0
+    for seed in range(300):
+        rng = random.Random(30_000 + seed)
+        inst = random_path_instance(rng, agents=2 + seed % 2)
+        agent = rng.randint(1, inst.agent_count)
+        pert = random_perturbation(rng, inst, agent, vcg_allocate(inst))
+        expected = former_check_truthfulness(former, fresh(inst), agent, pert)
+        assert check_truthfulness(mech, inst, agent, pert) == expected, seed
+        if expected is not None:
+            assert expected.reverify()
+            found += 1
+    assert least <= found <= most
+
+
+def test_only_the_probed_agent_is_priced():
+    # agent 2 owns the only edge into the target; agents 1 and 3 compete before it
+    edges = (Edge(0, 0, 1, 1, F(1)), Edge(1, 0, 1, 3, F(2)), Edge(2, 1, 2, 2, F(1)))
+    inst = Instance(False, 3, edges, 3, PATH, 0, 2)
+    pert = Perturbation(1, {0: F(3, 2)})
+    with pytest.raises(PivotalInfeasibleError):
+        former_check_truthfulness(former_run_vcg, inst, 1, pert)
+    assert check_truthfulness(vcg_mechanism, inst, 1, pert) is None
+    with pytest.raises(PivotalInfeasibleError) as err:
+        check_truthfulness(vcg_mechanism, inst, 2, Perturbation(2, {2: F(2)}))
+    assert err.value.agent == 2
+
+
+@pytest.mark.parametrize("new_costs, message", [
+    ({0: F(1)}, "edge 0 is not owned by agent 2"),
+    ({2: F(-1)}, "perturbed cost of edge 2 is negative"),
+])
+def test_a_bad_misreport_is_refused_before_any_solve(new_costs, message):
+    # agent 2 is pivotal, so pricing it first would raise PivotalInfeasibleError
+    edges = (Edge(0, 0, 1, 1, F(1)), Edge(1, 0, 1, 3, F(2)), Edge(2, 1, 2, 2, F(1)))
+    inst = Instance(False, 3, edges, 3, PATH, 0, 2)
+    asked = []
+
+    def mech(profile, agent):
+        asked.append(agent)
+        return vcg_mechanism(profile, agent)
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_truthfulness(mech, inst, 2, Perturbation(2, new_costs))
+    assert asked == []
 
 
 # -- edge-stability probes ----------------------------------------------------
@@ -267,10 +372,10 @@ def test_truthful_mechanism_implies_monotone_allocation_on_sampled_pairs():
         agent = rng.randint(1, 2)
         alloc = vcg_allocate(inst)
         pert = random_perturbation(rng, inst, agent, alloc)
-        forward = check_truthfulness(run_vcg, inst, agent, pert)
+        forward = check_truthfulness(vcg_mechanism, inst, agent, pert)
         back_inst = pert.apply(inst)
         back = Perturbation(agent, {e.id: e.cost for e in inst.agent_edges(agent)})
-        backward = check_truthfulness(run_vcg, back_inst, agent, back)
+        backward = check_truthfulness(vcg_mechanism, back_inst, agent, back)
         if forward is None and backward is None:
             assert check_weak_monotonicity(vcg_allocate, inst, pert) is None
 

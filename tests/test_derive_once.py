@@ -1,20 +1,24 @@
 """Derived instances, the min-sum memo and the work done once per instance.
 
 Derived copies (`with_costs`, `without_agent`, `without_edges` and
-`Perturbation.apply`) skip the constructor's per-edge validation and hold
-only the instance's fields: no cache comes from the parent. A memo leaked into a copy would not show
-in any report: VCG is monotone, so every audit passes either way. These
-tests look at the copies directly, and count the solves and builds the CLI
-makes.
+`Perturbation.apply`) skip the constructor's per-edge validation. A
+cost-only copy (`with_costs`, `apply`) keeps ids, endpoints and owners, so
+it holds its parent's edge index and adjacency lists, the very objects,
+and derives its integer costs from its parent's. `without_agent` and
+`without_edges` hold only the instance's fields. No copy holds the
+min-sum memo. A memo leaked into a copy would not show in any report: VCG
+is monotone, so every audit passes either way. These tests look at the
+copies directly, and count the solves and builds the CLI makes.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from minmax_procurement import adversary, cli, pareto, solvers
+from minmax_procurement import adversary, audit, cli, pareto, solvers
 from minmax_procurement.adversary import ChainSpec, gen_chain
 from minmax_procurement.audit import (
     Perturbation,
@@ -28,7 +32,8 @@ from minmax_procurement.pareto import minmax_ptas
 from minmax_procurement.solvers import NoFeasibleSolutionError, min_sum_optimum
 
 F = Fraction
-CACHES = ("_min_sum_cache", "_edge_index_cache", "_scaled_cache", "_adjacency_cache")
+# what a cost-only copy shares with its parent, when the parent has built it
+TOPOLOGY = ("_edge_index_cache", "_adjacency_cache")
 FIELDS = {field.name for field in dataclasses.fields(Instance)}
 
 
@@ -46,17 +51,18 @@ def solve(inst):
 
 
 def derived_copies(rng, inst, alloc):
+    """(how, copy, the replaced costs of a cost-only copy or None)."""
     agent = rng.randint(1, inst.agent_count)
     pert = random_perturbation(rng, inst, agent, alloc)
-    yield "apply", pert.apply(inst)
-    yield "with_costs", inst.with_costs(
-        {e.id: random_cost(rng) for e in inst.edges if rng.random() < 0.5})
-    yield "without_agent", inst.without_agent(agent)
+    yield "apply", pert.apply(inst), pert.validate(inst)
+    costs = {e.id: random_cost(rng) for e in inst.edges if rng.random() < 0.5}
+    yield "with_costs", inst.with_costs(costs), costs
+    yield "without_agent", inst.without_agent(agent), None
     yield "without_edges", inst.without_edges(
-        rng.sample(sorted(alloc.edge_ids), min(1, len(alloc.edge_ids))))
+        rng.sample(sorted(alloc.edge_ids), min(1, len(alloc.edge_ids)))), None
 
 
-def test_derived_copies_of_solved_instances_start_without_caches():
+def test_derived_copies_share_the_topology_and_never_the_memo():
     changed = 0
     for seed in range(200):
         rng = random.Random(seed)
@@ -65,17 +71,47 @@ def test_derived_copies_of_solved_instances_start_without_caches():
         alloc = min_sum_optimum(inst).witness
         inst.edge_by_id(inst.edges[0].id)
         # only the path solvers build adjacency lists
-        built = set(CACHES) - ({"_adjacency_cache"} if inst.mode == ARBORESCENCE else set())
-        assert built <= set(inst.__dict__)
-        for how, copy in derived_copies(rng, inst, alloc):
-            # the fields and nothing else: a cache of any name would show here
-            assert set(vars(copy)) == FIELDS, how
+        built = set(TOPOLOGY) - ({"_adjacency_cache"} if inst.mode == ARBORESCENCE else set())
+        assert built | {"_min_sum_cache", "_scaled_cache"} <= set(inst.__dict__)
+        scale = inst.scaled_costs()[0]
+        for how, copy, replaced in derived_copies(rng, inst, alloc):
+            if replaced is None:
+                # the fields and nothing else: a cache of any name would show here
+                assert set(vars(copy)) == FIELDS, how
+            else:
+                assert set(vars(copy)) == FIELDS | built | {"_scaled_cache"}, how
+                for cache in built:
+                    assert vars(copy)[cache] is vars(inst)[cache], (how, cache)
+                assert copy.scaled_costs()[0] == math.lcm(
+                    scale, *(cost.denominator for cost in replaced.values())), (seed, how)
+            copy_scale, costs = copy.scaled_costs()
+            assert [F(x, copy_scale) for x in costs] == [e.cost for e in copy.edges], (seed, how)
             assert copy == rebuilt(copy)
             assert solve(copy) == solve(rebuilt(copy)), (seed, how)
             if how == "apply":
                 changed += min_sum_optimum(copy).witness != alloc
     # a copied memo would return `alloc` here: the test must see changes
     assert changed >= 40
+
+
+def test_a_cost_only_copy_rescales_only_what_it_must():
+    inst = Instance(False, 2, edges((0, 1, 1, "1/2"), (0, 1, 2, 3), (0, 1, 1, "1/4")),
+                    2, PATH, 0, 1)
+    assert inst.scaled_costs() == (4, [2, 12, 1])
+    thirds = inst.with_costs({1: F(1, 3)})
+    assert thirds.scaled_costs() == (12, [6, 4, 3])
+    same = inst.with_costs({1: F(5, 2)})
+    assert same.scaled_costs() == (4, [2, 10, 1])
+    assert inst.scaled_costs() == (4, [2, 12, 1])  # the parent's list is not changed
+    # L is a common denominator: it keeps the parent's factor 3 after the third goes
+    back = thirds.with_costs({1: 3})
+    assert back.scaled_costs() == (12, [6, 36, 3])
+    assert rebuilt(back).scaled_costs() == (4, [2, 12, 1])
+    assert solve(back) == solve(rebuilt(back)) == solve(inst)
+    # a copy of an instance without integers computes its own, the least L
+    whole = {0: F(1), 2: F(1)}
+    assert rebuilt(inst).with_costs(whole).scaled_costs() == (1, [1, 3, 1])
+    assert inst.with_costs(whole).scaled_costs() == (4, [4, 12, 4])
 
 
 def test_the_memo_is_written_once():
@@ -131,6 +167,15 @@ def test_with_costs_rejects_bad_replacement_costs(cost, error, message):
         two_agents().with_costs({1: cost})
 
 
+def test_with_costs_refuses_an_unknown_edge_id_before_any_copy(monkeypatch):
+    derived = counting(monkeypatch, Instance, "_derive")
+    chain = gen_chain(ChainSpec(2, 2))
+    for new_costs in ({999: -5}, {0: F(1), 999: F(2)}):
+        with pytest.raises(ValueError, match="^unknown edge id 999$"):
+            chain.with_costs(new_costs)
+    assert derived == []
+
+
 def test_with_costs_keeps_fractions_and_coerces_the_rest():
     cost = F(7, 3)
     copy = two_agents().with_costs({0: cost, 1: "5/10"})
@@ -183,6 +228,30 @@ def test_audit_makes_two_witness_solves_per_trial(monkeypatch, tmp_path, kind):
                      "--out", str(tmp_path / "audit.json")])
     assert code == 0
     assert len(calls) == 2 * 50
+
+
+def test_a_truthfulness_probe_solves_at_most_one_clarke_pivot_per_profile(monkeypatch,
+                                                                          tmp_path):
+    trials = []  # per trial: the probed agent, and the agent each value-only run skips
+
+    def checked(mech, inst, agent, pert, _original=audit.check_truthfulness):
+        trials.append((agent, []))
+        return _original(mech, inst, agent, pert)
+
+    def dijkstra(inst, stop=None, without_agent=0, _original=solvers._dijkstra):
+        if stop is not None:
+            trials[-1][1].append(without_agent)
+        return _original(inst, stop, without_agent)
+
+    monkeypatch.setattr(audit, "check_truthfulness", checked)
+    monkeypatch.setattr(solvers, "_dijkstra", dijkstra)
+    code = cli.main(["audit", "truthfulness", "--trials", "50", "--seed", "3",
+                     "--out", str(tmp_path / "audit.json")])
+    assert code == 0 and len(trials) == 50
+    for agent, skipped in trials:
+        assert skipped in ([], [agent], [agent, agent])
+    # paying every agent on the allocation under both profiles made 167
+    assert sum(len(skipped) for _, skipped in trials) == 65
 
 
 @pytest.mark.parametrize("cheap, on_allocation", [

@@ -18,13 +18,14 @@ from minmax_procurement import (
     PATH,
     Solution,
     brute_minmax,
+    clarke_payment,
     clarke_payments,
     cost_summary,
     min_sum_optimum,
     run_vcg,
     vcg_allocate,
 )
-from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain
+from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
 from minmax_procurement.graphs import agent_cost
 from minmax_procurement.graphs import ARBORESCENCE
@@ -241,3 +242,52 @@ def test_the_first_pivotal_agent_is_named_as_before():
         with pytest.raises(PivotalInfeasibleError) as err:
             pay(inst, alloc)
         assert err.value.agent == 2
+
+
+# -- one agent's payment --------------------------------------------------------
+
+
+def payment_or_pivot(inst, alloc, agent):
+    try:
+        return clarke_payment(inst, alloc, agent)
+    except PivotalInfeasibleError as exc:
+        return ("pivotal", exc.agent)
+
+
+def test_one_agents_payment_is_its_entry_in_every_agents_payments():
+    pivotal = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        inst = random_instance(rng)
+        alloc = vcg_allocate(inst)
+        other = vcg_allocate(inst.with_costs(
+            {e.id: F(rng.randint(0, 20), rng.randint(1, 4)) for e in inst.edges}))
+        for probe, sol in ((inst, alloc), (inst, other), (fresh(inst), other)):
+            each = [payment_or_pivot(probe, sol, agent)
+                    for agent in range(1, inst.agent_count + 1)]
+            first_pivot = next((p for p in each if type(p) is tuple), None)
+            assert payments_or_pivot(clarke_payments, probe, sol) \
+                == (first_pivot or tuple(each)), seed
+            # and the former loop agrees, on a copy without the memo
+            assert payments_or_pivot(former_clarke_payments, fresh(inst), sol) \
+                == (first_pivot or tuple(each)), seed
+            pivotal += first_pivot is not None
+    assert pivotal >= 30
+
+
+def test_pivotal_agents_on_a_dmst_chain_raise_for_their_own_payments():
+    # on a dmst chain no arborescence avoids any one agent's edges
+    inst, _ = gen_dmst_chain(ChainSpec(3, 2))
+    alloc = vcg_allocate(inst)
+    with pytest.raises(PivotalInfeasibleError) as err:
+        clarke_payments(inst, alloc)
+    assert err.value.agent == 1
+    for agent in (1, 2, 3):
+        assert payment_or_pivot(inst, alloc, agent) == ("pivotal", agent)
+
+
+@pytest.mark.parametrize("agent", [0, -1, 3, 99])
+def test_a_payment_for_no_agent_of_the_instance_is_refused(agent):
+    inst = gen_chain(ChainSpec(2, 2))
+    with pytest.raises(ValueError, match=f"^agent {agent} is not one of 1..2$"):
+        clarke_payment(inst, vcg_allocate(inst), agent)
