@@ -172,7 +172,9 @@ def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,
 
     A selected edge that already costs 0 stays at 0, so the perturbation is
     then not strict; `is_strict_edge_stability` says whether it may be used
-    to claim an edge-stability witness.
+    to claim an edge-stability witness. Each distinct (cost, selected) pair
+    is priced once, keyed by the instance's integer cost, and its edges
+    share that Fraction.
     """
     shrink = as_rational(shrink)
     bump = as_rational(bump)
@@ -180,9 +182,15 @@ def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,
         raise ValueError("shrink must lie in [0, 1)")
     if bump <= 0:
         raise ValueError("bump must be positive")
-    return Perturbation(agent, {
-        e.id: e.cost * shrink if e.id in alloc.edge_ids else e.cost + bump
-        for e in inst.agent_edges(agent)})
+    selected, priced, new_costs = alloc.edge_ids, {}, {}
+    for e, x in zip(inst.edges, inst.scaled_costs()[1]):
+        if e.owner == agent:
+            key = (x, e.id in selected)
+            new = priced.get(key)
+            if new is None:
+                new = priced[key] = e.cost * shrink if key[1] else e.cost + bump
+            new_costs[e.id] = new
+    return Perturbation(agent, new_costs)
 
 
 def is_strict_edge_stability(inst: Instance, alloc: Solution, pert: Perturbation) -> bool:

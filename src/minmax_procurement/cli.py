@@ -11,6 +11,7 @@ unexpected property failure, 2 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import random
 import sys
@@ -28,26 +29,31 @@ from .graphs import (
     dump_instance,
     json_text,
     load_instance,
+    write_object,
 )
 
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
 MAX_TRIALS = 100_000  # audit trials one run may ask for
+AGENT_ROWS = 4096  # `vcg` report rows made, written and dropped at a time
 
 
 class UsageError(Exception):
     pass
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json_text(report)
-    if out:
-        with open(out, "w") as fh:
+def _emit(report: dict, out: str | None, key: str | None = None, chunks=()) -> None:
+    """Write `report` and a newline to `out` or stdout. Given `key`, the
+    report gets that member as well, the items of every list in `chunks`,
+    made and written a chunk at a time (`graphs.write_object`)."""
+    if key is None:
+        text = json_text(report)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if key is None:
             fh.write(text)
-            fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        else:
+            write_object(fh.write, report, key, chunks)
+        fh.write("\n")
 
 
 def _fraction(text: str) -> Fraction:
@@ -99,25 +105,26 @@ def cmd_vcg(args) -> int:
     inst = load_instance(args.instance)
     outcome = vcg_mod.run_vcg(inst)
     summary = cost_summary(inst, outcome.allocation)
-    selected = [[] for _ in range(inst.agent_count)]
+    selected: dict[int, list[int]] = {}  # owner -> ids, for owners of allocated edges
     for eid in outcome.allocation.sorted_ids():
-        selected[inst.edge_by_id(eid).owner - 1].append(eid)
-    per_agent = [{
-        "agent": agent,
-        "selected_edge_ids": ids,
-        "cost": cost,
-        "payment": payment,
-        "utility": payment - cost,
-    } for agent, (ids, cost, payment)
-        in enumerate(zip(selected, summary.per_agent, outcome.payments), 1)]
+        selected.setdefault(inst.edge_by_id(eid).owner, []).append(eid)
+
+    def rows(first: int) -> list[dict]:
+        return [{
+            "agent": agent,
+            "selected_edge_ids": selected.get(agent, []),
+            "cost": summary.per_agent[agent - 1],
+            "payment": outcome.payments[agent - 1],
+            "utility": outcome.payments[agent - 1] - summary.per_agent[agent - 1],
+        } for agent in range(first, min(first + AGENT_ROWS, inst.agent_count + 1))]
+
     _emit({
         "command": "vcg",
         "config": {"instance": args.instance},
         "allocation": outcome.allocation,
         "max_agent_cost": summary.max_cost,
-        "agents": per_agent,
         "tie_break": "deterministic smallest-edge-id preference",
-    }, args.out)
+    }, args.out, "agents", map(rows, range(1, inst.agent_count + 1, AGENT_ROWS)))
     return 0
 
 

@@ -18,8 +18,10 @@ edge that reads most of its fields unpacks it; one that reads one or two
 reads them by name, which is faster than unpacking all five.
 
 `json_text` is the package's one JSON writer: the CLI's reports and the
-instance files of `dump_instance` go through it. `dump_instance` makes and
-writes the edge records a bounded chunk at a time; `json` only loads.
+instance files of `dump_instance` go through it. `write_object` writes an
+object with one long list member a bounded chunk at a time, as
+`dump_instance` writes the edge records and `vcg` its agent rows; `json`
+only loads.
 """
 
 from __future__ import annotations
@@ -110,8 +112,8 @@ class Instance:
     Derived copies (`with_costs`, `without_agent`, `without_edges`) skip the
     constructor's per-edge checks, which their parent passed. A cost-only
     copy (`with_costs`) keeps ids, endpoints, owners and `directed`, so it
-    shares what its parent has built of the edge index and the adjacency
-    lists, and derives its integer costs from the parent's, if built,
+    shares its parent's edge index and whatever adjacency lists the parent
+    has built, and derives its integer costs from the parent's, if built,
     computing only the replaced ones. `without_agent` and `without_edges`
     change the topology and carry only the fields. Besides these, `solvers`
     keeps one cache on an instance, its min-sum optimum, which no copy
@@ -205,15 +207,14 @@ class Instance:
 
         An id the instance does not have raises ValueError, and each cost
         goes through `as_cost`, before the copy is built. The copy shares
-        the edge index and adjacency lists its parent has built, never the
+        the parent's edge index, built on the parent by this call if it has
+        none, and the adjacency lists the parent has built, never the
         min-sum memo. From the parent's integer costs over L, if built, it
         derives its own over L' = lcm(L, the replaced costs' denominators):
         the kept ones reused, times L'/L when L' != L, and only the replaced
         ones computed.
         """
-        index = self.__dict__.get("_edge_index_cache")
-        if index is None:  # one scan that keeps nothing
-            index = {e.id: i for i, e in enumerate(self.edges) if e.id in new_costs}
+        index = self._edge_index
         replaced = []
         for eid, cost in new_costs.items():
             if eid not in index:
@@ -455,7 +456,7 @@ def _enclose(values: Iterable, indent: str, frame: tuple[str, ...] | None = None
     return ("," + inner).join(parts)
 
 
-def _write_object(write: Callable[[str], object], obj: dict, key: str,
+def write_object(write: Callable[[str], object], obj: dict, key: str,
                   chunks: Iterable[list]) -> None:
     """Write `json_text` of `obj` with one more member, `key`, whose value is
     the list of the items of every list in `chunks`. The member goes among
@@ -587,7 +588,7 @@ def dump_instance(inst: Instance, path) -> None:
     edges = inst.edges
     chunks = (_edge_records(edges[i:i + EDGE_CHUNK]) for i in range(0, len(edges), EDGE_CHUNK))
     with open(path, "w") as fh:
-        _write_object(fh.write, _header(inst), "edges", chunks)
+        write_object(fh.write, _header(inst), "edges", chunks)
         fh.write("\n")
 
 

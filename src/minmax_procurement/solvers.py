@@ -20,7 +20,8 @@ Cost of the min-sum layer, for V nodes and E edges:
   holds none of the agent's edges.
 - `min_arborescence`: iterative Chu-Liu/Edmonds in O(E log^2 V), with no
   recursion; a contraction recomputes only the new super-node's best
-  in-edge, from its members' in-edge heaps merged smaller into larger.
+  in-edge, from its members' in-edge heaps merged smaller into larger, and
+  the walks keep their union-find and markers in flat per-node lists.
 
 The chain DP has two entries over one body. `chain_minmax_exact` checks its
 int or Fraction block costs and scales them to integers over their common
@@ -207,92 +208,100 @@ def _edmonds(inst: Instance, without_agent: int = 0) -> list[int]:
     whose walk found the cycle, and continues that walk from the super-node
     when the walk started outside the cycle. The contractions are undone in
     reverse order at the end.
+
+    Bookkeeping is in per-node lists: `rep`, a union-find with path halving
+    inline; `reached`; `at`, a node's place on the current walk, which ends
+    with its nodes reached or contracted, so none is stale; `size`, leaves.
     """
     node_count, root, edges = inst.node_count, inst.target_or_root, inst.edges
-    costs = inst.scaled_costs()[1]
     # In-edge heap per live node: (reduced cost + a per-heap constant, id, index, tail).
     heaps: list[list[tuple[int, int, int, int]]] = [[] for _ in range(node_count)]
-    for i, (eid, tail, head, owner, _) in enumerate(edges):
+    for i, ((eid, tail, head, owner, _), cost) in enumerate(zip(edges, inst.scaled_costs()[1])):
         if head != root and tail != head and owner != without_agent:
-            heaps[head].append((costs[i], eid, i, tail))
-    for v in range(node_count):
-        if v != root and not heaps[v]:
+            heaps[head].append((cost, eid, i, tail))
+    for v, heap in enumerate(heaps):
+        if len(heap) > 1:
+            heapq.heapify(heap)
+        elif not heap and v != root:
             raise NoFeasibleSolutionError(f"node {v} is unreachable from the root")
-        heapq.heapify(heaps[v])
-    rep = list(range(node_count))  # union-find; a live node is its own rep
+    rep = list(range(node_count))
+    reached = [False] * (2 * node_count)  # each contraction leaves one live node fewer
+    reached[root] = True
+    at = [-1] * (2 * node_count)
+    size = [1] * node_count
     cycles: list[tuple[list[int], list[int]]] = []  # members and their best in-edges
-    reached = {root}  # nodes known to reach the root along best in-edges
-
-    def find(v: int) -> int:
-        while rep[v] != v:
-            rep[v] = rep[rep[v]]  # path halving
-            v = rep[v]
-        return v
-
-    def contract(cycle: list[int]) -> int:
-        s = len(rep)
-        for v in cycle:
-            rep[v] = s
-        rep.append(s)
-        cycles.append((cycle, [heaps[v][0][2] for v in cycle]))
-        # Entries into member m drop by the cost of m's best in-edge, the top
-        # of m's heap. Only order inside a heap matters, so entries keep
-        # their stored values in the largest member's heap and the others
-        # move over shifted by the difference of the two tops.
-        big = max(cycle, key=lambda v: len(heaps[v]))
-        heap = heaps[big]
-        top = heap[0][0]
-        for v in cycle:
-            if v != big:
-                delta = top - heaps[v][0][0]
-                for cost, eid, i, tail in heaps[v]:
-                    if find(tail) != s:
-                        heapq.heappush(heap, (cost + delta, eid, i, tail))
-            heaps[v] = []
-        while heap and find(heap[0][3]) == s:
-            heapq.heappop(heap)
-        if not heap:
-            raise NoFeasibleSolutionError(f"node {s} is unreachable from the root")
-        heaps.append(heap)
-        return s
 
     start = 0
     while start < len(rep):
-        if rep[start] != start or start in reached:
+        if rep[start] != start or reached[start]:
             start += 1
             continue
         path: list[int] = []
-        on_path: dict[int, int] = {}  # node -> its position in `path`
         v = start
-        while v not in reached:
-            if v in on_path:
-                cut = on_path[v]
-                s = contract(path[cut:])
-                del path[cut:]
-                if not path:  # `start` itself was contracted
-                    break
-                v = s
+        while not reached[v]:
+            cut = at[v]
+            if cut < 0:
+                at[v] = len(path)
+                path.append(v)
+                v = heaps[v][0][3]
+                while rep[v] != v:
+                    rep[v] = v = rep[rep[v]]
                 continue
-            on_path[v] = len(path)
-            path.append(v)
-            v = find(heaps[v][0][3])
+            cycle = path[cut:]
+            del path[cut:]
+            s = len(rep)
+            rep.append(s)
+            big, heap, total = None, None, 0
+            for m in cycle:
+                rep[m] = s
+                total += size[m]
+                if heap is None or len(heaps[m]) > len(heap):
+                    big, heap = m, heaps[m]
+            size.append(total)
+            cycles.append((cycle, [heaps[m][0][2] for m in cycle]))
+            # Entries into member m drop by the cost of m's best in-edge, the
+            # top of m's heap. Only order inside a heap matters, so entries
+            # keep their stored values in the largest member's heap and the
+            # others move over shifted by the difference of the two tops.
+            top = heap[0][0]
+            for m in cycle:
+                if m != big:
+                    delta = top - heaps[m][0][0]
+                    for cost, eid, i, tail in heaps[m]:
+                        while rep[tail] != tail:
+                            rep[tail] = tail = rep[rep[tail]]
+                        if tail != s:
+                            heapq.heappush(heap, (cost + delta, eid, i, tail))
+                    heaps[m] = []
+            while heap:
+                tail = heap[0][3]
+                while rep[tail] != tail:
+                    rep[tail] = tail = rep[rep[tail]]
+                if tail != s:
+                    break
+                heapq.heappop(heap)
+            else:
+                raise NoFeasibleSolutionError(f"node {s} is unreachable from the root")
+            heaps.append(heap)
+            if not path:  # `start` itself was contracted
+                break
+            v = s
         else:
-            reached.update(path)
+            for v in path:
+                reached[v] = True
         start += 1
 
     # Undo the contractions: a super-node's chosen in-edge goes to the member
     # it enters, and every other member takes back its best in-edge. Original
     # nodes under a node form one range of this leaf order.
-    chosen = [heaps[v][0][2] if rep[v] == v and v != root else -1 for v in range(len(rep))]
-    size = [1] * node_count  # original nodes under each node
-    for members, _ in cycles:
-        size.append(sum(size[m] for m in members))
-    first = [0] * len(rep)
+    chosen = [-1] * len(rep)
+    first = chosen.copy()
     pos = 0
-    for v in range(len(rep)):
-        if rep[v] == v:
+    for v, r in enumerate(rep):
+        if r == v:
             first[v] = pos
             pos += size[v]
+            chosen[v] = heaps[v][0][2] if v != root else -1
     for k in reversed(range(len(cycles))):
         pos = first[node_count + k]
         for m in cycles[k][0]:
@@ -303,7 +312,8 @@ def _edmonds(inst: Instance, without_agent: int = 0) -> list[int]:
         leaf = first[edges[entering].head]
         for m, best in zip(*cycles[k]):
             chosen[m] = entering if first[m] <= leaf < first[m] + size[m] else best
-    return [chosen[v] for v in range(node_count) if v != root]
+    del chosen[node_count:], chosen[root]
+    return chosen
 
 
 # -- brute-force min-max ----------------------------------------------------

@@ -230,6 +230,24 @@ def test_audit_makes_two_witness_solves_per_trial(monkeypatch, tmp_path, kind):
     assert len(calls) == 2 * 50
 
 
+@pytest.mark.parametrize("kind", ["truthfulness", "monotonicity"])
+def test_every_audit_probe_copy_shares_its_parents_edge_index(monkeypatch, tmp_path, kind):
+    # a monotonicity probe applies its perturbation before anything has built
+    # the true profile's index, so `with_costs` must build it on the parent
+    copies = []
+
+    def with_costs(inst, new_costs, _original=Instance.with_costs):
+        copy = _original(inst, new_costs)
+        copies.append(vars(copy).get("_edge_index_cache") is vars(inst)["_edge_index_cache"])
+        return copy
+
+    monkeypatch.setattr(Instance, "with_costs", with_costs)
+    code = cli.main(["audit", kind, "--trials", "200", "--seed", "3",
+                     "--out", str(tmp_path / "audit.json")])
+    assert code == 0
+    assert copies == [True] * 200
+
+
 def test_a_truthfulness_probe_solves_at_most_one_clarke_pivot_per_profile(monkeypatch,
                                                                           tmp_path):
     trials = []  # per trial: the probed agent, and the agent each value-only run skips

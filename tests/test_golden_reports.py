@@ -67,6 +67,10 @@ OPS = [
     ("vcg-missing-file", ["vcg", "--instance", "missing.json"], None),
     ("gen-chain-eps-refused", ["gen", "chain", "--agents", "2", "--blocks", "2",
                                "--eps", "1/3", "--out", "refused.json"], None),
+    ("adversary-vcg-dmst-2x64", ["adversary", "run", "--mode", "dmst", "--agents", "2",
+                                 "--blocks", "64"], None),
+    ("adversary-vcg-dmst-3x20", ["adversary", "run", "--mode", "dmst", "--agents", "3",
+                                 "--blocks", "20"], None),
 ]
 
 

@@ -21,8 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmax_procurement import cli
-from minmax_procurement.graphs import Solution, json_text
+from minmax_procurement import Instance, cli, run_vcg
+from minmax_procurement.adversary import ChainSpec, gen_chain
+from minmax_procurement.graphs import (
+    Solution,
+    cost_summary,
+    dump_instance,
+    json_text,
+    load_instance,
+)
 
 
 def _jsonable(obj):
@@ -126,9 +133,12 @@ def test_one_report_of_every_subcommand(tmp_path, monkeypatch):
     reports = []
     emit = cli._emit
 
-    def recorded(report, out):
-        reports.append(report)
-        emit(report, out)
+    def recorded(report, out, key=None, chunks=()):
+        # a member written a chunk at a time is checked as part of the report
+        chunks = [list(chunk) for chunk in chunks]
+        reports.append(report if key is None else
+                       {**report, key: [item for chunk in chunks for item in chunk]})
+        emit(report, out, key, iter(chunks))
 
     monkeypatch.setattr(cli, "_emit", recorded)
     chain, expanded = tmp_path / "chain.json", tmp_path / "exp.json"
@@ -154,3 +164,48 @@ def test_one_report_of_every_subcommand(tmp_path, monkeypatch):
             assert out.read_text() == old_report_text(reports[-1]) + "\n"
     assert len(reports) == len(runs) - 2
     assert any("violation" in r for r in reports) and any("ratio" in r for r in reports)
+
+
+def former_vcg_report(instance_path):
+    """The `vcg` report as `cli.cmd_vcg` built it before its agent rows were
+    made and written a chunk at a time: every row in one list."""
+    inst = load_instance(instance_path)
+    outcome = run_vcg(inst)
+    summary = cost_summary(inst, outcome.allocation)
+    selected = [[] for _ in range(inst.agent_count)]
+    for eid in outcome.allocation.sorted_ids():
+        selected[inst.edge_by_id(eid).owner - 1].append(eid)
+    per_agent = [{
+        "agent": agent,
+        "selected_edge_ids": ids,
+        "cost": cost,
+        "payment": payment,
+        "utility": payment - cost,
+    } for agent, (ids, cost, payment)
+        in enumerate(zip(selected, summary.per_agent, outcome.payments), 1)]
+    return {
+        "command": "vcg",
+        "config": {"instance": instance_path},
+        "allocation": outcome.allocation,
+        "max_agent_cost": summary.max_cost,
+        "agents": per_agent,
+        "tie_break": "deterministic smallest-edge-id preference",
+    }
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, cli.AGENT_ROWS])
+def test_vcg_rows_written_a_chunk_at_a_time_match_the_former_report(tmp_path, monkeypatch,
+                                                                      capsys, rows):
+    # 3 agents own edges and agents 4..7 own none, so chunks end on both kinds
+    chain = gen_chain(ChainSpec(3, 4)).with_costs({1: Fraction(1, 2), 5: Fraction(3, 4)})
+    chain = Instance(chain.directed, chain.node_count, chain.edges, 7, chain.mode,
+                     chain.source, chain.target_or_root)
+    path = str(tmp_path / "chain.json")
+    dump_instance(chain, path)
+    expected = old_report_text(former_vcg_report(path)) + "\n"
+    monkeypatch.setattr(cli, "AGENT_ROWS", rows)
+    assert cli.main(["vcg", "--instance", path]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "report.json"
+    assert cli.main(["vcg", "--instance", path, "--out", str(out)]) == 0
+    assert out.read_text() == expected
