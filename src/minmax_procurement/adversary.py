@@ -309,6 +309,8 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
     n - 4n^3/l under the default helper cost) or a strictly re-verifiable
     weak-monotonicity violation. Requires the all-ones start (base cost 1).
     `built` is `build_adversary_instance(spec, mode)` when the caller has it.
+    A step whose perturbation is not a strict edge-stability one raises
+    RuntimeError, under `python -O` as well.
     """
     if spec.base_cost != 1:
         raise ValueError("the lower-bound argument starts from unit base costs")
@@ -338,8 +340,8 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
     cur_inst, cur_sol = inst, sol
     for step, agent in enumerate(order, start=1):
         pert = edge_stability_perturbation(cur_inst, cur_sol, agent, 0, eps)
-        assert is_strict_edge_stability(cur_inst, cur_sol, pert), \
-            "transformation must be a strict edge-stability perturbation"
+        if not is_strict_edge_stability(cur_inst, cur_sol, pert):  # checked under -O too
+            raise RuntimeError("transformation must be a strict edge-stability perturbation")
         new_inst = pert.apply(cur_inst)
         new_sol = alg(new_inst)
         if not validate_solution(new_inst, new_sol):

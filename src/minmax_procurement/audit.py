@@ -61,14 +61,17 @@ class Perturbation:
     new_costs: Mapping[int, Fraction]
 
     def validate(self, inst: Instance) -> dict[int, Fraction]:
-        """The new costs as Fractions, each checked once against `inst`."""
+        """The new costs as Fractions, each checked against `inst`, in the
+        mapping's order. A Fraction is kept as it is, without a call, and
+        anything else goes through `as_rational`."""
         agent = self.agent
         owned = {e.id for e in inst.edges if e.owner == agent}
         costs = {}
         for eid, cost in self.new_costs.items():
             if eid not in owned:
                 raise ValueError(f"edge {eid} is not owned by agent {self.agent}")
-            cost = as_rational(cost)
+            if type(cost) is not Fraction:
+                cost = as_rational(cost)
             if cost.numerator < 0:
                 raise ValueError(f"perturbed cost of edge {eid} is negative")
             costs[eid] = cost
@@ -194,13 +197,24 @@ def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,
 
 
 def is_strict_edge_stability(inst: Instance, alloc: Solution, pert: Perturbation) -> bool:
-    """True iff selected costs strictly drop and unselected strictly rise."""
-    for e in inst.agent_edges(pert.agent):
-        new = as_rational(pert.new_costs.get(e.id, e.cost))
-        if e.id in alloc.edge_ids:
-            if not new < e.cost:
-                return False
-        elif not new > e.cost:
+    """True iff selected costs strictly drop and unselected strictly rise.
+
+    Each distinct (old cost object, new cost object, selected) triple is
+    coerced and compared once, so a step's few shared costs cost a few
+    Fraction comparisons, not one per edge.
+    """
+    selected, new_costs = alloc.edge_ids, pert.new_costs
+    # (id of the old cost, id of the new one, selected) -> (verdict, the new
+    # cost, held so that its id passes to no other while this call runs)
+    verdicts = {}
+    for eid, _, _, _, old in inst.agent_edges(pert.agent):
+        new = new_costs.get(eid, old)
+        key = (id(old), id(new), eid in selected)
+        known = verdicts.get(key)
+        if known is None:
+            value = as_rational(new)
+            known = verdicts[key] = (value < old if key[2] else value > old), new
+        if not known[0]:
             return False
     return True
 

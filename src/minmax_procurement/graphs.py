@@ -206,20 +206,23 @@ class Instance:
         """Copy with the given edge costs replaced (same topology and ids).
 
         An id the instance does not have raises ValueError, and each cost
-        goes through `as_cost`, before the copy is built. The copy shares
-        the parent's edge index, built on the parent by this call if it has
-        none, and the adjacency lists the parent has built, never the
-        min-sum memo. From the parent's integer costs over L, if built, it
-        derives its own over L' = lcm(L, the replaced costs' denominators):
-        the kept ones reused, times L'/L when L' != L, and only the replaced
-        ones computed.
+        but a nonnegative Fraction goes through `as_cost`, before the copy
+        is built. The copy shares the parent's edge index, built on the
+        parent by this call if it has none, and the adjacency lists the
+        parent has built, never the min-sum memo. From the parent's integer
+        costs over L, if built, it derives its own over L' = lcm(L, the
+        replaced costs' denominators): the kept ones reused, times L'/L when
+        L' != L, and only the replaced ones computed, once per distinct cost
+        object, as the adversary's step gives its edges a few shared costs.
         """
         index = self._edge_index
         replaced = []
         for eid, cost in new_costs.items():
             if eid not in index:
                 raise ValueError(f"unknown edge id {eid}")
-            replaced.append((index[eid], as_cost(cost)))
+            if type(cost) is not Fraction or cost.numerator < 0:
+                cost = as_cost(cost)
+            replaced.append((index[eid], cost))
         edges = list(self.edges)
         for i, cost in replaced:
             eid, tail, head, owner, _ = edges[i]
@@ -231,12 +234,15 @@ class Instance:
                 shared[cache] = mine[cache]
         if "_scaled_cache" in mine:
             scale, scaled = mine["_scaled_cache"]
-            ratios = [(i, *cost.as_integer_ratio()) for i, cost in replaced]
-            new_scale = math.lcm(scale, *(q for *_, q in ratios))
+            new_scale = math.lcm(scale, *{cost.denominator for _, cost in replaced})
             factor = new_scale // scale
             ints = scaled.copy() if factor == 1 else [x * factor for x in scaled]
-            for i, p, q in ratios:
-                ints[i] = p * (new_scale // q)
+            times = {}  # id of a cost -> it times L'; `replaced` keeps each id its cost's
+            for i, cost in replaced:
+                x = times.get(id(cost))
+                if x is None:
+                    x = times[id(cost)] = cost.numerator * (new_scale // cost.denominator)
+                ints[i] = x
             shared["_scaled_cache"] = (new_scale, ints)
         return copy
 
@@ -427,10 +433,13 @@ def _enclose(values: Iterable, indent: str, frame: tuple[str, ...] | None = None
     """`values`, one a line, as an array that closes at `indent` or, given
     the `frame` of `_members`, as the values of an object's members. This
     is the one scalar dispatch of lists, dicts and dataclasses: an int, str
-    or Fraction member is written here, without a call, and any other
-    through `json_text`."""
+    or Fraction member is written here, without a call, and so is an exact
+    (int, Fraction) 2-tuple, a witness's (edge id, cost) row, through one
+    template per call; any other member, a row holding a bool or another
+    subclass too, goes through `json_text`."""
     inner = indent + " "
     parts = []
+    row = None  # the text of an (int, Fraction) row at `inner`, "%d" and "%s" left open
     for v in values:
         t = type(v)
         if t is int:
@@ -439,6 +448,10 @@ def _enclose(values: Iterable, indent: str, frame: tuple[str, ...] | None = None
             parts.append('"%s"' % v)
         elif t is str:
             parts.append(_encode_str(v))
+        elif t is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is Fraction:
+            if row is None:
+                row = "[" + inner + ' %d,' + inner + ' "%s"' + inner + "]"
+            parts.append(row % v)
         else:
             parts.append(json_text(v, inner))
     if frame is not None:

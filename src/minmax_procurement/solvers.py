@@ -35,7 +35,9 @@ selects. With S survivors, a block costs O(S log S) for n <= 3 agents: one
 sort, then a linear sweep, with a running minimum of the last coordinate
 for n <= 2 and over a staircase of the last two coordinates for n = 3. For
 n >= 4 the prune is a pairwise scan, O(S^2) per block; the bound keeps S
-small enough that 4 agents and 16 blocks take well under a second.
+small enough that 4 agents and 16 blocks take well under a second. At
+n = 2 the rest of a block's work is a few int operations, no tuples: the
+bound's inputs are ints, and the kept candidates are the next states.
 
 Tie-breaking: the brute-force oracles return, among equal-value optima, the
 solution whose sorted edge-id sequence is lexicographically smallest. The
@@ -516,7 +518,26 @@ def scaled_chain_minmax(
     O(n) per choice. With S survivors, a block costs O(S log S) for n <= 3:
     one sort, then a linear sweep with a running minimum for n <= 2 or a
     staircase sweep for n = 3. For n >= 4 it is a pairwise scan, O(S^2).
+    At n = 2 (`_two_agent_picks`) the suffix minima, the greedy and the
+    limits are ints, with no tuple built, and the kept candidates serve as
+    the next block's states, so beyond its candidates a block costs a few
+    int operations.
     """
+    if n == 2:
+        value, picks = _two_agent_picks(blocks)
+    else:
+        value, picks = _picks(n, blocks)
+    witness = None
+    if block_edges is not None:
+        ids: list[int] = []
+        for k, c in enumerate(picks):
+            ids.extend(block_edges[k][c])
+        witness = Solution(ids)
+    return OptimumReport(MIN_MAX, Fraction(value, scale), witness, choices=tuple(picks))
+
+
+def _picks(n: int, blocks: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, list[int]]:
+    """`scaled_chain_minmax`'s optimal max load over L and its pick sequence."""
     # rest[k][i]: the least agent i pays in blocks k, k+1, ...
     rest = [(0,) * n]
     for block in reversed(blocks):
@@ -537,12 +558,7 @@ def scaled_chain_minmax(
     parents: list[Optional[tuple]] = [None]
     for block, r in zip(blocks, rest[1:]):
         limit = tuple(ub - x for x in r)
-        if n == 2:
-            la, lb = limit
-            candidates = [(p, q, s, ch) for s, (a, b) in enumerate(loads)
-                          for ch, (x, y) in enumerate(block)
-                          if (p := a + x) <= la and (q := b + y) <= lb]
-        elif n == 3:
+        if n == 3:
             la, lb, lc = limit
             candidates = [(p, q, w, s, ch) for s, (a, b, c) in enumerate(loads)
                           for ch, (x, y, z) in enumerate(block)
@@ -564,14 +580,56 @@ def scaled_chain_minmax(
         c, node = node
         picks.append(c)
     picks.reverse()
-    witness = None
-    if block_edges is not None:
-        ids: list[int] = []
-        for k, c in enumerate(picks):
-            ids.extend(block_edges[k][c])
-        witness = Solution(ids)
-    return OptimumReport(MIN_MAX, Fraction(max(loads[best]), scale), witness,
-                         choices=tuple(picks))
+    return max(loads[best]), picks
+
+
+def _two_agent_picks(blocks: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[int]]:
+    """`_picks` at n = 2, its bookkeeping on plain ints.
+
+    The suffix minima, the greedy bound and the limits are ints per block,
+    not tuples. The states are the candidates `_pareto_minimal` kept, each
+    (a, b, state, choice) with the position of its parent among the previous
+    block's states, so no load or parent is rebuilt per block: the pick
+    sequence is read back along those positions at the end.
+    """
+    # rest_a[k], rest_b[k]: the least each agent pays in blocks k, k+1, ...
+    rest_a, rest_b = [0], [0]
+    for block in reversed(blocks):
+        xs, ys = zip(*block)
+        rest_a.append(rest_a[-1] + min(xs))
+        rest_b.append(rest_b[-1] + min(ys))
+    rest_a.reverse()
+    rest_b.reverse()
+    ga = gb = 0  # the greedy's loads: in each block the first choice of smallest bound
+    for block, ra, rb in zip(blocks, rest_a[1:], rest_b[1:]):
+        bound = None
+        for x, y in block:
+            u, v = ga + x + ra, gb + y + rb
+            if v > u:
+                u = v
+            if bound is None or u < bound:
+                bound, gx, gy = u, x, y
+        ga += gx
+        gb += gy
+    ub = ga if ga > gb else gb
+    states = [(0, 0, 0, 0)]
+    history = []
+    for block, ra, rb in zip(blocks, rest_a[1:], rest_b[1:]):
+        la, lb = ub - ra, ub - rb
+        states = _pareto_minimal(
+            [(p, q, s, ch) for s, (a, b, _, _) in enumerate(states)
+             for ch, (x, y) in enumerate(block)
+             if (p := a + x) <= la and (q := b + y) <= lb])
+        history.append(states)
+    # min returns the first of equal keys: the smallest pick sequence
+    best = min(range(len(states)), key=lambda i: max(states[i][:2]))
+    value = max(states[best][:2])
+    picks: list[int] = []
+    for states in reversed(history):
+        _, _, best, c = states[best]
+        picks.append(c)
+    picks.reverse()
+    return value, picks
 
 
 def _pareto_minimal(candidates: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

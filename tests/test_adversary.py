@@ -1,11 +1,16 @@
 """Chain constructions and the adversarial lower-bound driver."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import minmax_procurement
 from minmax_procurement import (
     PATH,
     AdversaryReport,
@@ -337,3 +342,26 @@ def test_upper_bound_matches_closed_form_slack():
     eps = F(1, 128)
     closed_form = math.ceil(F(l1, 2)) * (1 + eps) + 2 * eps * 64
     assert report.ratio.opt_upper_bound <= closed_form
+
+
+# Run with -O, so a bare `assert` would be skipped: the step's strictness
+# check must raise all the same. The perturbation keeps every cost, so no
+# selected edge drops and no unselected one rises.
+NON_STRICT_STEP = """
+import minmax_procurement.adversary as adversary
+from minmax_procurement import Perturbation, vcg_allocate
+assert not __debug__
+adversary.edge_stability_perturbation = lambda inst, sol, agent, *_: Perturbation(agent, {})
+try:
+    adversary.run_adversary(vcg_allocate, adversary.ChainSpec(2, 4), adversary.MODE_PATH)
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_a_non_strict_step_is_refused_under_python_dash_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(minmax_procurement.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-O", "-c", NON_STRICT_STEP], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "transformation must be a strict edge-stability perturbation\n"
+    assert result.stderr == ""

@@ -205,6 +205,62 @@ def test_inputs_whose_optimal_states_meet_the_upper_bound(n):
         assert report.value == value
 
 
+def two_agent_blocks(rng):
+    """2-agent integer blocks: costs 0-3, so loads and bounds tie, 1-5
+    choices a block, 1-12 blocks, with zero-cost choices and blocks and
+    single-choice blocks."""
+    blocks = []
+    for _ in range(rng.randint(1, 12)):
+        shape = rng.random()
+        if shape < 0.1:  # a zero-cost block
+            block = [(0, 0)] * rng.randint(1, 3)
+        else:
+            choices = 1 if shape < 0.25 else rng.randint(1, 5)
+            block = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(choices)]
+            if rng.random() < 0.3:  # a zero-cost choice
+                block.insert(rng.randrange(len(block) + 1), (0, 0))
+        blocks.append(block)
+    return blocks
+
+
+def recorded_fronts(monkeypatch, solve):
+    """`solve()` and the candidate lists it passed `_pareto_minimal`."""
+    seen = []
+    pareto_minimal = solvers._pareto_minimal
+
+    def recorded(candidates):
+        seen.append(list(candidates))
+        return pareto_minimal(candidates)
+
+    monkeypatch.setattr(solvers, "_pareto_minimal", recorded)
+    try:
+        return solve(), seen
+    finally:
+        monkeypatch.setattr(solvers, "_pareto_minimal", pareto_minimal)
+
+
+def test_two_agent_integer_inputs_match_the_former_dp(monkeypatch):
+    # the scalar 2-agent step against the former DP, and against the tuple
+    # step that still serves n = 1 and n >= 3: the same value, choices and
+    # witness, and the same candidates handed to the front helper, block by
+    # block, which pins the greedy's tie-break (the first smallest bound)
+    rng = random.Random("chain-dp-two-agents")
+    tight = 0
+    for trial in range(1500):
+        vectors = two_agent_blocks(rng)
+        scale = rng.choice((1, 4))
+        new, fronts = recorded_fronts(monkeypatch, lambda: assert_same_scaled(
+            2, vectors, scale, edge_ids(vectors) if trial % 2 else None))
+        tuple_step, tuple_fronts = recorded_fronts(
+            monkeypatch, lambda: solvers._picks(2, vectors))
+        assert (new.value * scale, list(new.choices)) == tuple_step
+        assert fronts == tuple_fronts and len(fronts) == len(vectors)
+        tight += greedy_value(2, vectors) == new.value * scale
+    # inputs where the greedy's max load is the optimum, so optimal states
+    # sit on the bound, are common at these costs
+    assert tight >= 1000
+
+
 def test_ties_on_the_max_load_take_the_smallest_picks():
     # every route gives max load 1; the picks (0, 1) and (1, 0) tie on value
     vectors = [[(F(1), F(0)), (F(0), F(1))]] * 2

@@ -71,6 +71,10 @@ OPS = [
                                  "--blocks", "64"], None),
     ("adversary-vcg-dmst-3x20", ["adversary", "run", "--mode", "dmst", "--agents", "3",
                                  "--blocks", "20"], None),
+    ("adversary-chain-exact-2x79", ["adversary", "run", "--alg", "chain-exact",
+                                    "--agents", "2", "--blocks", "79"], None),
+    ("adversary-chain-exact-2x81", ["adversary", "run", "--alg", "chain-exact",
+                                    "--agents", "2", "--blocks", "81"], None),
 ]
 
 

@@ -80,8 +80,14 @@ fractions = st.fractions(max_denominator=50) | st.integers(-10**30, 10**30).map(
 solutions = st.frozensets(st.integers(-5, 50), max_size=6).map(Solution)
 # the witnesses' cost tables: (edge id, cost) pairs
 cost_tables = st.lists(st.tuples(st.integers(0, 10**6), fractions), max_size=6).map(tuple)
+# (int, Fraction) rows, which the writer fills into a template, and the
+# near misses it must write the general way
+rows = (st.tuples(st.integers(), fractions) | st.tuples(st.booleans(), fractions)
+        | st.tuples(st.integers(), st.integers()) | st.tuples(fractions, st.integers())
+        | st.tuples(st.integers()) | st.tuples(st.integers(), fractions, st.integers()))
 leaves = (strings | st.integers() | st.booleans() | st.none() | fractions | solutions
-          | cost_tables | st.lists(st.integers() | st.booleans(), max_size=5))
+          | cost_tables | rows | st.lists(rows, max_size=5)
+          | st.lists(st.integers() | st.booleans(), max_size=5))
 values = st.recursive(
     leaves,
     lambda inner: (st.lists(inner, max_size=4)
@@ -96,6 +102,21 @@ values = st.recursive(
 @given(values)
 def test_nested_values_match_the_former_writer(obj):
     assert json_text(obj) == old_report_text(obj)
+
+
+@pytest.mark.parametrize("row", [
+    (3, Fraction(1, 2)), (-4, Fraction(-7, 3)), (10**30, Fraction(0)), [5, Fraction(9, 4)],
+    (True, Fraction(1, 2)), (3, 4), (Fraction(1, 2), 3), (3,), (3, Fraction(1, 2), 4),
+])
+@pytest.mark.parametrize("depth", [0, 1, 2, 5])
+def test_cost_rows_at_every_indent(row, depth):
+    # a row alone, in a list, as a dataclass field and a dict value, `depth`
+    # levels down
+    obj = [row, (row, row), Pair(row, 1)]
+    for _ in range(depth):
+        obj = {"rows": [obj, Pair(row, obj)], "row": row}
+    assert json_text(obj) == old_report_text(obj)
+    assert json_text(row) == old_report_text(row)
 
 
 @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}}, {"a": []}, [[], {}], Solution(())])
@@ -113,6 +134,10 @@ def test_a_bool_in_an_int_list_stays_a_bool():
     pytest.param([3, Colour.RED], id="int-enum-member-in-an-int-list"),
     pytest.param(Ratio(1, 3), id="fraction-subclass"),
     pytest.param((4, Ratio(2)), id="fraction-subclass-in-a-pair"),
+    pytest.param([(4, Ratio(2))], id="fraction-subclass-in-a-row-in-a-list"),
+    pytest.param(Pair((4, Ratio(2)), 1), id="fraction-subclass-in-a-row-as-a-field"),
+    pytest.param([(Colour.RED, Fraction(1, 2))], id="int-enum-member-in-a-row-in-a-list"),
+    pytest.param({"row": (Count(4), Fraction(1))}, id="int-subclass-in-a-row-as-a-dict-value"),
     pytest.param(Name("a"), id="str-subclass"),
     pytest.param({"n": Count(5)}, id="int-subclass"),
     pytest.param({"n": 2, "colour": Colour.RED}, id="int-enum-member-as-a-dict-value"),
