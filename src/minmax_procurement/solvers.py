@@ -14,30 +14,25 @@ Cost of the min-sum layer, for V nodes and E edges:
   over tight edges, O(E log E) with its per-node sorts by edge id,
   zero-cost plateaus included, over the adjacency lists
   `Instance.adjacency` builds once per instance.
-- `scaled_min_sum_value`: the value alone, optionally without one agent's
-  edges, on the instance itself (no derived copy); one Dijkstra that stops
-  at the target for paths, and no solve at all when the memoized optimum
-  holds none of the agent's edges.
+- `scaled_min_sum_value`: the value alone, without one agent's edges, on
+  the instance itself (no derived copy and no memo); one Dijkstra that
+  stops at the target for paths.
 - `min_arborescence`: iterative Chu-Liu/Edmonds in O(E log^2 V), with no
   recursion; a contraction recomputes only the new super-node's best
   in-edge, from its members' in-edge heaps merged smaller into larger, and
   the walks keep their union-find and markers in flat per-node lists.
 
-The chain DP has two entries over one body. `chain_minmax_exact` checks its
-int or Fraction block costs and scales them to integers over their common
-denominator L; `scaled_chain_minmax` takes n-tuples of ints already over a
-given L, with no check and no rescale, as the chain-exact allocator does.
-Of the candidate load vectors after a block the DP keeps only the ones
-whose lower bound on the final max load does not exceed the max load of a
-greedy pick sequence, tested as the candidates are built, and of those only
-the Pareto-minimal ones, found by one front helper that the load width
-selects. With S survivors, a block costs O(S log S) for n <= 3 agents: one
-sort, then a linear sweep, with a running minimum of the last coordinate
-for n <= 2 and over a staircase of the last two coordinates for n = 3. For
-n >= 4 the prune is a pairwise scan, O(S^2) per block; the bound keeps S
-small enough that 4 agents and 16 blocks take well under a second. At
-n = 2 the rest of a block's work is a few int operations, no tuples: the
-bound's inputs are ints, and the kept candidates are the next states.
+The chain DP has two entries over one body, `_picks`, for every agent
+count n. `chain_minmax_exact` checks its int or Fraction block costs and
+scales them to integers over their common denominator L;
+`scaled_chain_minmax` takes n-tuples of ints already over a given L, with no
+check and no rescale, as the chain-exact allocator does. Of the candidate
+load vectors after a block the DP keeps only the ones whose lower bound on
+the final max load does not exceed the max load of a greedy pick sequence,
+tested as the candidates are built, and of those only the Pareto-minimal
+ones, found by one front helper that the load width selects. The kept
+candidates are the next block's states, and the pick sequence is read back
+once at the end; `scaled_chain_minmax` gives the cost per block.
 
 Tie-breaking: the brute-force oracles return, among equal-value optima, the
 solution whose sorted edge-id sequence is lexicographically smallest. The
@@ -447,9 +442,7 @@ def chain_minmax_exact(
     raises StructureError, as does an `n` that is not an int. The costs are
     scaled once to integers over their common denominator L, and
     `scaled_chain_minmax` solves the scaled input: its tie-break, prunes and
-    cost are this function's. With S surviving states a block costs
-    O(S log S) for n <= 2 (one sort and a linear sweep) and for n = 3 (one
-    sort and a staircase sweep), and O(S^2) for n >= 4.
+    cost are this function's.
 
     When `block_edges` is given (edge ids per block and choice), the witness
     Solution is assembled from the chosen blocks.
@@ -515,18 +508,15 @@ def scaled_chain_minmax(
       first-of-equal `min` pick the states they would pick without the bound.
     The bound is one test per coordinate of each candidate, against the
     limits UB - rest[k+1][i] computed once per block, and the greedy costs
-    O(n) per choice. With S survivors, a block costs O(S log S) for n <= 3:
-    one sort, then a linear sweep with a running minimum for n <= 2 or a
-    staircase sweep for n = 3. For n >= 4 it is a pairwise scan, O(S^2).
-    At n = 2 (`_two_agent_picks`) the suffix minima, the greedy and the
-    limits are ints, with no tuple built, and the kept candidates serve as
-    the next block's states, so beyond its candidates a block costs a few
-    int operations.
+    O(n) per choice. Each kept candidate, its load followed by its parent's
+    position and its choice, serves as a state of the next block as it is,
+    and the picks are read back along those positions once, at the end.
+    With S survivors, a block costs O(S log S) for n <= 3: one sort, then a
+    linear sweep with a running minimum for n <= 2 or a staircase sweep for
+    n = 3. For n >= 4 it is a pairwise scan, O(S^2); the bound keeps S small
+    enough that 4 agents and 16 blocks take well under a second.
     """
-    if n == 2:
-        value, picks = _two_agent_picks(blocks)
-    else:
-        value, picks = _picks(n, blocks)
+    value, picks = _picks(n, blocks)
     witness = None
     if block_edges is not None:
         ids: list[int] = []
@@ -538,96 +528,71 @@ def scaled_chain_minmax(
 
 def _picks(n: int, blocks: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, list[int]]:
     """`scaled_chain_minmax`'s optimal max load over L and its pick sequence."""
-    # rest[k][i]: the least agent i pays in blocks k, k+1, ...
-    rest = [(0,) * n]
-    for block in reversed(blocks):
-        rest.append(tuple(map(operator.add, rest[-1], map(min, zip(*block)))))
-    rest.reverse()
-    greedy = (0,) * n  # the loads of the greedy pick sequence, block by block
-    for block, r in zip(blocks, rest[1:]):
-        greedy = min((tuple(map(operator.add, greedy, vec)) for vec in block),
-                     key=lambda load: max(map(operator.add, load, r)))
-    ub = max(greedy)
-    # States are kept in lexicographic order of their pick sequences, each
-    # with a parent pointer (choice, parent state's pointer). Expanding them
-    # in that order, choices ascending, keeps the order, so of the candidates
-    # with equal loads the first has the smallest pick sequence. A candidate
-    # is its load followed by its (state, choice) position; it passes the
-    # bound iff its load is <= ub - rest[k+1] in every coordinate.
-    loads: list[tuple[int, ...]] = [(0,) * n]
-    parents: list[Optional[tuple]] = [None]
-    for block, r in zip(blocks, rest[1:]):
-        limit = tuple(ub - x for x in r)
-        if n == 3:
+    # rest[k][i]: the least agent i pays in blocks k, k+1, ...; ub: the
+    # greedy's max load; a limit per block. At n = 2 they are plain ints, as
+    # tuples cost the 2-agent allocation about a tenth of its time.
+    if n == 2:
+        rest_a, rest_b = [0], [0]
+        for block in reversed(blocks):
+            xs, ys = zip(*block)
+            rest_a.append(rest_a[-1] + min(xs))
+            rest_b.append(rest_b[-1] + min(ys))
+        rest_a.reverse()
+        rest_b.reverse()
+        ga = gb = 0
+        for block, ra, rb in zip(blocks, rest_a[1:], rest_b[1:]):
+            bound = None
+            for x, y in block:
+                u, v = ga + x + ra, gb + y + rb
+                if v > u:
+                    u = v
+                if bound is None or u < bound:
+                    bound, gx, gy = u, x, y
+            ga += gx
+            gb += gy
+        ub = ga if ga > gb else gb
+        limits = [(ub - ra, ub - rb) for ra, rb in zip(rest_a[1:], rest_b[1:])]
+    else:
+        rest = [(0,) * n]
+        for block in reversed(blocks):
+            rest.append(tuple(map(operator.add, rest[-1], map(min, zip(*block)))))
+        rest.reverse()
+        greedy = (0,) * n
+        for block, r in zip(blocks, rest[1:]):
+            greedy = min((tuple(map(operator.add, greedy, vec)) for vec in block),
+                         key=lambda load: max(map(operator.add, load, r)))
+        ub = max(greedy)
+        limits = [tuple(ub - x for x in r) for r in rest[1:]]
+    # The states stay in lexicographic order of their pick sequences, as they
+    # are expanded in that order, choices ascending: of the candidates with
+    # equal loads the first has the smallest pick sequence.
+    states: list[tuple[int, ...]] = [(0,) * (n + 2)]
+    history = []
+    for block, limit in zip(blocks, limits):
+        if n == 2:
+            la, lb = limit
+            candidates = [(p, q, s, ch) for s, (a, b, _, _) in enumerate(states)
+                          for ch, (x, y) in enumerate(block)
+                          if (p := a + x) <= la and (q := b + y) <= lb]
+        elif n == 3:
             la, lb, lc = limit
-            candidates = [(p, q, w, s, ch) for s, (a, b, c) in enumerate(loads)
+            candidates = [(p, q, w, s, ch) for s, (a, b, c, _, _) in enumerate(states)
                           for ch, (x, y, z) in enumerate(block)
                           if (p := a + x) <= la and (q := b + y) <= lb and (w := c + z) <= lc]
-        else:
-            candidates = [load + (s, ch) for s, prev in enumerate(loads)
+        else:  # map stops at the n coordinates of vec, before the position
+            candidates = [load + (s, ch) for s, state in enumerate(states)
                           for ch, vec in enumerate(block)
                           if all(map(operator.le,
-                                     (load := tuple(map(operator.add, prev, vec))), limit))]
-        kept = _pareto_minimal(candidates)
-        parents = [(t[-1], parents[t[-2]]) for t in kept]
-        loads = [t[:-2] for t in kept]
-
-    # min returns the first of equal keys: the smallest pick sequence
-    best = min(range(len(loads)), key=lambda i: max(loads[i]))
-    picks: list[int] = []
-    node = parents[best]
-    while node is not None:
-        c, node = node
-        picks.append(c)
-    picks.reverse()
-    return max(loads[best]), picks
-
-
-def _two_agent_picks(blocks: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[int]]:
-    """`_picks` at n = 2, its bookkeeping on plain ints.
-
-    The suffix minima, the greedy bound and the limits are ints per block,
-    not tuples. The states are the candidates `_pareto_minimal` kept, each
-    (a, b, state, choice) with the position of its parent among the previous
-    block's states, so no load or parent is rebuilt per block: the pick
-    sequence is read back along those positions at the end.
-    """
-    # rest_a[k], rest_b[k]: the least each agent pays in blocks k, k+1, ...
-    rest_a, rest_b = [0], [0]
-    for block in reversed(blocks):
-        xs, ys = zip(*block)
-        rest_a.append(rest_a[-1] + min(xs))
-        rest_b.append(rest_b[-1] + min(ys))
-    rest_a.reverse()
-    rest_b.reverse()
-    ga = gb = 0  # the greedy's loads: in each block the first choice of smallest bound
-    for block, ra, rb in zip(blocks, rest_a[1:], rest_b[1:]):
-        bound = None
-        for x, y in block:
-            u, v = ga + x + ra, gb + y + rb
-            if v > u:
-                u = v
-            if bound is None or u < bound:
-                bound, gx, gy = u, x, y
-        ga += gx
-        gb += gy
-    ub = ga if ga > gb else gb
-    states = [(0, 0, 0, 0)]
-    history = []
-    for block, ra, rb in zip(blocks, rest_a[1:], rest_b[1:]):
-        la, lb = ub - ra, ub - rb
-        states = _pareto_minimal(
-            [(p, q, s, ch) for s, (a, b, _, _) in enumerate(states)
-             for ch, (x, y) in enumerate(block)
-             if (p := a + x) <= la and (q := b + y) <= lb])
+                                     (load := tuple(map(operator.add, state, vec))), limit))]
+        states = _pareto_minimal(candidates)
         history.append(states)
     # min returns the first of equal keys: the smallest pick sequence
-    best = min(range(len(states)), key=lambda i: max(states[i][:2]))
-    value = max(states[best][:2])
+    best = min(range(len(states)), key=lambda i: max(states[i][:n]))
+    value = max(states[best][:n])
     picks: list[int] = []
-    for states in reversed(history):
-        _, _, best, c = states[best]
-        picks.append(c)
+    for kept in reversed(history):
+        best, choice = kept[best][-2:]
+        picks.append(choice)
     picks.reverse()
     return value, picks
 
@@ -699,30 +664,23 @@ def min_sum_optimum(inst: Instance) -> OptimumReport:
     return report
 
 
-def scaled_min_sum_value(inst: Instance, without_agent: Optional[int] = None) -> int:
+def scaled_min_sum_value(inst: Instance, without_agent: int) -> int:
     """The min-sum optimum's value times the instance's L, over the edges
-    that `without_agent` does not own (all edges when it is None): SC, or
-    SC_{-i} as a Clarke payment needs it.
+    that agent `without_agent` does not own (0, no agent, keeps them all):
+    SC_{-i}, as a Clarke payment needs it, or SC.
 
-    No derived instance is built. When `min_sum_optimum(inst)` is memoized
-    and its witness holds no edge of `without_agent`, that optimum is the
-    answer with no solve: the witness stays feasible, and leaving edges out
-    never lowers the optimum. Otherwise paths take one forward Dijkstra over
-    the instance's own adjacency, skipping the agent's edges and stopping at
-    the target, and arborescences take `min_arborescence`'s contraction on
-    the remaining edges. Raises NoFeasibleSolutionError exactly where
-    `min_sum_optimum` on `inst.without_agent(without_agent)` does.
+    A plain solve: no derived instance is built and no memo is read. Paths
+    take one forward Dijkstra over the instance's own adjacency, skipping the
+    agent's edges and stopping at the target; arborescences take
+    `min_arborescence`'s contraction on the remaining edges. Raises
+    NoFeasibleSolutionError exactly where `min_sum_optimum` on
+    `inst.without_agent(without_agent)` does.
     """
-    scale, costs = inst.scaled_costs()
-    memo = inst.__dict__.get("_min_sum_cache")
-    if memo is not None and all(inst.edge_by_id(eid).owner != without_agent
-                                for eid in memo.witness.edge_ids):
-        return memo.value.numerator * (scale // memo.value.denominator)
-    skip = without_agent or 0  # owners start at 1, so 0 skips no edge
     if inst.mode != PATH:
-        return sum(costs[i] for i in _edmonds(inst, skip))
+        costs = inst.scaled_costs()[1]
+        return sum(costs[i] for i in _edmonds(inst, without_agent))
     t = inst.target_or_root
-    dist = _dijkstra(inst, stop=t, without_agent=skip)
+    dist = _dijkstra(inst, stop=t, without_agent=without_agent)
     if dist[t] is None:
         raise NoFeasibleSolutionError("source and target are disconnected")
     return dist[t]

@@ -7,13 +7,16 @@ follow the Clarke pivot rule: each agent receives the externality it imposes,
 P_i = SC_without_i - (SC - own_share), which is individually rational here.
 `clarke_payment` prices one agent; `run_vcg` pays every agent, and
 `vcg_mechanism` gives the allocation and one agent's payment, the contract
-the truthfulness audit asks for.
+the truthfulness audit asks for. `vcg` alone decides when a pivot needs no
+solve: SC_without_i = SC when the memoized min-sum optimum holds none of
+agent i's edges, so only agents on that optimum cost a solve each.
 
 All quantities are exact rationals; the mechanism is deterministic.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -58,44 +61,59 @@ def clarke_payment(inst: Instance, alloc: Solution, agent: int) -> Fraction:
     """Agent's Clarke pivot payment for the given min-sum allocation.
 
     P_i = SC_{-i} - (SC - t_i(alloc)), where SC_{-i} is the min-sum optimum
-    with agent i's edges deleted, from `scaled_min_sum_value(inst, i)`: a
-    solve on the instance itself that skips agent i's edges, with no derived
-    copy. Everything is an integer over the instance's L until the one
-    Fraction returned. An agent with no edge in the graph is paid 0 with no
-    solve. So is an agent that owns no edge of the memoized min-sum optimum,
-    which `run_vcg` allocates: that optimum stays feasible without the agent,
-    so SC_{-i} = SC, and the solve is skipped. The shortcut rests on the
-    memo's witness, not on `alloc`, so any allocation gets the exact payment.
-    Raises PivotalInfeasibleError when no solution avoids the agent's edges,
-    and ValueError for an agent outside 1..n.
+    with agent i's edges deleted. Everything is an integer over the
+    instance's L until the one Fraction returned. An agent with no edge in
+    the graph is paid 0. When the witness of `min_sum_optimum(inst)`, which
+    `run_vcg` allocates, holds none of the agent's edges, that optimum stays
+    feasible without the agent, so SC_{-i} = SC with no solve; otherwise
+    `scaled_min_sum_value(inst, i)` solves on the instance itself, with no
+    derived copy. The shortcut rests on the optimum, not on `alloc`, so any
+    allocation gets the exact payment. Raises PivotalInfeasibleError when no
+    solution avoids the agent's edges, and ValueError for an agent outside
+    1..n.
     """
     if not 1 <= agent <= inst.agent_count:
         raise ValueError(f"agent {agent} is not one of 1..{inst.agent_count}")
-    loads = scaled_loads(inst, alloc.edge_ids)
-    owns = any(e.owner == agent for e in inst.edges)
-    return _pivot(inst, loads, sum(loads), agent, owns)
+    owned = [e.id for e in inst.edges if e.owner == agent]
+    return _payer(inst, alloc)(agent, owned)
 
 
 def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
-    """`clarke_payment` for agents 1..n in order, with the allocation priced
-    once; the first pivotal agent raises."""
-    loads = scaled_loads(inst, alloc.edge_ids)
-    total = sum(loads)
-    owners = {e.owner for e in inst.edges}
-    return tuple(_pivot(inst, loads, total, agent, agent in owners)
+    """`clarke_payment` for agents 1..n in order, with the allocation and the
+    min-sum optimum read once and each agent's edges found in one pass; the
+    first pivotal agent raises."""
+    owned: defaultdict[int, list[int]] = defaultdict(list)
+    for e in inst.edges:
+        owned[e.owner].append(e.id)
+    pay = _payer(inst, alloc)
+    return tuple(pay(agent, owned[agent])
                  for agent in range(1, inst.agent_count + 1))
 
 
-def _pivot(inst: Instance, loads: list[int], total: int, agent: int, owns: bool) -> Fraction:
-    """`clarke_payment` from the allocation's per-agent loads, their total
-    and whether the agent owns an edge of the graph."""
-    if not owns:
-        return _ZERO
-    try:
-        sc_without = scaled_min_sum_value(inst, agent)
-    except NoFeasibleSolutionError:
-        raise PivotalInfeasibleError(agent) from None
-    return Fraction(sc_without - (total - loads[agent - 1]), inst.scaled_costs()[0])
+def _payer(inst: Instance, alloc: Solution) -> Callable[[int, list[int]], Fraction]:
+    """`clarke_payment` for `alloc`, as a function of the agent and the ids
+    of its edges, with the allocation's loads and the min-sum optimum read
+    once."""
+    scale = inst.scaled_costs()[0]
+    loads = scaled_loads(inst, alloc.edge_ids)
+    total = sum(loads)
+    optimum = min_sum_optimum(inst)
+    witness = optimum.witness.edge_ids
+    sc = optimum.value.numerator * (scale // optimum.value.denominator)
+
+    def pay(agent: int, owned: list[int]) -> Fraction:
+        if not owned:
+            return _ZERO
+        if witness.isdisjoint(owned):
+            sc_without = sc
+        else:
+            try:
+                sc_without = scaled_min_sum_value(inst, agent)
+            except NoFeasibleSolutionError:
+                raise PivotalInfeasibleError(agent) from None
+        return Fraction(sc_without - (total - loads[agent - 1]), scale)
+
+    return pay
 
 
 def run_vcg(inst: Instance) -> MechanismOutcome:

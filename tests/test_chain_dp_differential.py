@@ -16,6 +16,11 @@ of each input, in tests/former_chain_dp_outputs.json;
     PYTHONPATH=src python tests/test_chain_dp_differential.py
 
 rewrites that file from the former DP alone.
+
+`tuple_step_picks` is the integer DP's former per-block step: parent
+pointers as nested tuples and each kept load rebuilt by slicing. One body
+now serves every agent count, and it must return the same value and picks
+as that step and hand the front helper the same candidates, block by block.
 """
 
 import dataclasses
@@ -26,7 +31,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, le
 from pathlib import Path
 
 import pytest
@@ -89,6 +94,39 @@ def _old_prune_dominated(states):
             continue
         kept.append((load, picks))
     return dict(kept)
+
+
+def tuple_step_picks(n, blocks):
+    """The former per-block step of the integer DP on n-tuples of ints: the
+    optimal max load and the pick sequence, with the front helper looked up
+    in `solvers` at each block."""
+    rest = [(0,) * n]
+    for block in reversed(blocks):
+        rest.append(tuple(map(add, rest[-1], map(min, zip(*block)))))
+    rest.reverse()
+    greedy = (0,) * n
+    for block, r in zip(blocks, rest[1:]):
+        greedy = min((tuple(map(add, greedy, vec)) for vec in block),
+                     key=lambda load: max(map(add, load, r)))
+    ub = max(greedy)
+    loads = [(0,) * n]
+    parents = [None]  # per state, (choice, the parent state's pointer)
+    for block, r in zip(blocks, rest[1:]):
+        limit = tuple(ub - x for x in r)
+        candidates = [load + (s, ch) for s, prev in enumerate(loads)
+                      for ch, vec in enumerate(block)
+                      if all(map(le, (load := tuple(map(add, prev, vec))), limit))]
+        kept = solvers._pareto_minimal(candidates)
+        parents = [(t[-1], parents[t[-2]]) for t in kept]
+        loads = [t[:-2] for t in kept]
+    best = min(range(len(loads)), key=lambda i: max(loads[i]))
+    picks = []
+    node = parents[best]
+    while node is not None:
+        c, node = node
+        picks.append(c)
+    picks.reverse()
+    return max(loads[best]), picks
 
 
 # -- helpers -----------------------------------------------------------------------
@@ -205,20 +243,20 @@ def test_inputs_whose_optimal_states_meet_the_upper_bound(n):
         assert report.value == value
 
 
-def two_agent_blocks(rng):
-    """2-agent integer blocks: costs 0-3, so loads and bounds tie, 1-5
+def integer_blocks(rng, n):
+    """Blocks of n-agent integer costs 0-3, so loads and bounds tie, 1-5
     choices a block, 1-12 blocks, with zero-cost choices and blocks and
     single-choice blocks."""
     blocks = []
     for _ in range(rng.randint(1, 12)):
         shape = rng.random()
         if shape < 0.1:  # a zero-cost block
-            block = [(0, 0)] * rng.randint(1, 3)
+            block = [(0,) * n] * rng.randint(1, 3)
         else:
             choices = 1 if shape < 0.25 else rng.randint(1, 5)
-            block = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(choices)]
+            block = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(choices)]
             if rng.random() < 0.3:  # a zero-cost choice
-                block.insert(rng.randrange(len(block) + 1), (0, 0))
+                block.insert(rng.randrange(len(block) + 1), (0,) * n)
         blocks.append(block)
     return blocks
 
@@ -239,26 +277,36 @@ def recorded_fronts(monkeypatch, solve):
         monkeypatch.setattr(solvers, "_pareto_minimal", pareto_minimal)
 
 
-def test_two_agent_integer_inputs_match_the_former_dp(monkeypatch):
-    # the scalar 2-agent step against the former DP, and against the tuple
-    # step that still serves n = 1 and n >= 3: the same value, choices and
-    # witness, and the same candidates handed to the front helper, block by
-    # block, which pins the greedy's tie-break (the first smallest bound)
+def test_two_agent_integer_inputs_match_the_former_dp():
+    # the same value, choices and witness as the former DP on 2-agent
+    # integer inputs, over L = 1 and L = 4
     rng = random.Random("chain-dp-two-agents")
     tight = 0
     for trial in range(1500):
-        vectors = two_agent_blocks(rng)
+        vectors = integer_blocks(rng, 2)
         scale = rng.choice((1, 4))
-        new, fronts = recorded_fronts(monkeypatch, lambda: assert_same_scaled(
-            2, vectors, scale, edge_ids(vectors) if trial % 2 else None))
-        tuple_step, tuple_fronts = recorded_fronts(
-            monkeypatch, lambda: solvers._picks(2, vectors))
-        assert (new.value * scale, list(new.choices)) == tuple_step
-        assert fronts == tuple_fronts and len(fronts) == len(vectors)
+        new = assert_same_scaled(2, vectors, scale, edge_ids(vectors) if trial % 2 else None)
         tight += greedy_value(2, vectors) == new.value * scale
     # inputs where the greedy's max load is the optimum, so optimal states
     # sit on the bound, are common at these costs
     assert tight >= 1000
+
+
+@pytest.mark.parametrize("n,trials", [(1, 300), (2, 1000), (3, 600), (4, 300)])
+def test_integer_inputs_match_the_tuple_step(monkeypatch, n, trials):
+    # one body for every n against the former tuple step: the same value
+    # and picks, and the same candidates handed to the front helper, block
+    # by block, which pins the greedy's tie-break (the first smallest bound)
+    # and the order of the states
+    rng = random.Random(f"chain-dp-tuple-step/{n}")
+    for _ in range(trials):
+        vectors = integer_blocks(rng, n)
+        new, fronts = recorded_fronts(monkeypatch, lambda: solvers._picks(n, vectors))
+        old, old_fronts = recorded_fronts(monkeypatch, lambda: tuple_step_picks(n, vectors))
+        assert new == old
+        assert fronts == old_fronts and len(fronts) == len(vectors)
+        report = scaled_chain_minmax(n, vectors, 1)
+        assert (report.value, list(report.choices)) == new
 
 
 def test_ties_on_the_max_load_take_the_smallest_picks():

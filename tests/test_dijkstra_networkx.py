@@ -55,7 +55,7 @@ def networkx_length(inst: Instance, without_agent: int = 0):
         return None
 
 
-def unscaled_value(inst: Instance, without_agent=None):
+def unscaled_value(inst: Instance, without_agent=0):
     try:
         return F(scaled_min_sum_value(inst, without_agent), inst.scaled_costs()[0])
     except NoFeasibleSolutionError:
@@ -78,8 +78,8 @@ def test_dijkstra_matches_networkx(directed):
             assert report.value == expected
             assert validate_solution(inst, report.witness)
             assert cost_summary(inst, report.witness).sum_cost == expected
-        # before the min-sum optimum is memoized, then after: the second
-        # skips the solve for agents the memoized witness does not use
+        # before the min-sum optimum is memoized, then after: the memo is
+        # not read, so both are solves
         values = [unscaled_value(inst, agent) for agent in range(1, inst.agent_count + 1)]
         if expected is not None:
             min_sum_optimum(inst)
@@ -97,6 +97,6 @@ def test_a_disconnected_target_is_infeasible(directed):
     assert networkx_length(inst) is None
     with pytest.raises(NoFeasibleSolutionError):
         shortest_path(inst)
-    for agent in (None, 1, 2):
+    for agent in (0, 1, 2):
         with pytest.raises(NoFeasibleSolutionError):
             scaled_min_sum_value(inst, agent)

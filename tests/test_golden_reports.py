@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +29,9 @@ import pytest
 from minmax_procurement.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
+# committed instance files copied into the working directory before the ops:
+# two parallel 4-edge paths, one agent per edge, and one agent owning none
+INPUTS = [Path(__file__).with_name("two_paths_4.json")]
 
 # (name, argv, file written by --out or None), run in this order: later ops
 # read the instance files the gen ops write
@@ -75,6 +79,7 @@ OPS = [
                                     "--agents", "2", "--blocks", "79"], None),
     ("adversary-chain-exact-2x81", ["adversary", "run", "--alg", "chain-exact",
                                     "--agents", "2", "--blocks", "81"], None),
+    ("vcg-two-paths", ["vcg", "--instance", "two_paths_4.json"], None),
 ]
 
 
@@ -83,6 +88,8 @@ def run_ops() -> dict[str, dict]:
     results = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
+        for path in INPUTS:
+            shutil.copy(path, work)
         os.chdir(work)
         try:
             for name, argv, written in OPS:

@@ -342,11 +342,11 @@ def assert_matches_oracles(inst):
         with pytest.raises(NoFeasibleSolutionError, match=message):
             min_sum_optimum(inst)
         with pytest.raises(NoFeasibleSolutionError, match=message):
-            scaled_min_sum_value(inst)
+            scaled_min_sum_value(inst, 0)
         value = None
     else:
         # solved before the optimum is memoized
-        value = Fraction(scaled_min_sum_value(inst), inst.scaled_costs()[0])
+        value = Fraction(scaled_min_sum_value(inst, 0), inst.scaled_costs()[0])
         report = min_sum_optimum(inst)
         assert (report.value, report.witness) == (expected.value, expected.witness)
         assert report.objective == expected.objective

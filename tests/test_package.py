@@ -139,3 +139,42 @@ def test_the_min_sum_solver_check_sees_both_forms():
     assert _min_sum_solver_calls("solvers.min_arborescence(inst)")
     assert not _min_sum_solver_calls(
         "from .solvers import shortest_path\nmin_sum_optimum(inst)\nf(shortest_path)")
+
+
+MIN_SUM_MEMO = "_min_sum_cache"
+
+
+def _min_sum_memo_uses(source: str, owner: str | None = None) -> list[str]:
+    """Reads and writes of the min-sum memo in `source`, the key as a string
+    or as an attribute, outside the function named `owner`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if where != owner and (isinstance(node, ast.Constant) and node.value == MIN_SUM_MEMO
+                               or isinstance(node, ast.Attribute) and node.attr == MIN_SUM_MEMO):
+            found.append(f"line {node.lineno}: in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_min_sum_optimum_touches_the_min_sum_memo():
+    # whether a pivot needs a solve is the payment loop's to decide, from the
+    # optimum min_sum_optimum returns; no other code reads or writes its memo
+    files = sorted(Path(minmax_procurement.__file__).parent.glob("*.py"))
+    found = {f.name: uses for f in files if (uses := _min_sum_memo_uses(
+        f.read_text(), "min_sum_optimum" if f.stem == "solvers" else None))}
+    assert found == {}
+
+
+def test_the_min_sum_memo_check_sees_both_forms():
+    assert _min_sum_memo_uses('inst.__dict__.get("_min_sum_cache")')
+    assert _min_sum_memo_uses("def f(inst):\n    return inst._min_sum_cache")
+    assert _min_sum_memo_uses("def f(inst):\n    inst._min_sum_cache = 1", "g")
+    owned = 'def min_sum_optimum(inst):\n    return inst.__dict__.get("_min_sum_cache")'
+    assert not _min_sum_memo_uses(owned, "min_sum_optimum")
+    assert _min_sum_memo_uses(owned)

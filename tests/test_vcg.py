@@ -9,6 +9,7 @@ pivotal agent for pivotal agent.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,8 @@ from minmax_procurement import (
 )
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
-from minmax_procurement.graphs import agent_cost
+from minmax_procurement import vcg
+from minmax_procurement.graphs import agent_cost, dump_instance
 from minmax_procurement.graphs import ARBORESCENCE
 from minmax_procurement.solvers import NoFeasibleSolutionError
 from minmax_procurement.vcg import PivotalInfeasibleError
@@ -75,6 +77,8 @@ def test_edgeless_agent_is_paid_zero():
     inst = Instance(False, 2, edges, 3, PATH, 0, 1)  # agent 2 owns nothing
     outcome = run_vcg(inst)
     assert outcome.payments[1] == 0
+    # also for an allocation that is not the min-sum optimum
+    assert clarke_payment(inst, Solution({1}), 2) == clarke_payments(inst, Solution({1}))[1] == 0
 
 
 def test_pivotal_agent_is_a_hard_error():
@@ -291,3 +295,71 @@ def test_a_payment_for_no_agent_of_the_instance_is_refused(agent):
     inst = gen_chain(ChainSpec(2, 2))
     with pytest.raises(ValueError, match=f"^agent {agent} is not one of 1..2$"):
         clarke_payment(inst, vcg_allocate(inst), agent)
+
+
+# -- work per payment call on two parallel paths ---------------------------------
+
+
+class CountedEdges(tuple):
+    """An instance's edges that count each edge read, by index or by a pass."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        for e in tuple.__iter__(self):
+            self.reads += 1
+            yield e
+
+
+def two_paths(m, edges=tuple):
+    """Two parallel m-edge paths from node 0 to node 1, one agent per edge,
+    and agent 2m + 1 owning none. The first path costs 1/2, 1, 3/2, ... and
+    the second 2, 3, 2, ..., so the first is the min-sum optimum."""
+    listed = []
+    for side, first, cost in ((0, 2, lambda k: F(1 + k % 3, 2)), (1, m + 1, lambda k: F(2 + k % 2))):
+        nodes = [0, *range(first, first + m - 1), 1]
+        for k in range(m):
+            eid = side * m + k
+            listed.append(Edge(eid, nodes[k], nodes[k + 1], eid + 1, cost(k)))
+    return Instance(False, 2 * m, edges(listed), 2 * m + 1, PATH, 0, 1)
+
+
+def test_the_committed_two_path_file_is_the_family_at_four(tmp_path):
+    dump_instance(two_paths(4), tmp_path / "two_paths_4.json")
+    committed = Path(__file__).with_name("two_paths_4.json")
+    assert (tmp_path / "two_paths_4.json").read_bytes() == committed.read_bytes()
+
+
+@pytest.mark.parametrize("m", [64, 128])
+def test_clarke_payments_solve_once_per_agent_on_the_optimum(monkeypatch, m):
+    inst = two_paths(m, CountedEdges)
+    alloc = vcg_allocate(inst)
+    assert alloc.edge_ids == set(range(m))
+    solved, optima = [], []
+    solve, optimum = vcg.scaled_min_sum_value, vcg.min_sum_optimum
+    monkeypatch.setattr(vcg, "scaled_min_sum_value",
+                        lambda inst, agent: solved.append(agent) or solve(inst, agent))
+    monkeypatch.setattr(vcg, "min_sum_optimum",
+                        lambda inst: optima.append(inst) or optimum(inst))
+    inst.edges.reads = 0
+    payments = clarke_payments(inst, alloc)
+    # one solve per agent on the optimum's path, none for the other path's
+    # agents or the idle one, and O(E) edge reads in all: one pass for the
+    # owners, one for the id index the allocation's loads build, and the
+    # allocation's edges (checking each agent against the optimum edge by
+    # edge would read m^2)
+    assert solved == list(range(1, m + 1))
+    assert len(optima) == 1
+    assert inst.edges.reads <= 3 * len(inst.edges)
+    sc, sc_other = sum(F(1 + k % 3, 2) for k in range(m)), sum(F(2 + k % 2) for k in range(m))
+    assert payments == tuple(sc_other - sc + F(1 + k % 3, 2) for k in range(m)) + (F(0),) * (m + 1)
+    # one agent's payment reads the optimum once and solves only for its own edges
+    solved.clear()
+    optima.clear()
+    assert [clarke_payment(inst, alloc, agent) for agent in (1, m + 1, 2 * m + 1)] \
+        == [payments[0], F(0), F(0)]
+    assert solved == [1] and len(optima) == 3
