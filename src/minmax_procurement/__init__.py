@@ -28,14 +28,7 @@ from .solvers import (
     min_sum_optimum,
     shortest_path,
 )
-from .vcg import (
-    MechanismOutcome,
-    clarke_payment,
-    clarke_payments,
-    run_vcg,
-    vcg_allocate,
-    vcg_mechanism,
-)
+from .vcg import clarke_payments, vcg_allocate, vcg_mechanism
 from .pareto import PtasReport, minmax_ptas, pareto_eps, preprocess
 from .audit import (
     Perturbation,
@@ -66,8 +59,7 @@ __all__ = [
     "OptimumReport", "brute_minmax", "chain_minmax_exact", "min_arborescence",
     "min_sum_optimum", "shortest_path",
     # vcg
-    "MechanismOutcome", "clarke_payment", "clarke_payments", "run_vcg",
-    "vcg_allocate", "vcg_mechanism",
+    "clarke_payments", "vcg_allocate", "vcg_mechanism",
     # pareto
     "PtasReport", "minmax_ptas", "pareto_eps", "preprocess",
     # audit

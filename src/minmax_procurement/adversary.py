@@ -34,6 +34,7 @@ from .graphs import (
     validate_solution,
 )
 from .audit import (
+    AllocationAlgorithm,
     InfeasibleAllocationError,
     ViolationWitness,
     edge_stability_perturbation,
@@ -41,7 +42,6 @@ from .audit import (
     is_strict_edge_stability,
 )
 from .solvers import scaled_chain_minmax
-from .vcg import AllocationAlgorithm
 
 MODE_PATH = "path"
 MODE_DMST = "dmst"

@@ -41,7 +41,15 @@ from .graphs import (
     scaled_agent_cost,
     validate_solution,
 )
-from .vcg import AllocationAlgorithm
+
+# The contracts a rule under audit meets. An allocation rule maps a profile
+# to a feasible solution for every instance it accepts; a mechanism
+# `mech(profile, agent)` returns the allocation for the profile and the
+# agent's payment. The names are strings: typing caches a subscripted alias,
+# and with the classes in it the cache would keep every discarded import of
+# the package alive.
+AllocationAlgorithm = Callable[["Instance"], "Solution"]
+Mechanism = Callable[["Instance", int], "tuple[Solution, Fraction]"]
 
 WEAK_MONOTONICITY = "weak-monotonicity"
 TRUTHFULNESS = "truthfulness"
@@ -62,9 +70,12 @@ class Perturbation:
 
     def validate(self, inst: Instance) -> dict[int, Fraction]:
         """The new costs as Fractions, each checked against `inst`, in the
-        mapping's order. A Fraction is kept as it is, without a call, and
-        anything else goes through `as_rational`."""
+        mapping's order; an agent outside 1..n is refused. A Fraction is
+        kept as it is, without a call, and anything else goes through
+        `as_rational`."""
         agent = self.agent
+        if not 1 <= agent <= inst.agent_count:
+            raise ValueError(f"agent {agent} is not one of 1..{inst.agent_count}")
         owned = {e.id for e in inst.edges if e.owner == agent}
         costs = {}
         for eid, cost in self.new_costs.items():
@@ -139,12 +150,6 @@ def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
             raise InfeasibleAllocationError(
                 f"algorithm returned an infeasible solution {sorted(sol.edge_ids)}")
     return _violation(WEAK_MONOTONICITY, inst, perturbed, pert.agent, x, x_prime)
-
-
-# `mech(profile, agent)` returns the allocation for the profile and the
-# agent's payment; string names keep the package's classes out of typing's
-# caches (see vcg)
-Mechanism = Callable[["Instance", int], "tuple[Solution, Fraction]"]
 
 
 def check_truthfulness(mech: Mechanism, inst: Instance, agent: int,

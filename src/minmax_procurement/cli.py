@@ -35,24 +35,23 @@ from .graphs import (
 USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
 MAX_TRIALS = 100_000  # audit trials one run may ask for
-AGENT_ROWS = 4096  # `vcg` report rows made, written and dropped at a time
 
 
 class UsageError(Exception):
     pass
 
 
-def _emit(report: dict, out: str | None, key: str | None = None, chunks=()) -> None:
-    """Write `report` and a newline to `out` or stdout. Given `key`, the
-    report gets that member as well, the items of every list in `chunks`,
-    made and written a chunk at a time (`graphs.write_object`)."""
-    if key is None:
+def _emit(report: dict, out: str | None, *member) -> None:
+    """Write `report` and a newline to `out` or stdout. A `member`, `key,
+    items, records`, adds `key` to the report, written a chunk at a time by
+    `graphs.write_object`."""
+    if not member:
         text = json_text(report)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        if key is None:
+        if not member:
             fh.write(text)
         else:
-            write_object(fh.write, report, key, chunks)
+            write_object(fh.write, report, *member)
         fh.write("\n")
 
 
@@ -103,28 +102,29 @@ def cmd_solve(args) -> int:
 
 def cmd_vcg(args) -> int:
     inst = load_instance(args.instance)
-    outcome = vcg_mod.run_vcg(inst)
-    summary = cost_summary(inst, outcome.allocation)
+    alloc = vcg_mod.vcg_allocate(inst)
+    payments = vcg_mod.clarke_payments(inst, alloc)
+    summary = cost_summary(inst, alloc)
     selected: dict[int, list[int]] = {}  # owner -> ids, for owners of allocated edges
-    for eid in outcome.allocation.sorted_ids():
+    for eid in alloc.sorted_ids():
         selected.setdefault(inst.edge_by_id(eid).owner, []).append(eid)
 
-    def rows(first: int) -> list[dict]:
+    def rows(agents: range) -> list[dict]:
         return [{
             "agent": agent,
             "selected_edge_ids": selected.get(agent, []),
             "cost": summary.per_agent[agent - 1],
-            "payment": outcome.payments[agent - 1],
-            "utility": outcome.payments[agent - 1] - summary.per_agent[agent - 1],
-        } for agent in range(first, min(first + AGENT_ROWS, inst.agent_count + 1))]
+            "payment": payments[agent - 1],
+            "utility": payments[agent - 1] - summary.per_agent[agent - 1],
+        } for agent in agents]
 
     _emit({
         "command": "vcg",
         "config": {"instance": args.instance},
-        "allocation": outcome.allocation,
+        "allocation": alloc,
         "max_agent_cost": summary.max_cost,
         "tie_break": "deterministic smallest-edge-id preference",
-    }, args.out, "agents", map(rows, range(1, inst.agent_count + 1, AGENT_ROWS)))
+    }, args.out, "agents", range(1, inst.agent_count + 1), rows)
     return 0
 
 

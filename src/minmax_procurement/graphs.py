@@ -35,7 +35,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 PATH = "path"
 ARBORESCENCE = "arborescence"
@@ -469,20 +469,26 @@ def _enclose(values: Iterable, indent: str, frame: tuple[str, ...] | None = None
     return ("," + inner).join(parts)
 
 
+# Items `write_object` makes, writes and drops at a time.
+CHUNK = 4096
+
+
 def write_object(write: Callable[[str], object], obj: dict, key: str,
-                  chunks: Iterable[list]) -> None:
+                 items: Sequence, records: Callable[[Sequence], list]) -> None:
     """Write `json_text` of `obj` with one more member, `key`, whose value is
-    the list of the items of every list in `chunks`. The member goes among
-    obj's sorted keys, and its items' text is made and written one chunk at
-    a time, so neither all the items nor the whole text is held."""
+    the list `records(items)`. The member goes among obj's sorted keys, and
+    `records` is called on CHUNK items at a time, its values' text made and
+    written per call, so neither all the records nor the whole text is
+    held."""
     inner, item = "\n ", "\n  "
     names, frame = _members((*obj, key), "\n")
     at = names.index(key)
     texts = [json_text(obj[n], inner) for n in names if n != key]
     write("".join(map(str.__add__, frame[:at], texts[:at])) + frame[at] + "[")
     lead = item  # what comes before the next chunk's first item
-    for items in chunks:
-        write(lead + ("," + item).join([json_text(x, item) for x in items]))
+    for i in range(0, len(items), CHUNK):
+        chunk = records(items[i:i + CHUNK])
+        write(lead + ("," + item).join([json_text(x, item) for x in chunk]))
         lead = "," + item
     write(("]" if lead == item else inner + "]")
           + "".join(map(str.__add__, frame[at + 1:], texts[at:])) + frame[-1])
@@ -591,17 +597,11 @@ def instance_from_dict(data: dict) -> Instance:
         raise InstanceFormatError(f"bad instance data: {exc}") from exc
 
 
-# Edge records dump_instance makes, writes and drops at a time.
-EDGE_CHUNK = 4096
-
-
 def dump_instance(inst: Instance, path) -> None:
     """Write `instance_to_dict(inst)` to `path` as `json_text` writes it, and
-    a newline; the edge records are made EDGE_CHUNK at a time."""
-    edges = inst.edges
-    chunks = (_edge_records(edges[i:i + EDGE_CHUNK]) for i in range(0, len(edges), EDGE_CHUNK))
+    a newline; the edge records are made CHUNK at a time (`write_object`)."""
     with open(path, "w") as fh:
-        write_object(fh.write, _header(inst), "edges", chunks)
+        write_object(fh.write, _header(inst), "edges", inst.edges, _edge_records)
         fh.write("\n")
 
 

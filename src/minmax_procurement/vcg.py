@@ -5,11 +5,12 @@ minimum arborescence depending on the instance mode), which makes the
 mechanism truthful and an n-approximation of the min-max optimum. Payments
 follow the Clarke pivot rule: each agent receives the externality it imposes,
 P_i = SC_without_i - (SC - own_share), which is individually rational here.
-`clarke_payment` prices one agent; `run_vcg` pays every agent, and
-`vcg_mechanism` gives the allocation and one agent's payment, the contract
-the truthfulness audit asks for. `vcg` alone decides when a pivot needs no
-solve: SC_without_i = SC when the memoized min-sum optimum holds none of
-agent i's edges, so only agents on that optimum cost a solve each.
+Three entries: `vcg_allocate` allocates, `clarke_payments` pays every agent
+for an allocation, and `vcg_mechanism` gives the allocation and one agent's
+payment, the contract the truthfulness audit asks for. `vcg` alone decides
+when a pivot needs no solve: SC_without_i = SC when the memoized min-sum
+optimum holds none of agent i's edges, so only agents on that optimum cost
+a solve each.
 
 All quantities are exact rationals; the mechanism is deterministic.
 """
@@ -17,18 +18,11 @@ All quantities are exact rationals; the mechanism is deterministic.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .graphs import Instance, Solution, agent_cost, scaled_loads
+from .graphs import Instance, Solution, scaled_loads
 from .solvers import NoFeasibleSolutionError, min_sum_optimum, scaled_min_sum_value
-
-# Any deterministic allocation rule under audit satisfies this signature and
-# must return a feasible solution for every instance it accepts. The names
-# are strings: typing caches a subscripted alias, and with the classes in it
-# the cache would keep every discarded import of the package alive.
-AllocationAlgorithm = Callable[["Instance"], "Solution"]
 
 
 class PivotalInfeasibleError(ValueError):
@@ -40,15 +34,6 @@ class PivotalInfeasibleError(ValueError):
         self.agent = agent
 
 
-@dataclass(frozen=True)
-class MechanismOutcome:
-    allocation: Solution
-    payments: tuple[Fraction, ...]
-
-    def utility(self, inst: Instance, agent: int) -> Fraction:
-        return self.payments[agent - 1] - agent_cost(inst, self.allocation, agent)
-
-
 def vcg_allocate(inst: Instance) -> Solution:
     """The min-sum optimal solution under the deterministic tie-break."""
     return min_sum_optimum(inst).witness
@@ -57,31 +42,22 @@ def vcg_allocate(inst: Instance) -> Solution:
 _ZERO = Fraction(0)  # immutable, so every idle agent's payment is this one
 
 
-def clarke_payment(inst: Instance, alloc: Solution, agent: int) -> Fraction:
-    """Agent's Clarke pivot payment for the given min-sum allocation.
+def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
+    """Agents 1..n's Clarke pivot payments for the allocation `alloc`.
 
     P_i = SC_{-i} - (SC - t_i(alloc)), where SC_{-i} is the min-sum optimum
-    with agent i's edges deleted. Everything is an integer over the
-    instance's L until the one Fraction returned. An agent with no edge in
-    the graph is paid 0. When the witness of `min_sum_optimum(inst)`, which
-    `run_vcg` allocates, holds none of the agent's edges, that optimum stays
-    feasible without the agent, so SC_{-i} = SC with no solve; otherwise
-    `scaled_min_sum_value(inst, i)` solves on the instance itself, with no
-    derived copy. The shortcut rests on the optimum, not on `alloc`, so any
-    allocation gets the exact payment. Raises PivotalInfeasibleError when no
-    solution avoids the agent's edges, and ValueError for an agent outside
-    1..n.
+    with agent i's edges deleted. The allocation and the min-sum optimum
+    are read once and each agent's edges found in one pass; everything is an
+    integer over the instance's L until each Fraction returned. An agent
+    with no edge in the graph is paid 0. When the witness of
+    `min_sum_optimum(inst)`, which `vcg_allocate` allocates, holds none of
+    an agent's edges, that optimum stays feasible without the agent, so
+    SC_{-i} = SC with no solve; otherwise `scaled_min_sum_value(inst, i)`
+    solves on the instance itself, with no derived copy. The shortcut rests
+    on the optimum, not on `alloc`, so any allocation gets the exact
+    payments. The first pivotal agent raises PivotalInfeasibleError: no
+    solution avoids its edges.
     """
-    if not 1 <= agent <= inst.agent_count:
-        raise ValueError(f"agent {agent} is not one of 1..{inst.agent_count}")
-    owned = [e.id for e in inst.edges if e.owner == agent]
-    return _payer(inst, alloc)(agent, owned)
-
-
-def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
-    """`clarke_payment` for agents 1..n in order, with the allocation and the
-    min-sum optimum read once and each agent's edges found in one pass; the
-    first pivotal agent raises."""
     owned: defaultdict[int, list[int]] = defaultdict(list)
     for e in inst.edges:
         owned[e.owner].append(e.id)
@@ -91,9 +67,9 @@ def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
 
 
 def _payer(inst: Instance, alloc: Solution) -> Callable[[int, list[int]], Fraction]:
-    """`clarke_payment` for `alloc`, as a function of the agent and the ids
-    of its edges, with the allocation's loads and the min-sum optimum read
-    once."""
+    """One agent's Clarke payment for `alloc`, as a function of the agent and
+    the ids of its edges, with the allocation's loads and the min-sum
+    optimum read once."""
     scale = inst.scaled_costs()[0]
     loads = scaled_loads(inst, alloc.edge_ids)
     total = sum(loads)
@@ -116,18 +92,15 @@ def _payer(inst: Instance, alloc: Solution) -> Callable[[int, list[int]], Fracti
     return pay
 
 
-def run_vcg(inst: Instance) -> MechanismOutcome:
-    """Allocate by min-sum and pay Clarke pivots.
-
-    The allocation's maximum agent cost is at most n times the min-max
-    optimum for the reported costs.
-    """
-    alloc = vcg_allocate(inst)
-    return MechanismOutcome(alloc, clarke_payments(inst, alloc))
-
-
 def vcg_mechanism(inst: Instance, agent: int) -> tuple[Solution, Fraction]:
     """VCG as `audit.Mechanism`: the min-sum allocation and `agent`'s Clarke
-    payment alone, so one pivot solve at most, and only for that agent."""
+    payment alone, so one pivot solve at most, and only for that agent.
+
+    Raises PivotalInfeasibleError when no solution avoids the agent's edges,
+    and ValueError for an agent outside 1..n.
+    """
+    if not 1 <= agent <= inst.agent_count:
+        raise ValueError(f"agent {agent} is not one of 1..{inst.agent_count}")
     alloc = vcg_allocate(inst)
-    return alloc, clarke_payment(inst, alloc, agent)
+    owned = [e.id for e in inst.edges if e.owner == agent]
+    return alloc, _payer(inst, alloc)(agent, owned)

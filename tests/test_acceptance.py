@@ -16,11 +16,13 @@ from minmax_procurement import (
     Instance,
     PATH,
     Solution,
+    agent_cost,
     brute_minmax,
     chain_exact_allocator,
     chain_minmax_exact,
     check_truthfulness,
     check_weak_monotonicity,
+    clarke_payments,
     cost_summary,
     expand_chain,
     gen_chain,
@@ -29,7 +31,6 @@ from minmax_procurement import (
     pareto_eps,
     preprocess,
     run_adversary,
-    run_vcg,
     vcg_mechanism,
     vcg_allocate,
 )
@@ -233,15 +234,16 @@ def test_criterion_9_clarke_payment_worked_example():
     done = timed(10)
     edges = (Edge(0, 0, 1, 1, F(1)), Edge(1, 0, 1, 2, F(3)))
     inst = Instance(False, 2, edges, 2, PATH, 0, 1)
-    outcome = run_vcg(inst)
-    utilities = tuple(outcome.utility(inst, a) for a in (1, 2))
-    ok = (outcome.allocation.edge_ids == {0}
-          and outcome.payments == (F(3), F(0))
+    alloc = vcg_allocate(inst)
+    payments = clarke_payments(inst, alloc)
+    utilities = tuple(payments[a - 1] - agent_cost(inst, alloc, a) for a in (1, 2))
+    ok = (alloc.edge_ids == {0}
+          and payments == (F(3), F(0))
           and utilities == (F(2), F(0))
           and all(u >= 0 for u in utilities))
     done()
-    verdict(9, ok, f"allocation={sorted(outcome.allocation.edge_ids)}, "
-                   f"P={tuple(map(str, outcome.payments))}, "
+    verdict(9, ok, f"allocation={sorted(alloc.edge_ids)}, "
+                   f"P={tuple(map(str, payments))}, "
                    f"utilities={tuple(map(str, utilities))}")
 
 

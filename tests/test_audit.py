@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -35,7 +36,7 @@ from minmax_procurement.audit import (
     random_perturbation,
 )
 from minmax_procurement.solvers import NoFeasibleSolutionError, scaled_min_sum_value
-from minmax_procurement.vcg import MechanismOutcome, PivotalInfeasibleError
+from minmax_procurement.vcg import PivotalInfeasibleError
 
 F = Fraction
 
@@ -148,6 +149,16 @@ def test_pay_your_bid_mechanism_is_untruthful():
 # -- the former truthfulness check as the oracle --------------------------------
 
 
+class Outcome(NamedTuple):
+    """The former `MechanismOutcome`: an allocation and every agent's payment."""
+
+    allocation: Solution
+    payments: tuple
+
+    def utility(self, inst, agent):
+        return self.payments[agent - 1] - agent_cost(inst, self.allocation, agent)
+
+
 def former_run_vcg(inst):
     """The former `run_vcg`: the min-sum allocation and every agent's Clarke
     payment, from the former payment loop."""
@@ -166,13 +177,13 @@ def former_run_vcg(inst):
         except NoFeasibleSolutionError:
             raise PivotalInfeasibleError(agent) from None
         payments.append(F(sc_without - (total - loads[agent - 1]), scale))
-    return MechanismOutcome(alloc, tuple(payments))
+    return Outcome(alloc, tuple(payments))
 
 
 def former_first_price(inst):
     alloc = vcg_allocate(inst)
-    return MechanismOutcome(alloc, tuple(agent_cost(inst, alloc, a)
-                                         for a in range(1, inst.agent_count + 1)))
+    return Outcome(alloc, tuple(agent_cost(inst, alloc, a)
+                                for a in range(1, inst.agent_count + 1)))
 
 
 def former_check_truthfulness(mech, inst, agent, misreport):
@@ -245,6 +256,19 @@ def test_a_bad_misreport_is_refused_before_any_solve(new_costs, message):
 
     with pytest.raises(ValueError, match=f"^{message}$"):
         check_truthfulness(mech, inst, 2, Perturbation(2, new_costs))
+    assert asked == []
+
+
+@pytest.mark.parametrize("agent", [0, -1, 3, 99])
+def test_a_perturbation_of_no_agent_of_the_instance_is_refused(agent):
+    inst = gen_chain(ChainSpec(2, 2))
+    pert = Perturbation(agent, {})
+    message = f"^agent {agent} is not one of 1..2$"
+    with pytest.raises(ValueError, match=message):
+        check_weak_monotonicity(vcg_allocate, inst, pert)
+    asked = []
+    with pytest.raises(ValueError, match=message):
+        check_truthfulness(lambda *probe: asked.append(probe), inst, agent, pert)
     assert asked == []
 
 

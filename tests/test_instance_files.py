@@ -2,7 +2,7 @@
 
 `former_dump_instance` is the former writer, kept here only as an oracle:
 `dump_instance` writes the header and each edge record through
-`graphs.json_text`, EDGE_CHUNK records at a time, and every file must keep
+`graphs.json_text`, `graphs.CHUNK` records at a time, and every file must keep
 the oracle's bytes, whatever the costs, ids, mode and edge count.
 """
 
@@ -71,13 +71,12 @@ SMALL_CHUNK = 3
 @given(inst=instances([0, 1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1,
                        2 * SMALL_CHUNK + 1]))
 def test_files_match_the_former_writer_in_small_chunks(tmp_path_factory, inst):
-    with mock.patch.object(graphs, "EDGE_CHUNK", SMALL_CHUNK):
+    with mock.patch.object(graphs, "CHUNK", SMALL_CHUNK):
         path = assert_same_file(inst, tmp_path_factory.getbasetemp())
     assert load_instance(path) == inst
 
 
-@pytest.mark.parametrize("count", [graphs.EDGE_CHUNK - 1, graphs.EDGE_CHUNK,
-                                   graphs.EDGE_CHUNK + 1])
+@pytest.mark.parametrize("count", [graphs.CHUNK - 1, graphs.CHUNK, graphs.CHUNK + 1])
 @settings(max_examples=2, deadline=None)
 @given(data=st.data())
 def test_files_match_the_former_writer_at_the_chunk_size(tmp_path_factory, count, data):

@@ -178,3 +178,45 @@ def test_the_min_sum_memo_check_sees_both_forms():
     owned = 'def min_sum_optimum(inst):\n    return inst.__dict__.get("_min_sum_cache")'
     assert not _min_sum_memo_uses(owned, "min_sum_optimum")
     assert _min_sum_memo_uses(owned)
+
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    """Every (module, attribute) in the bench tracer's LAYERS, read from its
+    source without running it."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return [name for names in ast.literal_eval(node.value).values()
+                    for name in names]
+    raise AssertionError(f"{TRACING} assigns no LAYERS")
+
+
+def _resolves(module: str, attr: str) -> bool:
+    """Whether the tracer finds a callable for `attr` in the package's
+    `module`; a `Class.method` name is looked up in the class __dict__."""
+    home = importlib.import_module(f"minmax_procurement.{module}")
+    cls_name, _, method = attr.rpartition(".")
+    if not cls_name:
+        return callable(getattr(home, attr, None))
+    cls = getattr(home, cls_name, None)
+    return isinstance(cls, type) and callable(cls.__dict__.get(method))
+
+
+def test_every_name_the_bench_traces_resolves():
+    # a traced name deleted from the package breaks `bench/run.py --trace`,
+    # which no other test runs
+    names = _traced_names()
+    assert ("vcg", "clarke_payments") in names and ("graphs", "Instance.with_costs") in names
+    assert [name for name in names if not _resolves(*name)] == []
+
+
+def test_the_traced_name_check_sees_both_forms():
+    assert _resolves("vcg", "clarke_payments")
+    assert _resolves("graphs", "Instance.without_agent")
+    assert not _resolves("vcg", "run_vcg")
+    assert not _resolves("graphs", "CHUNK")  # not callable
+    assert not _resolves("graphs", "Instance.no_such_method")
+    assert not _resolves("graphs", "NoSuchClass.derive")

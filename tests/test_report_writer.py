@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minmax_procurement import Instance, cli, run_vcg
+from minmax_procurement import Instance, cli, clarke_payments, graphs, vcg_allocate
 from minmax_procurement.adversary import ChainSpec, gen_chain
 from minmax_procurement.graphs import (
     Solution,
@@ -158,12 +158,14 @@ def test_one_report_of_every_subcommand(tmp_path, monkeypatch):
     reports = []
     emit = cli._emit
 
-    def recorded(report, out, key=None, chunks=()):
+    def recorded(report, out, *member):
         # a member written a chunk at a time is checked as part of the report
-        chunks = [list(chunk) for chunk in chunks]
-        reports.append(report if key is None else
-                       {**report, key: [item for chunk in chunks for item in chunk]})
-        emit(report, out, key, iter(chunks))
+        if member:
+            key, items, records = member
+            reports.append({**report, key: records(items)})
+        else:
+            reports.append(report)
+        emit(report, out, *member)
 
     monkeypatch.setattr(cli, "_emit", recorded)
     chain, expanded = tmp_path / "chain.json", tmp_path / "exp.json"
@@ -195,10 +197,11 @@ def former_vcg_report(instance_path):
     """The `vcg` report as `cli.cmd_vcg` built it before its agent rows were
     made and written a chunk at a time: every row in one list."""
     inst = load_instance(instance_path)
-    outcome = run_vcg(inst)
-    summary = cost_summary(inst, outcome.allocation)
+    alloc = vcg_allocate(inst)
+    payments = clarke_payments(inst, alloc)
+    summary = cost_summary(inst, alloc)
     selected = [[] for _ in range(inst.agent_count)]
-    for eid in outcome.allocation.sorted_ids():
+    for eid in alloc.sorted_ids():
         selected[inst.edge_by_id(eid).owner - 1].append(eid)
     per_agent = [{
         "agent": agent,
@@ -207,18 +210,18 @@ def former_vcg_report(instance_path):
         "payment": payment,
         "utility": payment - cost,
     } for agent, (ids, cost, payment)
-        in enumerate(zip(selected, summary.per_agent, outcome.payments), 1)]
+        in enumerate(zip(selected, summary.per_agent, payments), 1)]
     return {
         "command": "vcg",
         "config": {"instance": instance_path},
-        "allocation": outcome.allocation,
+        "allocation": alloc,
         "max_agent_cost": summary.max_cost,
         "agents": per_agent,
         "tie_break": "deterministic smallest-edge-id preference",
     }
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 7, cli.AGENT_ROWS])
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, graphs.CHUNK])
 def test_vcg_rows_written_a_chunk_at_a_time_match_the_former_report(tmp_path, monkeypatch,
                                                                       capsys, rows):
     # 3 agents own edges and agents 4..7 own none, so chunks end on both kinds
@@ -228,7 +231,7 @@ def test_vcg_rows_written_a_chunk_at_a_time_match_the_former_report(tmp_path, mo
     path = str(tmp_path / "chain.json")
     dump_instance(chain, path)
     expected = old_report_text(former_vcg_report(path)) + "\n"
-    monkeypatch.setattr(cli, "AGENT_ROWS", rows)
+    monkeypatch.setattr(graphs, "CHUNK", rows)
     assert cli.main(["vcg", "--instance", path]) == 0
     assert capsys.readouterr().out == expected
     out = tmp_path / "report.json"

@@ -19,12 +19,11 @@ from minmax_procurement import (
     PATH,
     Solution,
     brute_minmax,
-    clarke_payment,
     clarke_payments,
     cost_summary,
     min_sum_optimum,
-    run_vcg,
     vcg_allocate,
+    vcg_mechanism,
 )
 from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
@@ -67,25 +66,24 @@ def test_clarke_payments_worked_example():
     alloc = vcg_allocate(inst)
     payments = clarke_payments(inst, alloc)
     assert payments == (F(3), F(0))
-    outcome = run_vcg(inst)
-    assert outcome.utility(inst, 1) == 2
-    assert outcome.utility(inst, 2) == 0
+    assert payments[0] - agent_cost(inst, alloc, 1) == 2
+    assert payments[1] - agent_cost(inst, alloc, 2) == 0
 
 
 def test_edgeless_agent_is_paid_zero():
     edges = (Edge(0, 0, 1, 1, F(1)), Edge(1, 0, 1, 3, F(2)))
     inst = Instance(False, 2, edges, 3, PATH, 0, 1)  # agent 2 owns nothing
-    outcome = run_vcg(inst)
-    assert outcome.payments[1] == 0
+    assert clarke_payments(inst, vcg_allocate(inst))[1] == 0
+    assert vcg_mechanism(inst, 2)[1] == 0
     # also for an allocation that is not the min-sum optimum
-    assert clarke_payment(inst, Solution({1}), 2) == clarke_payments(inst, Solution({1}))[1] == 0
+    assert clarke_payments(inst, Solution({1}))[1] == 0
 
 
 def test_pivotal_agent_is_a_hard_error():
     edges = (Edge(0, 0, 1, 1, F(1)),)
     inst = Instance(False, 2, edges, 1, PATH, 0, 1)
     with pytest.raises(PivotalInfeasibleError) as err:
-        run_vcg(inst)
+        clarke_payments(inst, vcg_allocate(inst))
     assert err.value.agent == 1
 
 
@@ -124,18 +122,20 @@ def test_individual_rationality_of_truthful_outcomes():
         agents = rng.randint(2, 3)
         inst = (random_path_instance(rng, agents=agents) if seed % 2 == 0
                 else random_arborescence_instance(rng, max_nodes=6, agents=agents))
-        outcome = run_vcg(inst)
+        alloc = vcg_allocate(inst)
+        payments = clarke_payments(inst, alloc)
         for agent in range(1, inst.agent_count + 1):
-            assert outcome.utility(inst, agent) >= 0
+            assert payments[agent - 1] - agent_cost(inst, alloc, agent) >= 0
 
 
 def test_mechanism_is_deterministic():
     inst = random_path_instance(random.Random(5), agents=3)
-    first = run_vcg(inst)
+    alloc = vcg_allocate(inst)
+    payments = clarke_payments(inst, alloc)
     for _ in range(3):
-        again = run_vcg(inst)
-        assert again.allocation == first.allocation
-        assert again.payments == first.payments
+        again = vcg_allocate(inst)
+        assert again == alloc
+        assert clarke_payments(inst, again) == payments
 
 
 # -- the former payment loop as the oracle -------------------------------------
@@ -202,10 +202,10 @@ def test_clarke_payments_match_the_former_loop():
         inst = random_instance(rng)
         alloc = vcg_allocate(inst)
         expected = payments_or_pivot(former_clarke_payments, fresh(inst), alloc)
-        # run_vcg's path: the memoized optimum is the allocation
+        # `vcg`'s path: the memoized optimum is the allocation
         assert payments_or_pivot(clarke_payments, inst, alloc) == expected, seed
-        assert payments_or_pivot(lambda i, a: run_vcg(i).payments, fresh(inst), None) \
-            == expected, seed
+        assert payments_or_pivot(lambda i, _: clarke_payments(i, vcg_allocate(i)),
+                                 fresh(inst), None) == expected, seed
         # a feasible allocation that need not be optimal, with and without
         # the memoized optimum on the instance
         other = vcg_allocate(inst.with_costs(
@@ -229,9 +229,9 @@ def test_clarke_payments_on_all_zero_costs_and_an_owner_of_zero_cost_edges():
     # agent 1's zero-cost edge is on the allocation: its payment needs a solve
     edges = (Edge(0, 0, 1, 1, F(0)), Edge(1, 0, 1, 2, F(0)), Edge(2, 0, 1, 3, F(5)))
     inst = Instance(False, 2, edges, 3, PATH, 0, 1)
-    assert run_vcg(inst).payments == (F(0), F(0), F(0))
+    assert clarke_payments(inst, vcg_allocate(inst)) == (F(0), F(0), F(0))
     priced = inst.with_costs({1: F(2)})
-    assert run_vcg(priced).payments == (F(2), F(0), F(0))
+    assert clarke_payments(priced, vcg_allocate(priced)) == (F(2), F(0), F(0))
     assert former_clarke_payments(priced, vcg_allocate(priced)) == (F(2), F(0), F(0))
 
 
@@ -251,29 +251,29 @@ def test_the_first_pivotal_agent_is_named_as_before():
 # -- one agent's payment --------------------------------------------------------
 
 
-def payment_or_pivot(inst, alloc, agent):
+def payment_or_pivot(inst, agent):
+    """`vcg_mechanism`'s payment to `agent`, or the pivotal agent it names."""
     try:
-        return clarke_payment(inst, alloc, agent)
+        alloc, payment = vcg_mechanism(inst, agent)
     except PivotalInfeasibleError as exc:
         return ("pivotal", exc.agent)
+    assert alloc == vcg_allocate(inst)
+    return payment
 
 
 def test_one_agents_payment_is_its_entry_in_every_agents_payments():
     pivotal = 0
     for seed in range(300):
-        rng = random.Random(seed)
-        inst = random_instance(rng)
+        inst = random_instance(random.Random(seed))
         alloc = vcg_allocate(inst)
-        other = vcg_allocate(inst.with_costs(
-            {e.id: F(rng.randint(0, 20), rng.randint(1, 4)) for e in inst.edges}))
-        for probe, sol in ((inst, alloc), (inst, other), (fresh(inst), other)):
-            each = [payment_or_pivot(probe, sol, agent)
+        for probe in (inst, fresh(inst)):
+            each = [payment_or_pivot(probe, agent)
                     for agent in range(1, inst.agent_count + 1)]
             first_pivot = next((p for p in each if type(p) is tuple), None)
-            assert payments_or_pivot(clarke_payments, probe, sol) \
+            assert payments_or_pivot(clarke_payments, probe, alloc) \
                 == (first_pivot or tuple(each)), seed
             # and the former loop agrees, on a copy without the memo
-            assert payments_or_pivot(former_clarke_payments, fresh(inst), sol) \
+            assert payments_or_pivot(former_clarke_payments, fresh(inst), alloc) \
                 == (first_pivot or tuple(each)), seed
             pivotal += first_pivot is not None
     assert pivotal >= 30
@@ -287,14 +287,14 @@ def test_pivotal_agents_on_a_dmst_chain_raise_for_their_own_payments():
         clarke_payments(inst, alloc)
     assert err.value.agent == 1
     for agent in (1, 2, 3):
-        assert payment_or_pivot(inst, alloc, agent) == ("pivotal", agent)
+        assert payment_or_pivot(inst, agent) == ("pivotal", agent)
 
 
 @pytest.mark.parametrize("agent", [0, -1, 3, 99])
 def test_a_payment_for_no_agent_of_the_instance_is_refused(agent):
     inst = gen_chain(ChainSpec(2, 2))
     with pytest.raises(ValueError, match=f"^agent {agent} is not one of 1..2$"):
-        clarke_payment(inst, vcg_allocate(inst), agent)
+        vcg_mechanism(inst, agent)
 
 
 # -- work per payment call on two parallel paths ---------------------------------
@@ -357,9 +357,10 @@ def test_clarke_payments_solve_once_per_agent_on_the_optimum(monkeypatch, m):
     assert inst.edges.reads <= 3 * len(inst.edges)
     sc, sc_other = sum(F(1 + k % 3, 2) for k in range(m)), sum(F(2 + k % 2) for k in range(m))
     assert payments == tuple(sc_other - sc + F(1 + k % 3, 2) for k in range(m)) + (F(0),) * (m + 1)
-    # one agent's payment reads the optimum once and solves only for its own edges
+    # one agent's payment reads the optimum twice, for the allocation and
+    # for the pivot, and solves only for its own edges
     solved.clear()
     optima.clear()
-    assert [clarke_payment(inst, alloc, agent) for agent in (1, m + 1, 2 * m + 1)] \
-        == [payments[0], F(0), F(0)]
-    assert solved == [1] and len(optima) == 3
+    assert [vcg_mechanism(inst, agent) for agent in (1, m + 1, 2 * m + 1)] \
+        == [(alloc, payments[0]), (alloc, F(0)), (alloc, F(0))]
+    assert solved == [1] and len(optima) == 6
