@@ -38,7 +38,7 @@ from .graphs import (
     Solution,
     agent_cost,
     as_rational,
-    scaled_agent_cost,
+    scaled_loads,
     validate_solution,
 )
 
@@ -70,13 +70,11 @@ class Perturbation:
 
     def validate(self, inst: Instance) -> dict[int, Fraction]:
         """The new costs as Fractions, each checked against `inst`, in the
-        mapping's order; an agent outside 1..n is refused. A Fraction is
-        kept as it is, without a call, and anything else goes through
-        `as_rational`."""
-        agent = self.agent
-        if not 1 <= agent <= inst.agent_count:
-            raise ValueError(f"agent {agent} is not one of 1..{inst.agent_count}")
-        owned = {e.id for e in inst.edges if e.owner == agent}
+        mapping's order; an agent outside 1..n is refused (`Instance.owned`).
+        A Fraction is kept as it is, without a call, and anything else goes
+        through `as_rational`."""
+        edges = inst.edges
+        owned = {edges[i].id for i in inst.owned(self.agent)}
         costs = {}
         for eid, cost in self.new_costs.items():
             if eid not in owned:
@@ -131,8 +129,8 @@ def _violation(kind: str, inst: Instance, perturbed: Instance, agent: int,
     built only for a witness.
     """
     l1, l2 = inst.scaled_costs()[0], perturbed.scaled_costs()[0]
-    a, c = (scaled_agent_cost(inst, sol, agent) for sol in (x, x_prime))
-    b, d = (scaled_agent_cost(perturbed, sol, agent) for sol in (x_prime, x))
+    a, c = (scaled_loads(inst, sol.edge_ids)[agent - 1] for sol in (x, x_prime))
+    b, d = (scaled_loads(perturbed, sol.edge_ids)[agent - 1] for sol in (x_prime, x))
     if (a - c) * l2 <= (d - b) * l1:
         return None
     terms = (Fraction(a, l1), Fraction(b, l2), Fraction(c, l1), Fraction(d, l2))
@@ -191,35 +189,31 @@ def edge_stability_perturbation(inst: Instance, alloc: Solution, agent: int,
     if bump <= 0:
         raise ValueError("bump must be positive")
     selected, priced, new_costs = alloc.edge_ids, {}, {}
-    for e, x in zip(inst.edges, inst.scaled_costs()[1]):
-        if e.owner == agent:
-            key = (x, e.id in selected)
-            new = priced.get(key)
-            if new is None:
-                new = priced[key] = e.cost * shrink if key[1] else e.cost + bump
-            new_costs[e.id] = new
+    edges, costs = inst.edges, inst.scaled_costs()[1]
+    for i in inst.owned(agent):
+        eid, _, _, _, cost = edges[i]
+        key = (costs[i], eid in selected)
+        new = priced.get(key)
+        if new is None:
+            new = priced[key] = cost * shrink if key[1] else cost + bump
+        new_costs[eid] = new
     return Perturbation(agent, new_costs)
 
 
 def is_strict_edge_stability(inst: Instance, alloc: Solution, pert: Perturbation) -> bool:
     """True iff selected costs strictly drop and unselected strictly rise.
 
-    Each distinct (old cost object, new cost object, selected) triple is
-    coerced and compared once, so a step's few shared costs cost a few
-    Fraction comparisons, not one per edge.
+    Each edge's new cost p/q is compared on integers with its old cost
+    x/L (`Instance.scaled_costs`): p·L against x·q. An edge the
+    perturbation leaves out keeps its cost, which neither drops nor rises.
     """
     selected, new_costs = alloc.edge_ids, pert.new_costs
-    # (id of the old cost, id of the new one, selected) -> (verdict, the new
-    # cost, held so that its id passes to no other while this call runs)
-    verdicts = {}
-    for eid, _, _, _, old in inst.agent_edges(pert.agent):
-        new = new_costs.get(eid, old)
-        key = (id(old), id(new), eid in selected)
-        known = verdicts.get(key)
-        if known is None:
-            value = as_rational(new)
-            known = verdicts[key] = (value < old if key[2] else value > old), new
-        if not known[0]:
+    edges, (scale, costs) = inst.edges, inst.scaled_costs()
+    for i in inst.owned(pert.agent):
+        eid, _, _, _, old = edges[i]
+        new = as_rational(new_costs.get(eid, old))
+        now, before = new.numerator * scale, costs[i] * new.denominator
+        if not (now < before if eid in selected else now > before):
             return False
     return True
 
@@ -299,6 +293,23 @@ def random_cost(rng: random.Random) -> Fraction:
     return _cost(rng.getrandbits)
 
 
+def _random_start(bits: Callable[[int], int], max_nodes: int, agents: int | None):
+    """Both random instances' first draws, n agents (1..3 unless given) and
+    the node count, with an empty edge list and `add(u, v, owner=None)`,
+    which appends edge u-v at a random cost and returns its owner, `owner`
+    or else a random agent."""
+    n = agents if agents is not None else 1 + draw_below(bits, 3)
+    nodes = 3 + draw_below(bits, max_nodes - 2)
+    edges: list[Edge] = []
+
+    def add(u, v, owner=None):
+        owner = owner if owner else 1 + draw_below(bits, n)
+        edges.append(Edge(len(edges), u, v, owner, _cost(bits)))
+        return owner
+
+    return n, nodes, edges, add
+
+
 def random_path_instance(rng: random.Random, max_nodes: int = 8,
                          agents: int | None = None) -> Instance:
     """Connected undirected path-mode instance with random rational costs.
@@ -309,15 +320,7 @@ def random_path_instance(rng: random.Random, max_nodes: int = 8,
     same-route sibling owned by a different agent when n > 1).
     """
     bits = rng.getrandbits
-    n = agents if agents is not None else 1 + draw_below(bits, 3)
-    nodes = 3 + draw_below(bits, max_nodes - 2)
-    edges: list[Edge] = []
-
-    def add(u, v, owner=None):
-        owner = owner if owner else 1 + draw_below(bits, n)
-        edges.append(Edge(len(edges), u, v, owner, _cost(bits)))
-        return owner
-
+    n, nodes, edges, add = _random_start(bits, max_nodes, agents)
     order = list(range(nodes))
     _shuffle(bits, order)
     s, t = order[0], order[-1]
@@ -337,16 +340,8 @@ def random_arborescence_instance(rng: random.Random, max_nodes: int = 8,
     """Rooted directed instance where every node stays reachable without any
     single agent (each non-root node gets in-edges from two owners when n > 1)."""
     bits = rng.getrandbits
-    n = agents if agents is not None else 1 + draw_below(bits, 3)
-    nodes = 3 + draw_below(bits, max_nodes - 2)
+    n, nodes, edges, add = _random_start(bits, max_nodes, agents)
     root = 0
-    edges: list[Edge] = []
-
-    def add(u, v, owner=None):
-        owner = owner if owner else 1 + draw_below(bits, n)
-        edges.append(Edge(len(edges), u, v, owner, _cost(bits)))
-        return owner
-
     for v in range(1, nodes):
         owner = add(draw_below(bits, v), v)
         if n > 1:

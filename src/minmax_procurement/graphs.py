@@ -12,10 +12,12 @@ the least one for a built or loaded instance, and for a cost-only copy
 its parent's L and the replaced costs' denominators, so that the copy
 rescales none of the costs it keeps. The solvers and the pricing of
 solutions compare and sum only those integers, and build a Fraction only
-for a value they return. No floating point enters any comparison. An
-`Edge` is a named tuple, cheap to build by the thousand. A loop over every
-edge that reads most of its fields unpacks it; one that reads one or two
-reads them by name, which is faster than unpacking all five.
+for a value they return. No floating point enters any comparison. Which
+edges an agent owns is read from one owner index (`Instance.owned`), the
+one place that refuses an agent outside 1..n. An `Edge` is a named tuple,
+cheap to build by the thousand. A loop over every edge that reads most of
+its fields unpacks it; one that reads one or two reads them by name, which
+is faster than unpacking all five.
 
 `json_text` is the package's one JSON writer: the CLI's reports and the
 instance files of `dump_instance` go through it. `write_object` writes an
@@ -112,12 +114,12 @@ class Instance:
     Derived copies (`with_costs`, `without_agent`, `without_edges`) skip the
     constructor's per-edge checks, which their parent passed. A cost-only
     copy (`with_costs`) keeps ids, endpoints, owners and `directed`, so it
-    shares its parent's edge index and whatever adjacency lists the parent
-    has built, and derives its integer costs from the parent's, if built,
-    computing only the replaced ones. `without_agent` and `without_edges`
-    change the topology and carry only the fields. Besides these, `solvers`
-    keeps one cache on an instance, its min-sum optimum, which no copy
-    shares.
+    shares its parent's edge index and whatever owner index and adjacency
+    lists the parent has built, and derives its integer costs from the
+    parent's, if built, computing only the replaced ones. `without_agent`
+    and `without_edges` change the topology and carry only the fields.
+    Besides these, `solvers` keeps one cache on an instance, its min-sum
+    optimum, which no copy shares.
     """
 
     directed: bool
@@ -197,8 +199,24 @@ class Instance:
             object.__setattr__(self, "_adjacency_cache", adj)
         return adj
 
+    def owned(self, agent: int) -> tuple[int, ...]:
+        """The indices into `edges` of `agent`'s edges, in edge order; () for
+        an agent that owns none. Built for every agent on first use. An agent
+        outside 1..n raises ValueError."""
+        if not 1 <= agent <= self.agent_count:
+            raise ValueError(f"agent {agent} is not one of 1..{self.agent_count}")
+        owners = self.__dict__.get("_owned_cache")
+        if owners is None:
+            lists: dict[int, list[int]] = {}
+            for i, e in enumerate(self.edges):
+                lists.setdefault(e.owner, []).append(i)
+            owners = {agent: tuple(ids) for agent, ids in lists.items()}
+            object.__setattr__(self, "_owned_cache", owners)
+        return owners.get(agent, ())
+
     def agent_edges(self, agent: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.owner == agent)
+        """`agent`'s edges, in edge order (`owned`)."""
+        return tuple(map(self.edges.__getitem__, self.owned(agent)))
 
     # -- derived instances -------------------------------------------------
 
@@ -208,12 +226,11 @@ class Instance:
         An id the instance does not have raises ValueError, and each cost
         but a nonnegative Fraction goes through `as_cost`, before the copy
         is built. The copy shares the parent's edge index, built on the
-        parent by this call if it has none, and the adjacency lists the
-        parent has built, never the min-sum memo. From the parent's integer
-        costs over L, if built, it derives its own over L' = lcm(L, the
-        replaced costs' denominators): the kept ones reused, times L'/L when
-        L' != L, and only the replaced ones computed, once per distinct cost
-        object, as the adversary's step gives its edges a few shared costs.
+        parent by this call if it has none, and the owner index and
+        adjacency lists the parent has built, never the min-sum memo. From
+        the parent's integer costs over L, if built, it derives its own over
+        L' = lcm(L, the replaced costs' denominators): the kept ones reused,
+        times L'/L when L' != L, and only the replaced ones computed.
         """
         index = self._edge_index
         replaced = []
@@ -229,7 +246,7 @@ class Instance:
             edges[i] = Edge(eid, tail, head, owner, cost)
         copy = self._derive(tuple(edges))
         mine, shared = self.__dict__, copy.__dict__
-        for cache in ("_edge_index_cache", "_adjacency_cache"):
+        for cache in ("_edge_index_cache", "_adjacency_cache", "_owned_cache"):
             if cache in mine:
                 shared[cache] = mine[cache]
         if "_scaled_cache" in mine:
@@ -237,12 +254,8 @@ class Instance:
             new_scale = math.lcm(scale, *{cost.denominator for _, cost in replaced})
             factor = new_scale // scale
             ints = scaled.copy() if factor == 1 else [x * factor for x in scaled]
-            times = {}  # id of a cost -> it times L'; `replaced` keeps each id its cost's
             for i, cost in replaced:
-                x = times.get(id(cost))
-                if x is None:
-                    x = times[id(cost)] = cost.numerator * (new_scale // cost.denominator)
-                ints[i] = x
+                ints[i] = cost.numerator * (new_scale // cost.denominator)
             shared["_scaled_cache"] = (new_scale, ints)
         return copy
 
@@ -301,15 +314,12 @@ def scaled_loads(inst: Instance, edge_ids: Iterable[int]) -> list[int]:
     return loads
 
 
-def scaled_agent_cost(inst: Instance, sol: Solution, agent: int) -> int:
-    """`agent_cost(inst, sol, agent)` times the instance's L."""
-    loads = scaled_loads(inst, sol.edge_ids)
-    return loads[agent - 1] if 0 < agent <= len(loads) else 0
-
-
 def agent_cost(inst: Instance, sol: Solution, agent: int) -> Fraction:
-    """Sum of costs of `agent`'s edges selected in `sol` (0 if none)."""
-    return Fraction(scaled_agent_cost(inst, sol, agent), inst.scaled_costs()[0])
+    """Sum of costs of `agent`'s edges selected in `sol` (0 if none, and for
+    an agent outside 1..n)."""
+    loads = scaled_loads(inst, sol.edge_ids)
+    return Fraction(loads[agent - 1] if 0 < agent <= len(loads) else 0,
+                    inst.scaled_costs()[0])
 
 
 def cost_summary(inst: Instance, sol: Solution) -> CostSummary:

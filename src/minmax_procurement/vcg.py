@@ -17,7 +17,6 @@ All quantities are exact rationals; the mechanism is deterministic.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from typing import Callable
 
@@ -47,8 +46,8 @@ def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
 
     P_i = SC_{-i} - (SC - t_i(alloc)), where SC_{-i} is the min-sum optimum
     with agent i's edges deleted. The allocation and the min-sum optimum
-    are read once and each agent's edges found in one pass; everything is an
-    integer over the instance's L until each Fraction returned. An agent
+    are read once, each agent's edges from `Instance.owned`; everything is
+    an integer over the instance's L until each Fraction returned. An agent
     with no edge in the graph is paid 0. When the witness of
     `min_sum_optimum(inst)`, which `vcg_allocate` allocates, holds none of
     an agent's edges, that optimum stays feasible without the agent, so
@@ -58,29 +57,25 @@ def clarke_payments(inst: Instance, alloc: Solution) -> tuple[Fraction, ...]:
     payments. The first pivotal agent raises PivotalInfeasibleError: no
     solution avoids its edges.
     """
-    owned: defaultdict[int, list[int]] = defaultdict(list)
-    for e in inst.edges:
-        owned[e.owner].append(e.id)
     pay = _payer(inst, alloc)
-    return tuple(pay(agent, owned[agent])
-                 for agent in range(1, inst.agent_count + 1))
+    return tuple(map(pay, range(1, inst.agent_count + 1)))
 
 
-def _payer(inst: Instance, alloc: Solution) -> Callable[[int, list[int]], Fraction]:
-    """One agent's Clarke payment for `alloc`, as a function of the agent and
-    the ids of its edges, with the allocation's loads and the min-sum
-    optimum read once."""
+def _payer(inst: Instance, alloc: Solution) -> Callable[[int], Fraction]:
+    """One agent's Clarke payment for `alloc`, as a function of the agent,
+    with the allocation's loads, the min-sum optimum and the owners of its
+    witness's edges read once."""
     scale = inst.scaled_costs()[0]
     loads = scaled_loads(inst, alloc.edge_ids)
     total = sum(loads)
     optimum = min_sum_optimum(inst)
-    witness = optimum.witness.edge_ids
+    holders = {inst.edge_by_id(eid).owner for eid in optimum.witness.edge_ids}
     sc = optimum.value.numerator * (scale // optimum.value.denominator)
 
-    def pay(agent: int, owned: list[int]) -> Fraction:
-        if not owned:
+    def pay(agent: int) -> Fraction:
+        if not inst.owned(agent):
             return _ZERO
-        if witness.isdisjoint(owned):
+        if agent not in holders:
             sc_without = sc
         else:
             try:
@@ -99,8 +94,6 @@ def vcg_mechanism(inst: Instance, agent: int) -> tuple[Solution, Fraction]:
     Raises PivotalInfeasibleError when no solution avoids the agent's edges,
     and ValueError for an agent outside 1..n.
     """
-    if not 1 <= agent <= inst.agent_count:
-        raise ValueError(f"agent {agent} is not one of 1..{inst.agent_count}")
+    inst.owned(agent)  # refuses an agent outside 1..n before the allocation
     alloc = vcg_allocate(inst)
-    owned = [e.id for e in inst.edges if e.owner == agent]
-    return alloc, _payer(inst, alloc)(agent, owned)
+    return alloc, _payer(inst, alloc)(agent)

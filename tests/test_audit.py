@@ -272,6 +272,23 @@ def test_a_perturbation_of_no_agent_of_the_instance_is_refused(agent):
     assert asked == []
 
 
+@pytest.mark.parametrize("agent", [0, -1, 3, 99])
+def test_a_probe_of_no_agent_of_the_instance_is_refused(agent):
+    # each of these once answered for no edges: an empty perturbation, or a
+    # vacuous strictness verdict
+    inst = gen_chain(ChainSpec(2, 2))
+    alloc = vcg_allocate(inst)
+    message = f"^agent {agent} is not one of 1..2$"
+    for probe in (lambda: edge_stability_perturbation(inst, alloc, agent, 0, 1),
+                  lambda: is_strict_edge_stability(inst, alloc, Perturbation(agent, {})),
+                  lambda: random_perturbation(random.Random(7), inst, agent),
+                  lambda: random_perturbation(random.Random(7), inst, agent, alloc),
+                  lambda: inst.agent_edges(agent),
+                  lambda: inst.owned(agent)):
+        with pytest.raises(ValueError, match=message):
+            probe()
+
+
 # -- edge-stability probes ----------------------------------------------------
 
 

@@ -3,10 +3,10 @@
 Derived copies (`with_costs`, `without_agent`, `without_edges` and
 `Perturbation.apply`) skip the constructor's per-edge validation. A
 cost-only copy (`with_costs`, `apply`) keeps ids, endpoints and owners, so
-it holds its parent's edge index and adjacency lists, the very objects,
-and derives its integer costs from its parent's. `without_agent` and
-`without_edges` hold only the instance's fields. No copy holds the
-min-sum memo. A memo leaked into a copy would not show in any report: VCG
+it holds its parent's edge index, owner index and adjacency lists, the
+very objects, and derives its integer costs from its parent's.
+`without_agent` and `without_edges` hold only the instance's fields. No
+copy holds the min-sum memo. A memo leaked into a copy would not show in any report: VCG
 is monotone, so every audit passes either way. These tests look at the
 copies directly, and count the solves and builds the CLI makes.
 """
@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from minmax_procurement import adversary, audit, cli, pareto, solvers
-from minmax_procurement.adversary import ChainSpec, gen_chain
+from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
 from minmax_procurement.audit import (
     Perturbation,
     random_arborescence_instance,
@@ -33,7 +33,7 @@ from minmax_procurement.solvers import NoFeasibleSolutionError, min_sum_optimum
 
 F = Fraction
 # what a cost-only copy shares with its parent, when the parent has built it
-TOPOLOGY = ("_edge_index_cache", "_adjacency_cache")
+TOPOLOGY = ("_edge_index_cache", "_adjacency_cache", "_owned_cache")
 FIELDS = {field.name for field in dataclasses.fields(Instance)}
 
 
@@ -70,6 +70,7 @@ def test_derived_copies_share_the_topology_and_never_the_memo():
         inst = make(rng, agents=rng.randint(2, 3))
         alloc = min_sum_optimum(inst).witness
         inst.edge_by_id(inst.edges[0].id)
+        inst.owned(1)
         # only the path solvers build adjacency lists
         built = set(TOPOLOGY) - ({"_adjacency_cache"} if inst.mode == ARBORESCENCE else set())
         assert built | {"_min_sum_cache", "_scaled_cache"} <= set(inst.__dict__)
@@ -119,6 +120,49 @@ def test_the_memo_is_written_once():
     first = min_sum_optimum(inst)
     assert inst.__dict__["_min_sum_cache"] is first
     assert min_sum_optimum(inst) is first
+
+
+# -- the owner index ---------------------------------------------------------------
+
+
+def assert_owners_match_a_scan(inst):
+    """`owned` and `agent_edges` of every agent against a scan of every edge."""
+    for agent in range(1, inst.agent_count + 1):
+        scanned = tuple(i for i, e in enumerate(inst.edges) if e.owner == agent)
+        assert inst.owned(agent) == scanned, agent
+        assert inst.agent_edges(agent) == tuple(inst.edges[i] for i in scanned), agent
+
+
+def owner_cases():
+    for seed in range(60):
+        rng = random.Random(f"owners/{seed}")
+        make = random_path_instance if seed % 2 else random_arborescence_instance
+        yield rng, make(rng, agents=rng.randint(1, 4))
+    for agents, blocks in ((2, 1), (2, 5), (3, 4), (4, 2)):
+        rng = random.Random(f"owners/chain/{agents}/{blocks}")
+        chain = gen_chain(ChainSpec(agents, blocks))
+        yield rng, chain
+        yield rng, expand_chain(chain, F(1, 8))[0]
+        yield rng, gen_dmst_chain(ChainSpec(agents, blocks))[0]
+        # one more agent, who owns no edge
+        yield rng, Instance(chain.directed, chain.node_count, chain.edges, agents + 1,
+                            chain.mode, chain.source, chain.target_or_root)
+
+
+def test_the_owner_index_matches_a_scan_and_only_cost_only_copies_share_it():
+    cases = shared = 0
+    for rng, inst in owner_cases():
+        assert_owners_match_a_scan(inst)
+        owners = vars(inst)["_owned_cache"]
+        alloc = min_sum_optimum(inst).witness
+        for how, copy, replaced in derived_copies(rng, inst, alloc):
+            # a new topology builds its own index, from its own edges
+            carried = vars(copy).get("_owned_cache")
+            assert carried is (None if replaced is None else owners), how
+            assert_owners_match_a_scan(copy)
+            shared += carried is owners
+        cases += 1
+    assert shared == 2 * cases
 
 
 # -- the public constructor and cost replacement still validate ---------------

@@ -180,6 +180,39 @@ def test_the_min_sum_memo_check_sees_both_forms():
     assert _min_sum_memo_uses(owned)
 
 
+def _owner_comparisons(source: str) -> list[str]:
+    """Comparisons in `source` of an `.owner` attribute, on either side, by
+    equality or identity: the test of an edge against one agent."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.Eq, ast.NotEq, ast.Is, ast.IsNot)) and any(
+                        isinstance(x, ast.Attribute) and x.attr == "owner"
+                        for x in (left, right)):
+                    found.append(f"line {node.lineno}")
+    return found
+
+
+def test_only_graphs_and_solvers_test_an_edge_against_an_agent():
+    # which edges an agent owns is read from `Instance.owned`, which also
+    # refuses an agent outside 1..n; the solvers skip an agent's edges as
+    # they relax them
+    files = sorted(Path(minmax_procurement.__file__).parent.glob("*.py"))
+    found = {f.name: uses for f in files if f.stem not in ("graphs", "solvers")
+             and (uses := _owner_comparisons(f.read_text()))}
+    assert found == {}
+
+
+def test_the_owner_comparison_check_sees_both_forms():
+    assert _owner_comparisons("[e.id for e in inst.edges if e.owner == agent]")
+    assert _owner_comparisons("if agent != inst.edge_by_id(eid).owner:\n    pass")
+    assert not _owner_comparisons(
+        "inst.owned(agent)\nloads[e.owner - 1]\nif e.owner in seen:\n    pass\n"
+        "owner == agent")
+
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 

@@ -7,11 +7,10 @@ edge), kept here only as oracles. The new perturbation prices each distinct
 (cost, selected) pair once; it must return the same dict, with the same
 keys in the same order and values of equal value and type, and the verdicts
 must agree. `former_validate` and `former_with_costs` are the former bodies
-of `Perturbation.validate` and `Instance.with_costs`, which coerced and
-scaled every given cost; the new ones pass Fractions through without a
-call and scale each distinct cost object once, and must give the same
-edges, the same integer costs over the same L, and the same errors, naming
-the same edge.
+of `Perturbation.validate` and `Instance.with_costs`, which coerced every
+given cost; the new ones pass Fractions through without a call, and must
+give the same edges, the same integer costs over the same L, and the same
+errors, naming the same edge.
 """
 
 import math
@@ -198,7 +197,7 @@ def test_bad_parameters_keep_their_messages(shrink, bump, message):
             helper(inst, alloc, 1, shrink, bump)
 
 
-# -- validate and with_costs, once per distinct cost object ----------------------
+# -- validate and with_costs ------------------------------------------------------
 
 
 def outcome(call, *args):

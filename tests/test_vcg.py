@@ -349,9 +349,10 @@ def test_clarke_payments_solve_once_per_agent_on_the_optimum(monkeypatch, m):
     payments = clarke_payments(inst, alloc)
     # one solve per agent on the optimum's path, none for the other path's
     # agents or the idle one, and O(E) edge reads in all: one pass for the
-    # owners, one for the id index the allocation's loads build, and the
-    # allocation's edges (checking each agent against the optimum edge by
-    # edge would read m^2)
+    # owner index, one for the id index the allocation's loads build, the
+    # allocation's edges and the optimum's, for their owners (listing each
+    # agent's edge ids would read E more, and checking each agent against
+    # the optimum edge by edge m^2)
     assert solved == list(range(1, m + 1))
     assert len(optima) == 1
     assert inst.edges.reads <= 3 * len(inst.edges)
