@@ -132,7 +132,7 @@ def cmd_ptas(args) -> int:
     inst = load_instance(args.instance)
     try:
         report = pareto.minmax_ptas(inst, args.epsilon)
-    except ValueError as exc:  # epsilon <= 0 or not a path instance
+    except ValueError as exc:  # epsilon outside [2^-48, 2^48] or not a path instance
         raise UsageError(str(exc)) from exc
     doc = {
         "command": "ptas",

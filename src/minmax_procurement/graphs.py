@@ -117,9 +117,11 @@ class Instance:
     shares its parent's edge index and whatever owner index and adjacency
     lists the parent has built, and derives its integer costs from the
     parent's, if built, computing only the replaced ones. `without_agent`
-    and `without_edges` change the topology and carry only the fields.
-    Besides these, `solvers` keeps one cache on an instance, its min-sum
-    optimum, which no copy shares.
+    and `without_edges` change the topology and carry only the fields; no
+    layer of the package builds them (the solvers and the Pareto DP skip
+    edges in place), and they stay as test oracles and as names the bench
+    traces. Besides these, `solvers` keeps one cache on an instance, its
+    min-sum optimum, which no copy shares.
     """
 
     directed: bool

@@ -8,13 +8,16 @@ a (1+eps)-Pareto set of the target; minimizing the maximum coordinate over
 that set, re-evaluated under the original costs, gives a (1+eps)^2
 approximation of the min-max optimum.
 
-The DP scales the floored weights once to integers over their common
-denominator and runs on integer tuples. A label's cell is one integer per
-objective 1..n-1, from a rule on integers alone: values up to the floor
-delta share cell 0, and each octave above it is cut into pieces of equal
-cells, each cell at most 1/r of its lower end. Two values in one cell then
-differ by a factor of at most b = 1 + 1/r, and r is chosen so that
-b^(nodes-1) <= 1+eps, which certifies the coverage factor exactly.
+The DP reads the instance's own integer costs (`Instance.scaled_costs`),
+times one common factor, skips the edges dearer than the shortest-path
+value in place and runs on integer tuples: no pruned copy, no weight table
+and no second scaling. A label's cell is one integer per objective 1..n-1,
+from a rule on integers alone: values up to the floor delta share cell 0,
+and each octave above it is cut into pieces of equal cells, each cell at
+most 1/r of its lower end. Two values in one cell then differ by a factor
+of at most b = 1 + 1/r, and r is chosen so that b^(nodes-1) <= 1+eps,
+which certifies the coverage factor exactly. Epsilon must lie in
+[2^-48, 2^48].
 """
 
 from __future__ import annotations
@@ -22,21 +25,18 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Optional
 
-from .graphs import (
-    Instance, PATH, Solution, as_rational, cost_summary, scale_to_integers, scaled_loads,
-)
-from .solvers import MIN_MAX, NoFeasibleSolutionError, OptimumReport, min_sum_optimum
+from .graphs import Instance, PATH, Solution, as_rational, cost_summary, scaled_loads
+from .solvers import MIN_MAX, OptimumReport, min_sum_optimum
 
 
 @dataclass(frozen=True)
 class PtasConfig:
     epsilon: Fraction
     delta: Fraction
-    ratio_bound: Fraction  # max/min modified weight ratio, <= max(1, n(V-1)/eps)
     baseline_sp: Fraction  # 0: the shortest path itself is optimal
 
 
@@ -59,48 +59,38 @@ class ParetoLabel:
     edge_ids: tuple[int, ...]  # the walk from the source, in traversal order
 
 
-def preprocess(inst: Instance, epsilon: Fraction):
-    """Prune expensive edges and floor all weights at delta.
+# the accepted range of epsilon; the cells are exact beyond it too, so widening
+# it is a choice of behaviour, not of arithmetic
+MIN_EPSILON = Fraction(1, 2**48)
+MAX_EPSILON = 2**48
 
-    Returns (pruned instance, modified weight vectors, PtasConfig). Edges
-    costing more than the shortest-path value SP cannot improve on the
-    shortest path and are deleted; each remaining edge's vector has
-    max(delta, cost) in its owner's coordinate and delta elsewhere, with
-    delta = eps * SP / (n * (V - 1)) for n agents and V nodes, so the weight
-    ratio is at most max(1, n * (V - 1) / eps): once eps > n * (V - 1), delta
-    exceeds every kept cost and every weight is delta. A simple path has at
-    most V - 1 edges and SP <= n * OPT, so the floor adds at most eps * OPT to
-    each coordinate of the optimal path, and the scheme keeps its (1+eps)^2
-    bound. When SP = 0 the shortest path is already min-max optimal and the
-    weights are empty.
+
+def preprocess(inst: Instance, epsilon: Fraction) -> PtasConfig:
+    """Check epsilon, solve min-sum once and fix the floor delta.
+
+    The DP (`pareto_eps`) skips every edge costing more than the
+    shortest-path value SP, as it cannot improve on the shortest path, and
+    gives each other edge the vector with max(delta, cost) in its owner's
+    coordinate and delta elsewhere, with delta = eps * SP / (n * (V - 1)) for
+    n agents and V nodes. The weight ratio is then at most
+    max(1, n * (V - 1) / eps): once eps > n * (V - 1), delta exceeds every
+    kept cost and every weight is delta. A simple path has at most V - 1
+    edges and SP <= n * OPT, so the floor adds at most eps * OPT to each
+    coordinate of the optimal path, and the scheme keeps its (1+eps)^2 bound.
+    When SP = 0 the shortest path is already min-max optimal and delta is 0.
+    A non-path instance, and an epsilon outside [MIN_EPSILON, MAX_EPSILON],
+    raise ValueError before anything is solved.
     """
     if inst.mode != PATH:
         raise ValueError("the approximation scheme handles path instances only")
     epsilon = as_rational(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    n = inst.agent_count
+    if not MIN_EPSILON <= epsilon <= MAX_EPSILON:
+        raise ValueError("epsilon must be at least 2^-48 and at most 2^48")
     sp = min_sum_optimum(inst).value
-    if sp == 0:
-        return inst, {}, PtasConfig(epsilon, Fraction(0), Fraction(1), sp)
-
-    delta = epsilon * sp / (n * (inst.node_count - 1))
-    pruned = inst.without_edges(e.id for e in inst.edges if e.cost > sp)
-    weights = {}
-    for e in pruned.edges:
-        vec = [delta] * n
-        vec[e.owner - 1] = max(delta, e.cost)
-        weights[e.id] = tuple(vec)
-    ratio = max(max(vec) for vec in weights.values()) / delta
-    assert ratio <= max(1, n * (inst.node_count - 1) / epsilon)
-    config = PtasConfig(epsilon, delta, ratio, sp)
-    return pruned, weights, config
-
-
-# the accepted range of epsilon; the cells are exact beyond it too, so widening
-# it is a choice of behaviour, not of arithmetic
-MIN_EPSILON = Fraction(1, 2**48)
-MAX_EPSILON = 2**48
+    delta = epsilon * sp / (inst.agent_count * max(inst.node_count - 1, 1))
+    return PtasConfig(epsilon, delta, sp)
 
 
 # Each octave is cut into 16 linear pieces: ~2.3% more cells per octave than
@@ -117,11 +107,8 @@ def _cells(epsilon: Fraction, node_count: int, least: int) -> Callable[[int], in
     and m = max(V - 1, 1). A cell's width is at most 1/r of its piece's lower
     end, so two values in one cell differ by a factor below b = 1 + 1/r, and
     b^m <= e^(m/r) <= e^(2 eps / (2 + eps)) <= 1 + eps, as
-    ln(1 + x) >= 2x / (2 + x). Cells never decrease as v grows. Epsilon outside
-    [MIN_EPSILON, MAX_EPSILON] raises ValueError.
+    ln(1 + x) >= 2x / (2 + x). Cells never decrease as v grows.
     """
-    if not MIN_EPSILON <= epsilon <= MAX_EPSILON:
-        raise ValueError("epsilon must be at least 2^-48 and at most 2^48")
     p, q = epsilon.numerator, epsilon.denominator
     r = -(-max(node_count - 1, 1) * (2 * q + p) // (2 * p))
     counts = [-(-r // (PIECES + i)) for i in range(PIECES)]
@@ -140,10 +127,16 @@ def _cells(epsilon: Fraction, node_count: int, least: int) -> Callable[[int], in
     return cell
 
 
-def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
-               epsilon: Fraction) -> list[ParetoLabel]:
+def pareto_eps(inst: Instance, config: PtasConfig) -> list[ParetoLabel]:
     """Labels at the target forming a (1+eps)-Pareto set of s-t paths, one
-    per target cell, in cell order.
+    per target cell, in cell order, under the weights `preprocess` describes.
+
+    `config` is `preprocess(inst, eps)`. The weights are integers over
+    M = L * q * n * m, for the instance's costs over L
+    (`Instance.scaled_costs`), eps = p/q, n agents and m = V - 1 (1 if
+    V = 1): with S = SP * L, delta is p * S, an edge costing x over L weighs
+    max(p * S, x * q * n * m) in its owner's coordinate and p * S elsewhere,
+    and an edge with x > S is skipped.
 
     Round-based relaxation: node_count-1 rounds over all edges, keeping per
     (node, bucket cell) the label with minimal last-objective cost. Values in
@@ -154,33 +147,37 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
     label replaces another only within one cell and with a smaller last cost.
     So for every Pareto-optimal path p there is a returned label y with
     vector(y) <= (1+eps) * vector(p) componentwise, exactly. Each label holds
-    its walk's edge ids and its vector over Fractions; the labels the DP kept
+    its walk's edge ids and its vector as Fractions; the labels the DP kept
     at other nodes are not returned.
     """
-    epsilon = as_rational(epsilon)
-    n = inst.agent_count
+    p, q = config.epsilon.numerator, config.epsilon.denominator
+    n, m = inst.agent_count, max(inst.node_count - 1, 1)
     s, t = inst.source, inst.target_or_root
-    scale, flat = scale_to_integers(w for vec in weights.values() for w in vec)
-    least = min((w for w in flat if w > 0), default=scale)
-    values = iter(flat)
-    scaled = {eid: tuple(islice(values, len(vec))) for eid, vec in weights.items()}
+    scale, costs = inst.scaled_costs()
+    limit = int(config.baseline_sp * scale)  # S
+    floor, factor = p * limit, q * n * m  # delta over M, and M / L
     # few distinct values recur across many relaxations: remember each one's cell
-    index = functools.cache(_cells(epsilon, inst.node_count, least))
+    index = functools.cache(_cells(config.epsilon, inst.node_count, floor))
+
+    def floored(x: int, owner: int) -> tuple[int, ...]:
+        return tuple(max(floor, x * factor) if a == owner else floor for a in range(1, n + 1))
+
     ids = [e.id for e in inst.edges]
-    # per node, (edge id, head) of each weighted step, by edge id
-    incident = [sorted((ids[i], v) for v, i, _ in steps if ids[i] in weights)
+    # per node, (edge id, head, weight) of each step costing at most SP, by edge id
+    incident = [sorted((ids[i], v, floored(costs[i], owner))
+                       for v, i, owner in steps if costs[i] <= limit)
                 for steps in inst.adjacency()]
 
     # a label is (node, cell, scaled vector, predecessor label, edge id)
     start = (s, (0,) * (n - 1), (0,) * n, None, None)
     cells: dict[tuple, tuple] = {(s, start[1]): start}
     frontier = [start]
-    for _ in range(max(inst.node_count - 1, 1)):
+    for _ in range(m):
         new_frontier = []
         for label in frontier:
             vec = label[2]
-            for eid, head in incident[label[0]]:
-                new_vec = tuple(map(add, vec, scaled[eid]))
+            for eid, head, weight in incident[label[0]]:
+                new_vec = tuple(map(add, vec, weight))
                 cell = tuple(map(index, new_vec[:-1]))
                 kept = cells.get((head, cell))
                 if kept is None or new_vec[-1] < kept[2][-1]:
@@ -197,7 +194,7 @@ def pareto_eps(inst: Instance, weights: dict[int, tuple[Fraction, ...]],
         while label[3] is not None:
             walk.append(label[4])
             label = label[3]
-        labels.append(ParetoLabel(t, key[1], tuple(Fraction(x, scale) for x in vec),
+        labels.append(ParetoLabel(t, key[1], tuple(Fraction(x, scale * factor) for x in vec),
                                   tuple(reversed(walk))))
     return labels
 
@@ -230,19 +227,18 @@ def minmax_ptas(inst: Instance, epsilon: Fraction) -> PtasReport:
     Runs the approximate Pareto DP on the floored weights, then re-evaluates
     every candidate under the original costs and returns the best.
     """
-    pruned, weights, config = preprocess(inst, epsilon)
+    config = preprocess(inst, epsilon)
     if config.baseline_sp == 0:
         witness = min_sum_optimum(inst).witness
         return PtasReport(MIN_MAX, cost_summary(inst, witness).max_cost, witness,
                           delta=config.delta, baseline_sp=config.baseline_sp,
                           label_count=None)
 
-    labels = pareto_eps(pruned, weights, config.epsilon)
-    walks = (sorted(_simplify_path(pruned, label.edge_ids)) for label in labels)
+    labels = pareto_eps(inst, config)
+    walks = (sorted(_simplify_path(inst, label.edge_ids)) for label in labels)
+    # the shortest path's edges all cost at most SP, so the target has a label;
     # scaled loads share the instance's denominator, so they rank as the costs do
-    best = min(((max(scaled_loads(inst, ids)), ids) for ids in walks), default=None)
-    if best is None:
-        raise NoFeasibleSolutionError("no source-target path survived preprocessing")
+    best = min((max(scaled_loads(inst, ids)), ids) for ids in walks)
     return PtasReport(MIN_MAX, Fraction(best[0], inst.scaled_costs()[0]), Solution(best[1]),
                       delta=config.delta, baseline_sp=config.baseline_sp,
                       label_count=len(labels))

@@ -29,7 +29,6 @@ from minmax_procurement import (
     min_sum_optimum,
     minmax_ptas,
     pareto_eps,
-    preprocess,
     run_adversary,
     vcg_mechanism,
     vcg_allocate,
@@ -41,6 +40,7 @@ from minmax_procurement.audit import (
     random_perturbation,
 )
 from minmax_procurement.solvers import _enumerate_paths
+from test_pareto_differential import old_preprocess
 
 F = Fraction
 
@@ -156,10 +156,10 @@ def test_criterion_6_pareto_coverage_on_random_instances():
     for seed in range(50):
         rng = random.Random(1000 + seed)
         inst = random_integer_cost_instance(rng, 10, 2)
-        pruned, weights, config = preprocess(inst, eps)
+        pruned, weights, config = old_preprocess(inst, eps)
         if config.baseline_sp == 0:
             continue
-        outs = [lab.vector for lab in pareto_eps(pruned, weights, eps)]
+        outs = [lab.vector for lab in pareto_eps(inst, config)]
         vectors = [
             tuple(sum(ws) for ws in zip(*(weights[e] for e in ids)))
             for ids in _enumerate_paths(pruned)

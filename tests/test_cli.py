@@ -883,6 +883,20 @@ def test_ptas_refuses_a_huge_epsilon(tmp_path, capsys, epsilon):
     assert captured.err.startswith("error:") and "at most 2^48" in captured.err
 
 
+def test_ptas_refuses_a_tiny_epsilon_when_the_shortest_path_costs_nothing(tmp_path, capsys):
+    # SP = 0 makes the shortest path optimal without a cell computed, so the
+    # range must be checked before the instance is solved
+    from minmax_procurement import Edge, Instance, PATH, dump_instance
+    inst, out = tmp_path / "zero.json", tmp_path / "report.json"
+    edges = (Edge(0, 0, 1, 1, F(0)), Edge(1, 0, 1, 2, F(5)))
+    dump_instance(Instance(False, 2, edges, 2, PATH, 0, 1), inst)
+    assert main(["ptas", "--instance", str(inst), "--epsilon", f"1/{2**49 + 1}",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and "2^-48" in captured.err
+
+
 def test_an_exponent_cost_in_a_file_is_a_usage_error(tmp_path, capsys):
     inst = tmp_path / "chain.json"
     main(["gen", "chain", "--agents", "2", "--blocks", "1", "--out", str(inst)])

@@ -213,6 +213,41 @@ def test_the_owner_comparison_check_sees_both_forms():
         "owner == agent")
 
 
+def _scale_calls(source: str, module: str) -> list[str]:
+    """Calls of `scale_to_integers` in `source`, by bare name or as an
+    attribute, each with the qualified name of the function around it."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) \
+                    == "scale_to_integers":
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_only_the_instance_and_the_chain_dp_scale_costs_to_integers():
+    # every other layer reads the instance's integer costs from
+    # `Instance.scaled_costs`; the chain DP scales the block vectors it is given
+    files = sorted(Path(minmax_procurement.__file__).parent.glob("*.py"))
+    found = [call for f in files for call in _scale_calls(f.read_text(), f.stem)]
+    assert sorted(found) == ["graphs.Instance.scaled_costs", "solvers.chain_minmax_exact"]
+
+
+def test_the_scaling_check_sees_both_forms():
+    assert _scale_calls("def f(xs):\n    return scale_to_integers(xs)", "m") == ["m.f"]
+    assert _scale_calls("class C:\n    def f(self):\n        graphs.scale_to_integers(x)",
+                        "m") == ["m.C.f"]
+    assert _scale_calls("from .graphs import scale_to_integers\nf(scale_to_integers)", "m") == []
+
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 

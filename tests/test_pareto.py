@@ -24,8 +24,9 @@ from minmax_procurement.adversary import (
     expand_chain,
     gen_chain,
 )
-from minmax_procurement.pareto import _cells, _simplify_path
+from minmax_procurement.pareto import MAX_EPSILON, MIN_EPSILON, _cells, _simplify_path
 from minmax_procurement.solvers import _enumerate_paths
+from test_pareto_differential import old_preprocess
 
 F = Fraction
 
@@ -57,7 +58,7 @@ def test_labels_do_not_depend_on_the_positions_of_the_edges():
         shuffled = Instance(False, inst.node_count, tuple(moved), 2, PATH,
                             inst.source, inst.target_or_root)
         for eps in (F(1, 4), F(2)):
-            labels = [pareto_eps(*preprocess(i, eps)[:2], eps) for i in (inst, shuffled)]
+            labels = [pareto_eps(i, preprocess(i, eps)) for i in (inst, shuffled)]
             assert labels[0] == labels[1], (seed, eps)
 
 
@@ -68,16 +69,19 @@ def test_delta_formula():
     edges = (Edge(0, 0, 1, 1, F(4)), Edge(1, 0, 1, 2, F(6)),
              Edge(2, 1, 2, 2, F(0)), Edge(3, 2, 3, 1, F(0)))
     inst = Instance(False, 4, edges, 2, PATH, 0, 3)
-    _, _, config = preprocess(inst, F(1, 2))
+    config = preprocess(inst, F(1, 2))
     assert config.baseline_sp == 4
     assert config.delta == F(1, 2) * 4 / (2 * 3)  # eps * SP / (n * (V - 1))
-    assert config.ratio_bound == 4 / config.delta <= 2 * 3 / F(1, 2)
+    # the dearest kept weight is SP; old_preprocess checks the bound on every instance
+    assert 4 / config.delta <= 2 * 3 / F(1, 2)
 
 
 def test_edges_dearer_than_shortest_path_are_pruned():
     edges = (Edge(0, 0, 1, 1, F(4)), Edge(1, 0, 1, 2, F(10)))
     inst = Instance(False, 2, edges, 2, PATH, 0, 1)
-    pruned, weights, _ = preprocess(inst, F(1, 2))
+    labels = pareto_eps(inst, preprocess(inst, F(1, 2)))
+    assert [lab.edge_ids for lab in labels] == [(0,)]
+    pruned, weights, _ = old_preprocess(inst, F(1, 2))
     assert {e.id for e in pruned.edges} == {0}
     assert set(weights) == {0}
 
@@ -87,18 +91,25 @@ def test_all_weight_components_floored_at_delta():
     edges = (Edge(0, 0, 1, 1, F(4)), Edge(1, 0, 1, 2, F(3)),
              Edge(2, 1, 2, 3, F(0)), Edge(3, 1, 2, 2, F(1, 100)))
     inst = Instance(False, 3, edges, 3, PATH, 0, 2)
-    pruned, weights, config = preprocess(inst, F(1, 2))
+    config = preprocess(inst, F(1, 2))
+    pruned, weights, _ = old_preprocess(inst, F(1, 2))
     assert set(weights) == {e.id for e in pruned.edges} == {1, 2, 3}
     for e in pruned.edges:
         vec = weights[e.id]
         assert vec[e.owner - 1] == max(config.delta, e.cost)
         assert vec[:e.owner - 1] + vec[e.owner:] == (config.delta,) * 2
+    # edges 2 and 3 both weigh delta = 1/4 everywhere, so walks 1-2 and 1-3
+    # share one vector, and the label of the first found, 1-2, is kept
+    labels = pareto_eps(inst, config)
+    assert [(lab.edge_ids, lab.vector) for lab in labels] == \
+        [((1, 2), (F(1, 2), F(13, 4), F(1, 2)))]
+    assert labels[0].vector == tuple(map(sum, zip(weights[1], weights[2])))
 
 
 def test_zero_shortest_path_short_circuits():
     edges = (Edge(0, 0, 1, 1, F(0)), Edge(1, 0, 1, 2, F(5)))
     inst = Instance(False, 2, edges, 2, PATH, 0, 1)
-    _, _, config = preprocess(inst, F(1, 4))
+    config = preprocess(inst, F(1, 4))
     assert config.baseline_sp == 0
     report = minmax_ptas(inst, F(1, 4))
     assert report.value == 0
@@ -177,8 +188,8 @@ def test_labels_do_not_change_when_every_cost_is_scaled():
         for factor in (F(3), F(1, 7), F(10**6, 13)):
             scaled = inst.with_costs({e.id: e.cost * factor for e in inst.edges})
             for eps in (F(1, 4), F(1, 32)):
-                labels = pareto_eps(*preprocess(inst, eps)[:2], eps)
-                moved = pareto_eps(*preprocess(scaled, eps)[:2], eps)
+                labels = pareto_eps(inst, preprocess(inst, eps))
+                moved = pareto_eps(scaled, preprocess(scaled, eps))
                 assert [(lab.bucket_index, lab.edge_ids) for lab in labels] == \
                     [(lab.bucket_index, lab.edge_ids) for lab in moved]
                 assert [tuple(x * factor for x in lab.vector) for lab in labels] == \
@@ -190,8 +201,8 @@ def test_labels_do_not_change_when_every_cost_is_scaled():
 
 def test_single_agent_reduces_to_shortest_path():
     inst = rand_instance(random.Random(3), 8, 1)
-    pruned, weights, config = preprocess(inst, F(1, 4))
-    labels = pareto_eps(pruned, weights, config.epsilon)
+    pruned, weights, config = old_preprocess(inst, F(1, 4))
+    labels = pareto_eps(inst, config)
     best = min(lab.vector[-1] for lab in labels)
     floored_sp = min(
         sum(weights[e][0] for e in ids)
@@ -202,8 +213,7 @@ def test_single_agent_reduces_to_shortest_path():
 def test_two_disjoint_routes_both_represented():
     edges = (Edge(0, 0, 1, 1, F(4)), Edge(1, 0, 1, 2, F(4)))
     inst = Instance(False, 2, edges, 2, PATH, 0, 1)
-    pruned, weights, config = preprocess(inst, F(1, 4))
-    labels = pareto_eps(pruned, weights, config.epsilon)
+    labels = pareto_eps(inst, preprocess(inst, F(1, 4)))
     vectors = {lab.vector for lab in labels}
     assert len(vectors) == 2  # (4, delta) and (delta, 4), mutually non-dominating
 
@@ -213,10 +223,10 @@ def test_coverage_against_bruteforce_pareto_enumeration():
     checked = 0
     for seed in range(30):
         inst = rand_instance(random.Random(seed), 10, 2)
-        pruned, weights, config = preprocess(inst, eps)
+        pruned, weights, config = old_preprocess(inst, eps)
         if config.baseline_sp == 0:
             continue
-        labels = pareto_eps(pruned, weights, eps)
+        labels = pareto_eps(inst, config)
         outs = [lab.vector for lab in labels]
         all_vectors = [
             tuple(sum(ws) for ws in zip(*(weights[e] for e in ids)))
@@ -236,12 +246,11 @@ def test_coverage_against_bruteforce_pareto_enumeration():
 
 def test_labels_reconstruct_feasible_walks():
     inst = rand_instance(random.Random(9), 9, 2)
-    pruned, weights, config = preprocess(inst, F(1, 4))
-    for label in pareto_eps(pruned, weights, config.epsilon):
-        ids = _simplify_path(pruned, label.edge_ids)
-        assert cost_summary(pruned, Solution(ids)).max_cost is not None
+    for label in pareto_eps(inst, preprocess(inst, F(1, 4))):
+        ids = _simplify_path(inst, label.edge_ids)
+        assert cost_summary(inst, Solution(ids)).max_cost is not None
         from minmax_procurement import validate_solution
-        assert validate_solution(pruned, Solution(ids))
+        assert validate_solution(inst, Solution(ids))
 
 
 # -- end-to-end scheme --------------------------------------------------------
@@ -303,16 +312,38 @@ def test_smaller_epsilon_never_hurts():
 
 
 def test_epsilon_below_the_floor_is_refused_before_any_float_guess():
-    from minmax_procurement.pareto import MIN_EPSILON
     inst, _ = expand_chain(gen_chain(ChainSpec(2, 1)), F(1, 4))
-    pruned, weights, _ = preprocess(inst, F(1, 4))
     for tiny in (MIN_EPSILON / 2, F(1, 10**3000)):
         with pytest.raises(ValueError, match="2\\^-48"):
-            pareto_eps(pruned, weights, tiny)
+            preprocess(inst, tiny)
     # the floor itself runs, on integers alone, and keeps the bound
     report = minmax_ptas(inst, MIN_EPSILON)
     opt = brute_minmax(inst).value
     assert opt <= report.value <= (1 + MIN_EPSILON) ** 2 * opt
+
+
+@pytest.mark.parametrize("eps", [MIN_EPSILON / 2, MAX_EPSILON + 1], ids=["2^-49", "2^48+1"])
+def test_an_epsilon_out_of_range_is_refused_before_solving(monkeypatch, eps):
+    from minmax_procurement import pareto
+
+    def no_solve(inst):
+        raise AssertionError("the instance was solved")
+
+    monkeypatch.setattr(pareto, "min_sum_optimum", no_solve)
+    inst, _ = expand_chain(gen_chain(ChainSpec(2, 1)), F(1, 4))
+    with pytest.raises(ValueError, match="^epsilon must be at least 2\\^-48 and at most 2\\^48$"):
+        minmax_ptas(inst, eps)
+
+
+def test_the_scheme_makes_no_derived_copy(monkeypatch):
+    def no_copy(self, edges):
+        raise AssertionError("a derived copy was made")
+
+    monkeypatch.setattr(Instance, "_derive", no_copy)
+    for seed in range(10):
+        inst = rand_instance(random.Random(300 + seed), 9, 3)
+        report = minmax_ptas(inst, F(1, 4))
+        assert report.value == cost_summary(inst, report.witness).max_cost
 
 
 def test_preprocess_refuses_an_arborescence_instance_before_solving_it(monkeypatch):

@@ -1,11 +1,14 @@
 """The integer Pareto DP against a Fraction implementation of the same scheme.
 
-`FractionCells` is the cell rule written from its definition in Fractions,
-and `old_pareto_eps` is the former DP over Fraction vectors, with `OldLabel`,
-its label linked to its predecessor; `old_ptas_winner` is the former scoring
-of the labels, one Fraction cost summary per label. They are kept here only as
-oracles: the DP must return the same labels (node, cell, vector, edges) in the
-same order, and `minmax_ptas` the same value, witness and label count.
+`old_preprocess` is the former preprocessing: a copy of the instance without
+the edges dearer than the shortest-path value and a table of each kept edge's
+floored weight vector in Fractions. `FractionCells` is the cell rule written
+from its definition in Fractions, and `old_pareto_eps` is the former DP over
+those Fraction vectors, with `OldLabel`, its label linked to its predecessor;
+`old_ptas_winner` is the former scoring of the labels, one Fraction cost
+summary per label. They are kept here only as oracles: the DP must return the
+same labels (node, cell, vector, edges) in the same order, and `minmax_ptas`
+the same value, witness and label count.
 """
 
 import math
@@ -36,6 +39,26 @@ F = Fraction
 
 
 # -- the oracles ----------------------------------------------------------------
+
+
+def old_preprocess(inst, epsilon):
+    """(pruned copy, weight vectors by edge id, config): the copy drops every
+    edge costing more than SP, and each kept edge weighs max(delta, cost) in
+    its owner's coordinate and delta elsewhere; empty weights when SP = 0."""
+    config = preprocess(inst, epsilon)
+    sp, delta, n = config.baseline_sp, config.delta, inst.agent_count
+    if sp == 0:
+        return inst, {}, config
+    pruned = inst.without_edges(e.id for e in inst.edges if e.cost > sp)
+    weights = {}
+    for e in pruned.edges:
+        vec = [delta] * n
+        vec[e.owner - 1] = max(delta, e.cost)
+        weights[e.id] = tuple(vec)
+    # every kept cost is at most SP = delta * n * (V - 1) / eps
+    ratio = max(max(vec) for vec in weights.values()) / delta
+    assert ratio <= max(1, n * (inst.node_count - 1) / config.epsilon)
+    return pruned, weights, config
 
 
 class FractionCells:
@@ -124,11 +147,10 @@ def old_pareto_eps(inst, weights, epsilon):
 def old_ptas_winner(inst, epsilon):
     """The former scoring of the target labels: cost_summary of every
     simplified walk, ranked by (max cost, sorted ids)."""
-    pruned, weights, config = preprocess(inst, epsilon)
-    labels = pareto_eps(pruned, weights, config.epsilon)
+    labels = pareto_eps(inst, preprocess(inst, epsilon))
     best = None
     for label in labels:
-        ids = _simplify_path(pruned, label.edge_ids)
+        ids = _simplify_path(inst, label.edge_ids)
         value = cost_summary(inst, Solution(ids)).max_cost
         key = (value, tuple(sorted(ids)))
         if best is None or key < best:
@@ -166,10 +188,10 @@ def label_rows(labels):
 
 
 def assert_same_labels(inst, epsilon):
-    pruned, weights, config = preprocess(inst, epsilon)
+    pruned, weights, config = old_preprocess(inst, epsilon)
     if config.baseline_sp == 0:
         return 0
-    new = pareto_eps(pruned, weights, epsilon)
+    new = pareto_eps(inst, config)
     old = old_pareto_eps(pruned, weights, epsilon)
     assert label_rows(new) == label_rows(old)
     for lab in new:
@@ -182,14 +204,41 @@ def assert_same_labels(inst, epsilon):
 # -- the DP ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("agents", [2, 3])
+EPSILONS = (F(1, 4), F(1, 32), F(2), F(7, 3), F(100))
+
+
+@pytest.mark.parametrize("agents", [1, 2, 3, 4])
 def test_labels_match_former_dp_on_random_instances(agents):
     compared = 0
     for seed in range(30):
         inst = rand_instance(random.Random(1000 * agents + seed), 9, agents)
-        for eps in (F(1, 4), F(1, 32)):
+        for eps in EPSILONS:
             compared += assert_same_labels(inst, eps) > 0
     assert compared > 30
+
+
+def test_labels_match_former_dp_with_an_edge_costing_exactly_sp():
+    # edges 0 and 3 cost SP = 2 and are kept; edge 4 costs just above it
+    edges = (Edge(0, 0, 1, 1, F(2)), Edge(1, 0, 2, 2, F(1)), Edge(2, 2, 1, 1, F(1)),
+             Edge(3, 0, 1, 2, F(2)), Edge(4, 0, 1, 1, F(201, 100)))
+    inst = Instance(False, 3, edges, 2, PATH, 0, 1)
+    for eps in EPSILONS:
+        assert assert_same_labels(inst, eps) > 0
+    # at eps = 1/4, delta = 1/8 puts the three routes in three cells
+    walks = {lab.edge_ids for lab in pareto_eps(inst, preprocess(inst, F(1, 4)))}
+    assert walks == {(0,), (1, 2), (3,)}
+
+
+def test_labels_match_former_dp_with_zero_cost_edges():
+    # zero-cost edges of three agents, each floored to delta in every
+    # coordinate, on the way to SP = 2; edge 6 costs more than SP
+    edges = (Edge(0, 0, 1, 1, F(0)), Edge(1, 1, 2, 2, F(0)), Edge(2, 2, 3, 1, F(3)),
+             Edge(3, 1, 3, 2, F(2)), Edge(4, 0, 2, 3, F(0)), Edge(5, 2, 1, 3, F(0)),
+             Edge(6, 0, 3, 2, F(5)))
+    for directed in (False, True):
+        inst = Instance(directed, 4, edges, 3, PATH, 0, 3)
+        for eps in EPSILONS:
+            assert assert_same_labels(inst, eps) > 0
 
 
 @pytest.mark.parametrize("blocks, eps", [
@@ -205,8 +254,8 @@ def test_labels_match_former_dp_on_expanded_chains(blocks, eps):
 def test_ptas_reports_label_count_and_config():
     inst, _ = seeded_expanded_chain(2, 2, seed=7)
     report = minmax_ptas(inst, F(1, 32))
-    pruned, weights, config = preprocess(inst, F(1, 32))
-    assert report.label_count == len(pareto_eps(pruned, weights, F(1, 32)))
+    config = preprocess(inst, F(1, 32))
+    assert report.label_count == len(pareto_eps(inst, config))
     assert (report.delta, report.baseline_sp) == (config.delta, config.baseline_sp)
 
 
