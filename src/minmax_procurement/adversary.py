@@ -301,23 +301,26 @@ def _selected_routes(indexing: BlockIndexing, sol: Solution) -> list[int]:
     return picked
 
 
-def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
-                  built: Optional[tuple[Instance, BlockIndexing]] = None) -> AdversaryReport:
-    """Execute the lower-bound argument against `alg`.
+def run_adversary(alg: AllocationAlgorithm,
+                  chain: tuple[Instance, BlockIndexing]) -> AdversaryReport:
+    """Execute the lower-bound argument against `alg` on `chain`, which
+    `build_adversary_instance` built; n, l, the mode and the helper cost ε
+    are read off it. Every cost must be 1 or ε: the start has unit base costs.
 
     Either returns a ratio witness (certified approximation ratio, at least
-    n - 4n^3/l under the default helper cost) or a strictly re-verifiable
-    weak-monotonicity violation. Requires the all-ones start (base cost 1).
-    `built` is `build_adversary_instance(spec, mode)` when the caller has it.
-    A step whose perturbation is not a strict edge-stability one raises
-    RuntimeError, under `python -O` as well.
+    n - 4n^3/l under the mode's default ε) or a strictly re-verifiable
+    weak-monotonicity violation. A step whose perturbation is not a strict
+    edge-stability one raises RuntimeError, under `python -O` as well.
     """
-    if spec.base_cost != 1:
+    inst, indexing = chain
+    n, l = inst.agent_count, len(indexing.blocks)
+    mode = MODE_DMST if inst.mode == ARBORESCENCE else MODE_PATH
+    scale, costs = inst.scaled_costs()
+    low, *high = sorted(set(costs))
+    if high != [scale] or low == 0:
         raise ValueError("the lower-bound argument starts from unit base costs")
-    eps = spec.eps_for(mode)
-    default_eps = eps == ChainSpec(spec.agents, spec.blocks).eps_for(mode)
-    inst, indexing = built or build_adversary_instance(spec, mode)
-    n, l = spec.agents, spec.blocks
+    eps = Fraction(low, scale)
+    default_eps = eps == ChainSpec(n, l).eps_for(mode)
 
     sol = alg(inst)
     if not validate_solution(inst, sol):
@@ -359,7 +362,7 @@ def run_adversary(alg: AllocationAlgorithm, spec: ChainSpec, mode: str,
 
     alg_cost = cost_summary(cur_inst, cur_sol).max_cost
     assert alg_cost >= counts[heavy - 1]
-    ub_sol, ub_value = opt_upper_bound(cur_inst, indexing, mode, heavy, picked, eps,
+    ub_sol, ub_value = opt_upper_bound(cur_inst, indexing, heavy, picked, eps,
                                        default_eps=default_eps)
     ratio = alg_cost / ub_value
     guaranteed_bound = None
@@ -388,8 +391,7 @@ def _dmst_stable(indexing: BlockIndexing, heavy: int, heavy_blocks: list[int],
     return True
 
 
-def opt_upper_bound(inst: Instance, indexing: BlockIndexing, mode: str,
-                    heavy: int, picked: list[int],
+def opt_upper_bound(inst: Instance, indexing: BlockIndexing, heavy: int, picked: list[int],
                     eps: Fraction, default_eps: bool) -> tuple[Solution, Fraction]:
     """Explicit cheap solution under the final costs t*.
 
@@ -399,9 +401,9 @@ def opt_upper_bound(inst: Instance, indexing: BlockIndexing, mode: str,
     helper scale.
     Returns the solution and its exact max agent cost, checked against the
     closed-form bound ceil(l1/n)(1+eps) + 2*eps*l (path) respectively
-    + 4*eps*n*l (directed), and against l1/n + 4 under the default eps.
+    + 4*eps*n*l (`inst` an arborescence), and against l1/n + 4 under the default eps.
     """
-    n = inst.agent_count
+    n, dmst = inst.agent_count, inst.mode == ARBORESCENCE
     l = len(indexing.blocks)
     l1 = picked.count(heavy)
 
@@ -412,7 +414,7 @@ def opt_upper_bound(inst: Instance, indexing: BlockIndexing, mode: str,
             agent = next(spread)
         route = indexing.route(k, agent)
         ids.extend(route.edge_ids)
-        if mode == MODE_DMST:
+        if dmst:
             for other in indexing.blocks[k]:
                 if other.agent != agent:
                     ids.extend(other.leftward_ids)
@@ -421,7 +423,7 @@ def opt_upper_bound(inst: Instance, indexing: BlockIndexing, mode: str,
     assert validate_solution(inst, sol)
     value = cost_summary(inst, sol).max_cost
 
-    slack = 2 * eps * l if mode == MODE_PATH else 4 * eps * n * l
+    slack = 4 * eps * n * l if dmst else 2 * eps * l
     closed_form = Fraction(math.ceil(Fraction(l1, n))) * (1 + eps) + slack
     assert value <= closed_form
     if default_eps:

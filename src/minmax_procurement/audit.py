@@ -68,11 +68,11 @@ class Perturbation:
     agent: int
     new_costs: Mapping[int, Fraction]
 
-    def validate(self, inst: Instance) -> dict[int, Fraction]:
-        """The new costs as Fractions, each checked against `inst`, in the
-        mapping's order; an agent outside 1..n is refused (`Instance.owned`).
-        A Fraction is kept as it is, without a call, and anything else goes
-        through `as_rational`."""
+    def apply(self, inst: Instance) -> Instance:
+        """`inst` with the new costs (`Instance.with_costs`), each checked
+        against `inst` first, in the mapping's order; an agent outside 1..n
+        is refused (`Instance.owned`). A Fraction is kept as it is, without
+        a call, and anything else goes through `as_rational`."""
         edges = inst.edges
         owned = {edges[i].id for i in inst.owned(self.agent)}
         costs = {}
@@ -84,10 +84,7 @@ class Perturbation:
             if cost.numerator < 0:
                 raise ValueError(f"perturbed cost of edge {eid} is negative")
             costs[eid] = cost
-        return costs
-
-    def apply(self, inst: Instance) -> Instance:
-        return inst.with_costs(self.validate(inst))
+        return inst.with_costs(costs)
 
 
 @dataclass(frozen=True)
@@ -150,19 +147,17 @@ def check_weak_monotonicity(alg: AllocationAlgorithm, inst: Instance,
     return _violation(WEAK_MONOTONICITY, inst, perturbed, pert.agent, x, x_prime)
 
 
-def check_truthfulness(mech: Mechanism, inst: Instance, agent: int,
+def check_truthfulness(mech: Mechanism, inst: Instance,
                        misreport: Perturbation) -> Optional[ViolationWitness]:
     """None on pass; a witness when the misreport beats truth-telling.
 
-    `inst` carries the true profile; `misreport` is the alternative report of
-    `agent`. The mechanism is asked for the probed agent's payment alone
-    under each profile, and utilities are evaluated with the true costs.
+    `inst` carries the true profile, and `misreport`, applied before any
+    solve, the report of the probed agent `misreport.agent`. The mechanism is
+    asked for that agent's payment alone, and utilities use the true costs.
     """
-    if misreport.agent != agent:
-        raise ValueError("misreport must belong to the probed agent")
-    new_costs = misreport.validate(inst)  # a bad misreport is refused before any solve
+    agent = misreport.agent
+    reported = misreport.apply(inst)
     x, pay = mech(inst, agent)
-    reported = inst.with_costs(new_costs)  # shares what the mechanism built on inst
     x_dev, pay_dev = mech(reported, agent)
     u_truth = pay - agent_cost(inst, x, agent)
     u_dev = pay_dev - agent_cost(inst, x_dev, agent)

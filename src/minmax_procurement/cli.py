@@ -169,7 +169,7 @@ def _audit_one(kind: str, seed: int, index: int):
     pert = audit_mod.random_perturbation(rng, inst, agent, alloc)
     if kind == "monotonicity":
         return audit_mod.check_weak_monotonicity(vcg_mod.vcg_allocate, inst, pert)
-    return audit_mod.check_truthfulness(vcg_mod.vcg_mechanism, inst, agent, pert)
+    return audit_mod.check_truthfulness(vcg_mod.vcg_mechanism, inst, pert)
 
 
 def cmd_audit(args) -> int:
@@ -181,8 +181,7 @@ def cmd_audit(args) -> int:
     witnesses = [(i, w) for i, w in enumerate(results) if w is not None]
     _emit({
         "command": "audit",
-        "config": {"kind": args.kind, "alg": args.alg, "trials": args.trials,
-                   "seed": args.seed},
+        "config": {"kind": args.kind, "alg": "vcg", "trials": args.trials, "seed": args.seed},
         "passes": args.trials - len(witnesses),
         "violations": [
             {"trial": i, "witness": w, "reverified": w.reverify()}
@@ -199,9 +198,9 @@ def cmd_adversary(args) -> int:
         spec = adv.ChainSpec(args.agents, args.blocks, helper_eps=args.eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    built = adv.build_adversary_instance(spec, args.mode)
-    alg = vcg_mod.vcg_allocate if args.alg == "vcg" else adv.chain_exact_allocator(built[1])
-    report = adv.run_adversary(alg, spec, args.mode, built)
+    chain = adv.build_adversary_instance(spec, args.mode)
+    alg = vcg_mod.vcg_allocate if args.alg == "vcg" else adv.chain_exact_allocator(chain[1])
+    report = adv.run_adversary(alg, chain)
     doc = {
         "command": "adversary",
         "config": {"alg": args.alg, "agents": args.agents,
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", allow_abbrev=False, help="random truthfulness/monotonicity probes")
     p.add_argument("kind", choices=["monotonicity", "truthfulness"])
-    p.add_argument("--alg", choices=["vcg"], default="vcg")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -51,6 +52,8 @@ MAX_FILE_EDGES = 2**20
 MAX_FILE_NODES = MAX_FILE_EDGES + 1
 # Each edge has one owner, so an agent past MAX_FILE_EDGES would own nothing.
 MAX_FILE_AGENTS = MAX_FILE_EDGES
+# the strings `as_rational` reads: ASCII digits, a minus, a "/q" or ".d" part
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 class MalformedSolutionError(ValueError):
@@ -63,15 +66,17 @@ class InstanceFormatError(ValueError):
 
 def as_rational(value) -> Fraction:
     """`value` as an exact Fraction: a Fraction as it is, anything else through
-    Fraction(), so ints and strings such as "1/2" or "0.25". Floats, Decimals
-    and bools raise TypeError, and strings in exponent notation ValueError,
-    before Fraction("1e100000000") could build a huge integer."""
+    Fraction(), so ints and `_RATIONAL_TEXT` strings such as "-1/2" or "0.25".
+    Floats, Decimals and bools raise TypeError, other strings ValueError, and
+    exponent notation before Fraction("1e100000000") could build a huge integer."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (float, bool, Decimal)):
         raise TypeError(f"{type(value).__name__} {value!r} is not an exact rational")
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"exponent notation is not accepted: {value!r}")
+    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
     return Fraction(value)
 
 
@@ -541,17 +546,17 @@ def _file_cost(value, k: int) -> Fraction:
     """Edge k's cost from an int or a "p/q" string; floats and exponent
     notation are refused.
 
-    Strings "p" and "p/q" of decimal digits are split and read with int(),
-    any other string through `as_cost`: the two accept the same strings, and
-    past int()'s digit limit both raise int()'s ValueError.
-    """
+    Strings "p" and "p/q" of ASCII digits (`isdecimal` takes every script's)
+    are split and read with int(), any other string through `as_cost`: the
+    two accept the same strings, and past int()'s digit limit both raise
+    int()'s ValueError."""
     if type(value) is not int and not isinstance(value, str):
         raise InstanceFormatError(
             f"edge {k} cost must be an integer or a \"p/q\" string, got {value!r}")
     try:
         if type(value) is str:
             num, slash, den = value.partition("/")
-            if num.isdecimal() and (den.isdecimal() or not slash):
+            if value.isascii() and num.isdecimal() and (den.isdecimal() or not slash):
                 return Fraction(int(num), int(den) if slash else 1)
         return as_cost(value)
     except ZeroDivisionError:

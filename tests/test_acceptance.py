@@ -80,7 +80,7 @@ def random_integer_cost_instance(rng, max_nodes, agents):
 def test_criterion_1_adversary_vs_vcg_path_two_agents():
     done = timed(10)
     spec = ChainSpec(2, 64, helper_eps=F(1, 128))
-    report = run_adversary(vcg_allocate, spec, MODE_PATH)
+    report = run_adversary(vcg_allocate, build_adversary_instance(spec, MODE_PATH))
     ok = (report.outcome == "ratio"
           and report.ratio.certified_ratio >= F(3, 2)
           and report.ratio.certified_ratio >= F(19, 10))
@@ -93,7 +93,7 @@ def test_criterion_1_adversary_vs_vcg_path_two_agents():
 def test_criterion_2_adversary_vs_vcg_path_three_agents():
     done = timed(60)
     spec = ChainSpec(3, 300, helper_eps=F(1, 600))
-    report = run_adversary(vcg_allocate, spec, MODE_PATH)
+    report = run_adversary(vcg_allocate, build_adversary_instance(spec, MODE_PATH))
     ok = (report.outcome == "ratio"
           and report.ratio.certified_ratio >= F(66, 25))
     elapsed = done()
@@ -105,7 +105,7 @@ def test_criterion_2_adversary_vs_vcg_path_three_agents():
 def test_criterion_3_adversary_vs_vcg_directed_arborescence():
     done = timed(60)
     spec = ChainSpec(2, 64, helper_eps=F(1, 512))
-    report = run_adversary(vcg_allocate, spec, MODE_DMST)
+    report = run_adversary(vcg_allocate, build_adversary_instance(spec, MODE_DMST))
     ok = (report.outcome == "ratio"
           and report.ratio.certified_ratio >= F(3, 2))
     elapsed = done()
@@ -116,9 +116,8 @@ def test_criterion_3_adversary_vs_vcg_directed_arborescence():
 
 def test_criterion_4_exact_minmax_allocator_violates_monotonicity():
     done = timed(30)
-    spec = ChainSpec(2, 40)
-    _, indexing = build_adversary_instance(spec, MODE_PATH)
-    report = run_adversary(chain_exact_allocator(indexing), spec, MODE_PATH)
+    chain = build_adversary_instance(ChainSpec(2, 40), MODE_PATH)
+    report = run_adversary(chain_exact_allocator(chain[1]), chain)
     ok = report.outcome == "monotonicity-violation"
     strict = False
     if ok:
@@ -213,7 +212,7 @@ def test_criterion_8_vcg_truthfulness_and_monotonicity_probes():
         if check_weak_monotonicity(vcg_allocate, inst, pert) is not None:
             mono_viol += 1
         if seed % 2 == 0:  # payments need instances with no pivotal agent
-            if check_truthfulness(vcg_mechanism, inst, agent, pert) is not None:
+            if check_truthfulness(vcg_mechanism, inst, pert) is not None:
                 truth_viol += 1
     truth_probes = 0
     for seed in range(1000):
@@ -222,7 +221,7 @@ def test_criterion_8_vcg_truthfulness_and_monotonicity_probes():
         agent = rng.randint(1, inst.agent_count)
         pert = random_perturbation(rng, inst, agent, vcg_allocate(inst))
         truth_probes += 1
-        if check_truthfulness(vcg_mechanism, inst, agent, pert) is not None:
+        if check_truthfulness(vcg_mechanism, inst, pert) is not None:
             truth_viol += 1
     elapsed = done()
     verdict(8, mono_viol == 0 and truth_viol == 0,

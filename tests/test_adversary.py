@@ -220,8 +220,7 @@ def test_every_feasible_solution_selects_one_route_per_block(mode, agents, block
 
 
 def test_driver_certifies_ratio_against_vcg_path():
-    spec = ChainSpec(2, 16)
-    report = run_adversary(vcg_allocate, spec, MODE_PATH)
+    report = run_adversary(vcg_allocate, build_adversary_instance(ChainSpec(2, 16), MODE_PATH))
     assert report.outcome == "ratio"
     assert all(step.stable for step in report.trace)
     r = report.ratio
@@ -233,15 +232,13 @@ def test_driver_certifies_ratio_against_vcg_path():
 
 
 def test_driver_certifies_ratio_against_vcg_dmst():
-    spec = ChainSpec(2, 16)
-    report = run_adversary(vcg_allocate, spec, MODE_DMST)
+    report = run_adversary(vcg_allocate, build_adversary_instance(ChainSpec(2, 16), MODE_DMST))
     assert report.outcome == "ratio"
     assert report.ratio.certified_ratio >= report.ratio.guaranteed_bound
 
 
 def test_driver_three_agents():
-    spec = ChainSpec(3, 120)
-    report = run_adversary(vcg_allocate, spec, MODE_PATH)
+    report = run_adversary(vcg_allocate, build_adversary_instance(ChainSpec(3, 120), MODE_PATH))
     assert report.outcome == "ratio"
     assert report.ratio.certified_ratio >= 3 - F(4 * 27, 120)
     assert len(report.trace) == 2  # one transformation per non-heavy agent
@@ -249,29 +246,66 @@ def test_driver_three_agents():
 
 def test_custom_helper_cost_omits_the_closed_form_comparison():
     spec = ChainSpec(2, 16, helper_eps=F(1, 1000))
-    report = run_adversary(vcg_allocate, spec, MODE_PATH)
+    report = run_adversary(vcg_allocate, build_adversary_instance(spec, MODE_PATH))
     assert report.outcome == "ratio"
     assert report.ratio.guaranteed_bound is None
 
 
 def test_driver_requires_unit_base_costs():
-    with pytest.raises(ValueError, match="unit base"):
-        run_adversary(vcg_allocate, ChainSpec(2, 4, base_cost=F(2)), MODE_PATH)
+    # the base cost is read off the chain's costs, before the rule is asked
+    asked = []
+    for spec in (ChainSpec(2, 4, base_cost=F(2)),
+                 ChainSpec(2, 4, base_cost=F(1, 2), helper_eps=F(1, 4)),
+                 ChainSpec(2, 4, base_cost=F(2), helper_eps=F(1))):  # no cost below 1
+        for mode in (MODE_PATH, MODE_DMST):
+            with pytest.raises(ValueError, match="^the lower-bound argument starts "
+                                                 "from unit base costs$"):
+                run_adversary(asked.append, build_adversary_instance(spec, mode))
+    assert asked == []
+
+
+def test_driver_requires_one_helper_cost():
+    inst, indexing = build_adversary_instance(ChainSpec(2, 4), MODE_PATH)
+    helpers = [e.id for e in inst.edges if e.cost != 1]
+    # a second helper cost, and free helper edges
+    for new_costs in ({helpers[0]: F(1, 3)}, {eid: F(0) for eid in helpers}):
+        chain = (inst.with_costs(new_costs), indexing)
+        with pytest.raises(ValueError, match="unit base costs"):
+            run_adversary(vcg_allocate, chain)
+
+
+def test_driver_reads_blocks_and_helper_cost_off_the_chain():
+    # 12 blocks, default path ε = 1/24: the bound is 2 - 32/12, not the 2 - 32/8
+    # of an 8-block spec, and the final costs are the 12-block chain's
+    report = run_adversary(vcg_allocate, build_adversary_instance(ChainSpec(2, 12), MODE_PATH))
+    assert report.outcome == "ratio"
+    assert report.ratio.guaranteed_bound == 2 - F(32, 12)
+    assert len(report.ratio.final_costs) == 2 * 2 * 12
+    assert sum(report.selections_per_agent) == 12
+    assert F(25, 24) in {cost for _, cost in report.ratio.final_costs}  # 1 + ε
+    # a dmst chain at ε = 1/50: no guaranteed bound, and the step bumps by 1/50
+    spec = ChainSpec(2, 6, helper_eps=F(1, 50))
+    report = run_adversary(vcg_allocate, build_adversary_instance(spec, MODE_DMST))
+    assert report.outcome == "ratio" and report.ratio.guaranteed_bound is None
+    assert F(51, 50) in {cost for _, cost in report.ratio.final_costs}
+    # the same ε as the mode's default, given explicitly, is the default
+    spec = ChainSpec(2, 6, helper_eps=ChainSpec(2, 6).eps_for(MODE_DMST))
+    report = run_adversary(vcg_allocate, build_adversary_instance(spec, MODE_DMST))
+    assert report.ratio.guaranteed_bound == 2 - F(32, 6)
 
 
 def test_driver_rejects_infeasible_algorithms():
     broken = lambda inst: Solution([0])
     with pytest.raises(InfeasibleAllocationError):
-        run_adversary(broken, ChainSpec(2, 4), MODE_PATH)
+        run_adversary(broken, build_adversary_instance(ChainSpec(2, 4), MODE_PATH))
 
 
 # -- driver: non-monotone algorithm is caught ----------------------------------
 
 
 def test_exact_minmax_allocator_yields_strict_violation():
-    spec = ChainSpec(2, 12)
-    _, indexing = build_adversary_instance(spec, MODE_PATH)
-    report = run_adversary(chain_exact_allocator(indexing), spec, MODE_PATH)
+    chain = build_adversary_instance(ChainSpec(2, 12), MODE_PATH)
+    report = run_adversary(chain_exact_allocator(chain[1]), chain)
     assert report.outcome == "monotonicity-violation"
     witness = report.violation
     assert witness.reverify()
@@ -303,10 +337,9 @@ def test_chain_exact_allocator_is_the_dp_on_any_costs_of_its_topology(agents, bl
 
 
 def test_violation_witness_replays_against_the_algorithm():
-    spec = ChainSpec(2, 12)
-    inst, indexing = build_adversary_instance(spec, MODE_PATH)
+    inst, indexing = build_adversary_instance(ChainSpec(2, 12), MODE_PATH)
     alg = chain_exact_allocator(indexing)
-    report = run_adversary(alg, spec, MODE_PATH)
+    report = run_adversary(alg, (inst, indexing))
     witness = report.violation
     base = inst.with_costs({eid: c for eid, c in witness.base_costs})
     # the recorded base profile must reproduce the recorded allocation
@@ -323,10 +356,10 @@ def test_violation_witness_replays_against_the_algorithm():
     (MODE_DMST, 2, 2), (MODE_DMST, 2, 4), (MODE_DMST, 2, 6),
 ])
 def test_upper_bound_dominates_true_optimum_at_small_scale(mode, agents, blocks):
-    spec = ChainSpec(agents, blocks)
-    report = run_adversary(vcg_allocate, spec, mode)
+    inst, indexing = build_adversary_instance(ChainSpec(agents, blocks), mode)
+    report = run_adversary(vcg_allocate, (inst, indexing))
     assert report.outcome == "ratio"
-    final = build_adversary_instance(spec, mode)[0].with_costs(
+    final = inst.with_costs(
         {eid: c for eid, c in report.ratio.final_costs})
     assert validate_solution(final, report.ratio.upper_bound_solution)
     true_opt = brute_minmax(final).value
@@ -337,7 +370,7 @@ def test_upper_bound_dominates_true_optimum_at_small_scale(mode, agents, blocks)
 
 def test_upper_bound_matches_closed_form_slack():
     spec = ChainSpec(2, 64, helper_eps=F(1, 128))
-    report = run_adversary(vcg_allocate, spec, MODE_PATH)
+    report = run_adversary(vcg_allocate, build_adversary_instance(spec, MODE_PATH))
     l1 = report.selections_per_agent[report.heavy_agent - 1]
     eps = F(1, 128)
     closed_form = math.ceil(F(l1, 2)) * (1 + eps) + 2 * eps * 64
@@ -353,7 +386,8 @@ from minmax_procurement import Perturbation, vcg_allocate
 assert not __debug__
 adversary.edge_stability_perturbation = lambda inst, sol, agent, *_: Perturbation(agent, {})
 try:
-    adversary.run_adversary(vcg_allocate, adversary.ChainSpec(2, 4), adversary.MODE_PATH)
+    chain = adversary.build_adversary_instance(adversary.ChainSpec(2, 4), adversary.MODE_PATH)
+    adversary.run_adversary(vcg_allocate, chain)
 except RuntimeError as exc:
     print(exc)
 """

@@ -110,17 +110,17 @@ def test_perturbation_must_cover_only_owned_edges():
 
 def test_truthful_report_passes_with_equality():
     inst = parallel_instance([1, 3])
-    assert check_truthfulness(vcg_mechanism, inst, 1, Perturbation(1, {0: F(1)})) is None
+    assert check_truthfulness(vcg_mechanism, inst, Perturbation(1, {0: F(1)})) is None
 
 
 def test_misreport_that_keeps_the_win_does_not_help():
     inst = parallel_instance([1, 3])
-    assert check_truthfulness(vcg_mechanism, inst, 1, Perturbation(1, {0: F(2)})) is None
+    assert check_truthfulness(vcg_mechanism, inst, Perturbation(1, {0: F(2)})) is None
 
 
 def test_misreport_that_loses_the_auction_does_not_help():
     inst = parallel_instance([1, 3])
-    assert check_truthfulness(vcg_mechanism, inst, 1, Perturbation(1, {0: F(4)})) is None
+    assert check_truthfulness(vcg_mechanism, inst, Perturbation(1, {0: F(4)})) is None
 
 
 def test_vcg_passes_random_truthfulness_probes():
@@ -130,7 +130,7 @@ def test_vcg_passes_random_truthfulness_probes():
         agent = rng.randint(1, inst.agent_count)
         alloc = vcg_allocate(inst)
         pert = random_perturbation(rng, inst, agent, alloc)
-        assert check_truthfulness(vcg_mechanism, inst, agent, pert) is None
+        assert check_truthfulness(vcg_mechanism, inst, pert) is None
 
 
 def first_price(inst, agent):
@@ -141,9 +141,15 @@ def first_price(inst, agent):
 
 def test_pay_your_bid_mechanism_is_untruthful():
     inst = parallel_instance([1, 3])
-    witness = check_truthfulness(first_price, inst, 1, Perturbation(1, {0: F(2)}))
+    witness = check_truthfulness(first_price, inst, Perturbation(1, {0: F(2)}))
     assert witness is not None and witness.reverify()
     assert witness.terms[0] < witness.terms[1]  # overbidding strictly helps
+    assert witness.agent == 1
+    # the probed agent is the misreport's own: here agent 2, on edge 1
+    witness = check_truthfulness(first_price, parallel_instance([3, 1]),
+                                 Perturbation(2, {1: F(2)}))
+    assert witness.agent == 2 and witness.reverify()
+    assert (witness.base_costs, witness.perturbed_costs) == (((1, F(1)),), ((1, F(2)),))
 
 
 # -- the former truthfulness check as the oracle --------------------------------
@@ -220,7 +226,7 @@ def test_truthfulness_verdicts_and_witnesses_match_the_former_check(mech, former
         agent = rng.randint(1, inst.agent_count)
         pert = random_perturbation(rng, inst, agent, vcg_allocate(inst))
         expected = former_check_truthfulness(former, fresh(inst), agent, pert)
-        assert check_truthfulness(mech, inst, agent, pert) == expected, seed
+        assert check_truthfulness(mech, inst, pert) == expected, seed
         if expected is not None:
             assert expected.reverify()
             found += 1
@@ -234,9 +240,9 @@ def test_only_the_probed_agent_is_priced():
     pert = Perturbation(1, {0: F(3, 2)})
     with pytest.raises(PivotalInfeasibleError):
         former_check_truthfulness(former_run_vcg, inst, 1, pert)
-    assert check_truthfulness(vcg_mechanism, inst, 1, pert) is None
+    assert check_truthfulness(vcg_mechanism, inst, pert) is None
     with pytest.raises(PivotalInfeasibleError) as err:
-        check_truthfulness(vcg_mechanism, inst, 2, Perturbation(2, {2: F(2)}))
+        check_truthfulness(vcg_mechanism, inst, Perturbation(2, {2: F(2)}))
     assert err.value.agent == 2
 
 
@@ -255,7 +261,7 @@ def test_a_bad_misreport_is_refused_before_any_solve(new_costs, message):
         return vcg_mechanism(profile, agent)
 
     with pytest.raises(ValueError, match=f"^{message}$"):
-        check_truthfulness(mech, inst, 2, Perturbation(2, new_costs))
+        check_truthfulness(mech, inst, Perturbation(2, new_costs))
     assert asked == []
 
 
@@ -268,7 +274,7 @@ def test_a_perturbation_of_no_agent_of_the_instance_is_refused(agent):
         check_weak_monotonicity(vcg_allocate, inst, pert)
     asked = []
     with pytest.raises(ValueError, match=message):
-        check_truthfulness(lambda *probe: asked.append(probe), inst, agent, pert)
+        check_truthfulness(lambda *probe: asked.append(probe), inst, pert)
     assert asked == []
 
 
@@ -413,10 +419,10 @@ def test_truthful_mechanism_implies_monotone_allocation_on_sampled_pairs():
         agent = rng.randint(1, 2)
         alloc = vcg_allocate(inst)
         pert = random_perturbation(rng, inst, agent, alloc)
-        forward = check_truthfulness(vcg_mechanism, inst, agent, pert)
+        forward = check_truthfulness(vcg_mechanism, inst, pert)
         back_inst = pert.apply(inst)
         back = Perturbation(agent, {e.id: e.cost for e in inst.agent_edges(agent)})
-        backward = check_truthfulness(vcg_mechanism, back_inst, agent, back)
+        backward = check_truthfulness(vcg_mechanism, back_inst, back)
         if forward is None and backward is None:
             assert check_weak_monotonicity(vcg_allocate, inst, pert) is None
 
@@ -457,10 +463,9 @@ def test_edge_stability_witness_is_the_probe_and_adversary_witness():
     assert witness.base_costs == ((0, F(1)),) and witness.perturbed_costs == ((0, F(1, 2)),)
 
     # with two agents the adversary's one step perturbs its starting instance
-    spec = ChainSpec(2, 12)
-    start, indexing = build_adversary_instance(spec, MODE_PATH)
+    start, indexing = build_adversary_instance(ChainSpec(2, 12), MODE_PATH)
     alg = chain_exact_allocator(indexing)
-    violation = run_adversary(alg, spec, MODE_PATH).violation
+    violation = run_adversary(alg, (start, indexing)).violation
     pert = Perturbation(violation.agent, dict(violation.perturbed_costs))
     perturbed = pert.apply(start)
     assert violation == edge_stability_witness(start, perturbed, pert, alg(start), alg(perturbed))
@@ -497,9 +502,9 @@ def test_the_audit_draw_stream_is_pinned(monkeypatch, tmp_path):
         record("monotonicity", inst, pert)
         return monotonicity(alg, inst, pert)
 
-    def checked_truthfulness(mech, inst, agent, pert):
+    def checked_truthfulness(mech, inst, pert):
         record("truthfulness", inst, pert)
-        return truthfulness(mech, inst, agent, pert)
+        return truthfulness(mech, inst, pert)
 
     monkeypatch.setattr(audit, "check_weak_monotonicity", checked_monotonicity)
     monkeypatch.setattr(audit, "check_truthfulness", checked_truthfulness)

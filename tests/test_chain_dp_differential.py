@@ -353,9 +353,8 @@ def differential_allocator(monkeypatch):
 
 
 def run_chain_exact(agents, blocks, eps=None):
-    spec = ChainSpec(agents, blocks, helper_eps=eps)
-    _, indexing = build_adversary_instance(spec, MODE_PATH)
-    return run_adversary(adversary.chain_exact_allocator(indexing), spec, MODE_PATH)
+    chain = build_adversary_instance(ChainSpec(agents, blocks, helper_eps=eps), MODE_PATH)
+    return run_adversary(adversary.chain_exact_allocator(chain[1]), chain)
 
 
 FORMER_OUTPUTS = Path(__file__).with_name("former_chain_dp_outputs.json")

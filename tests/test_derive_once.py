@@ -54,7 +54,7 @@ def derived_copies(rng, inst, alloc):
     """(how, copy, the replaced costs of a cost-only copy or None)."""
     agent = rng.randint(1, inst.agent_count)
     pert = random_perturbation(rng, inst, agent, alloc)
-    yield "apply", pert.apply(inst), pert.validate(inst)
+    yield "apply", pert.apply(inst), dict(pert.new_costs)
     costs = {e.id: random_cost(rng) for e in inst.edges if rng.random() < 0.5}
     yield "with_costs", inst.with_costs(costs), costs
     yield "without_agent", inst.without_agent(agent), None
@@ -247,7 +247,6 @@ def test_perturbation_apply_refuses_floats_and_exponent_strings(cost, error):
 def test_perturbation_apply_coerces_each_cost_once():
     perturbed = Perturbation(2, {1: "3/6"}).apply(two_agents())
     assert perturbed.edge_by_id(1).cost == F(1, 2)
-    assert Perturbation(2, {1: "3/6"}).validate(two_agents()) == {1: F(1, 2)}
 
 
 # -- work done once per instance and per op -----------------------------------
@@ -296,9 +295,9 @@ def test_a_truthfulness_probe_solves_at_most_one_clarke_pivot_per_profile(monkey
                                                                           tmp_path):
     trials = []  # per trial: the probed agent, and the agent each value-only run skips
 
-    def checked(mech, inst, agent, pert, _original=audit.check_truthfulness):
-        trials.append((agent, []))
-        return _original(mech, inst, agent, pert)
+    def checked(mech, inst, pert, _original=audit.check_truthfulness):
+        trials.append((pert.agent, []))
+        return _original(mech, inst, pert)
 
     def dijkstra(inst, stop=None, without_agent=0, _original=solvers._dijkstra):
         if stop is not None:

@@ -432,6 +432,11 @@ def test_zero_denominator_cost_names_the_edge(value):
 @pytest.mark.parametrize("value, reason", [
     ("1e3", "exponent notation is not accepted"),
     ("abc", "Invalid literal for Fraction"),
+    # the loader's fast path once read these with int(), which takes them
+    (" 1_000 ", "Invalid literal for Fraction"),
+    ("٣/٤", "Invalid literal for Fraction"),
+    ("+5", "Invalid literal for Fraction"),
+    ("１２", "Invalid literal for Fraction"),
     (-1, "must be nonnegative"),
     ("-1", "must be nonnegative"),
 ])
@@ -465,10 +470,23 @@ def test_as_rational_refuses_exponent_notation(value):
         as_rational(value)
 
 
+# Fraction() reads each of these; the grammar is ASCII digits, an optional
+# minus, and a "/q" or ".d" part, nothing around them
+@pytest.mark.parametrize("value", [
+    " 1_000 ", "1_000", "٣/٤", "٣", "+5", " 1/2", "1/2 ", "1/2\n", "\t1", "1 / 2",
+    "1.", ".5", "-.5", "+1/2", "1/+2", " 1_0/4", "１", "", "-", "1/2/3", "0x10",
+])
+def test_as_rational_reads_only_plain_ascii_rationals(value):
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: "):
+        as_rational(value)
+
+
 def test_as_rational_keeps_fractions_and_reads_ints_and_strings():
     half = F(1, 2)
     assert as_rational(half) is half
     assert [as_rational(x) for x in (3, "3", "1/2", "0.25")] == [3, 3, half, F(1, 4)]
+    assert [as_rational(x) for x in ("-1/2", "-0.5", "007", "3/06", "0/5")] == [
+        -half, -half, 7, half, 0]
     assert type(as_rational(3)) is Fraction
 
 

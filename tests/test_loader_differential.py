@@ -2,10 +2,13 @@
 
 `instance_from_dict` tests an edge's four integer fields with one combined
 check and reads its cost with `_file_cost(value, k)`. The former reader,
-kept below verbatim as the oracle, read each field through `_integer` and
-the cost through `_file_cost(edge, where)`, with an `edge {k} ` prefix built
-for every edge. On every document both must give the same instance, with
-Fraction costs, or the same InstanceFormatError message.
+kept below as the oracle, read each field through `_integer` and the cost
+through `_file_cost(edge, where)`, with an `edge {k} ` prefix built for
+every edge. It is kept verbatim but for one test: its fast path now reads
+ASCII digits only, as the loader's does, so a cost such as "٣/٤", which
+`isdecimal` and int() once took, goes through `as_cost` and is refused. On
+every document both must give the same instance, with Fraction costs, or
+the same InstanceFormatError message.
 """
 
 from fractions import Fraction
@@ -41,7 +44,7 @@ def _file_cost(edge: dict, where: str) -> Fraction:
     """An edge's cost from an int or a "p/q" string; floats and exponent
     notation are refused.
 
-    Strings "p" and "p/q" of decimal digits are split and read with int(),
+    Strings "p" and "p/q" of ASCII digits are split and read with int(),
     any other string through `as_cost`: the two accept the same strings, and
     past int()'s digit limit both raise int()'s ValueError.
     """
@@ -52,7 +55,7 @@ def _file_cost(edge: dict, where: str) -> Fraction:
     try:
         if type(value) is str:
             num, slash, den = value.partition("/")
-            if num.isdecimal() and (den.isdecimal() or not slash):
+            if value.isascii() and num.isdecimal() and (den.isdecimal() or not slash):
                 return Fraction(int(num), int(den) if slash else 1)
         return as_cost(value)
     except ZeroDivisionError:

@@ -330,7 +330,7 @@ def adversary_trace_family():
             seen.append(inst)
             return vcg_allocate(inst)
 
-        run_adversary(alg, ChainSpec(agents, blocks), "dmst")
+        run_adversary(alg, gen_dmst_chain(ChainSpec(agents, blocks)))
         yield from seen
 
 
