@@ -45,7 +45,6 @@ from .adversary import (
     chain_exact_allocator,
     expand_chain,
     gen_chain,
-    gen_dmst_chain,
     opt_upper_bound,
     run_adversary,
 )
@@ -68,6 +67,5 @@ __all__ = [
     "edge_stability_witness",
     # adversary
     "AdversaryReport", "BlockIndexing", "ChainSpec", "chain_exact_allocator",
-    "expand_chain", "gen_chain", "gen_dmst_chain", "opt_upper_bound",
-    "run_adversary",
+    "expand_chain", "gen_chain", "opt_upper_bound", "run_adversary",
 ]

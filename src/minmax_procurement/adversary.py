@@ -77,17 +77,18 @@ class ChainSpec:
             raise ValueError("base cost must be positive")
         if self.helper_eps is not None:
             object.__setattr__(self, "helper_eps", as_rational(self.helper_eps))
-            if not 0 < self.helper_eps < self.base_cost:
-                raise ValueError("helper cost must lie strictly between 0 and the base cost")
+            self.eps_for(MODE_PATH)  # refuses a helper cost outside (0, base)
 
     def eps_for(self, mode: str) -> Fraction:
-        if self.helper_eps is not None:
-            return self.helper_eps
-        if mode == MODE_PATH:
-            return Fraction(1, 2 * self.blocks)
-        if mode == MODE_DMST:
-            return Fraction(1, 4 * self.blocks * self.agents)
-        raise ValueError(f"unknown mode {mode!r}")
+        """The spec's helper cost, else `mode`'s default; refused unless it
+        lies strictly between 0 and the base cost."""
+        defaults = {MODE_PATH: 2 * self.blocks, MODE_DMST: 4 * self.blocks * self.agents}
+        if mode not in defaults:
+            raise ValueError(f"unknown mode {mode!r}")
+        eps = Fraction(1, defaults[mode]) if self.helper_eps is None else self.helper_eps
+        if not 0 < eps < self.base_cost:
+            raise ValueError("helper cost must lie strictly between 0 and the base cost")
+        return eps
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,46 @@ def gen_chain(spec: ChainSpec) -> Instance:
     return Instance(False, l + 1, tuple(edges), n, PATH, 0, l)
 
 
+def _routes(bases: list[list[Fraction]], eps: Fraction,
+            directed: bool) -> tuple[Instance, BlockIndexing]:
+    """The chain whose block k offers agent a a route of cost bases[k][a-1].
+
+    Each route is n edges through n-1 fresh interior nodes; the edge its
+    agent owns costs the base, every other edge is a helper at cost eps.
+    Undirected, position j is owned by agent j. Directed, the owners run
+    cyclically from the route's agent, and each helper edge is followed by
+    its reverse (same owner, cost eps). Ids count up in that order.
+    """
+    n, l = len(bases[0]), len(bases)
+    edges: list[Edge] = []
+    blocks: list[tuple[BlockPath, ...]] = []
+    eid = 0
+    next_node = l + 1  # u-nodes are 0..l; interiors appended after
+    for k, costs in enumerate(bases):
+        routes = []
+        for agent, base in enumerate(costs, start=1):
+            nodes = [k, *range(next_node, next_node + n - 1), k + 1]
+            next_node += n - 1
+            ids, left_ids = [], []
+            for pos in range(n):
+                owner = (agent - 1 + pos) % n + 1 if directed else pos + 1
+                edges.append(Edge(eid, nodes[pos], nodes[pos + 1], owner,
+                                  base if owner == agent else eps))
+                ids.append(eid)
+                eid += 1
+                if directed and owner != agent:
+                    edges.append(Edge(eid, nodes[pos + 1], nodes[pos], owner, eps))
+                    left_ids.append(eid)
+                    eid += 1
+            routes.append(BlockPath(agent, tuple(ids), tuple(left_ids)))
+        blocks.append(tuple(routes))
+    if directed:
+        inst = Instance(True, next_node, tuple(edges), n, ARBORESCENCE, 0, 0)
+    else:
+        inst = Instance(False, next_node, tuple(edges), n, PATH, 0, l)
+    return inst, BlockIndexing(tuple(blocks))
+
+
 def expand_chain(chain: Instance, eps: Fraction) -> tuple[Instance, BlockIndexing]:
     """Expand every block edge into an n-edge path spreading ownership.
 
@@ -143,99 +184,41 @@ def expand_chain(chain: Instance, eps: Fraction) -> tuple[Instance, BlockIndexin
     if (chain.source, chain.target_or_root) != (0, l) or any(
             len(costs) != n for costs in by_block.values()):
         raise ValueError("instance is not a generated chain")
-
-    edges: list[Edge] = []
-    blocks: list[tuple[BlockPath, ...]] = []
-    eid = 0
-    next_node = l + 1  # u-nodes are 0..l; interiors appended after
-    for k in range(l):
-        routes = []
-        for agent in range(1, n + 1):
-            base = by_block[k][agent]
-            interior = list(range(next_node, next_node + n - 1))
-            next_node += n - 1
-            nodes = [k] + interior + [k + 1]
-            for j in range(1, n + 1):
-                cost = base if j == agent else eps
-                edges.append(Edge(eid + j - 1, nodes[j - 1], nodes[j], j, cost))
-            routes.append(BlockPath(agent, tuple(range(eid, eid + n))))
-            eid += n
-        blocks.append(tuple(routes))
-    inst = Instance(False, next_node, tuple(edges), n, PATH, 0, l)
-    return inst, BlockIndexing(tuple(blocks))
-
-
-def gen_dmst_chain(spec: ChainSpec) -> tuple[Instance, BlockIndexing]:
-    """Directed chain for the arborescence bound, rooted at the left end.
-
-    Per block and agent i: n rightward edges (the first owned by i at the
-    base cost, the rest owned cyclically by i+1, i+2, ... at cost eps, the
-    same order in every block) and, for each of those n-1 helper edges, a
-    paired opposite edge of cost eps with the same owner.
-    """
-    n, l = spec.agents, spec.blocks
-    base = spec.base_cost
-    eps = spec.eps_for(MODE_DMST)
-    edges: list[Edge] = []
-    blocks: list[tuple[BlockPath, ...]] = []
-    eid = 0
-    next_node = l + 1
-    for k in range(l):
-        routes = []
-        for agent in range(1, n + 1):
-            interior = list(range(next_node, next_node + n - 1))
-            next_node += n - 1
-            nodes = [k] + interior + [k + 1]
-            ids = []
-            left_ids = []
-            for pos in range(1, n + 1):
-                owner = ((agent - 1 + pos - 1) % n) + 1
-                cost = base if pos == 1 else eps
-                edges.append(Edge(eid, nodes[pos - 1], nodes[pos], owner, cost))
-                ids.append(eid)
-                eid += 1
-                if pos > 1:
-                    edges.append(Edge(eid, nodes[pos], nodes[pos - 1], owner, eps))
-                    left_ids.append(eid)
-                    eid += 1
-            routes.append(BlockPath(agent, tuple(ids), tuple(left_ids)))
-        blocks.append(tuple(routes))
-    inst = Instance(True, next_node, tuple(edges), n, ARBORESCENCE, 0, 0)
-    return inst, BlockIndexing(tuple(blocks))
+    return _routes([[costs[a] for a in range(1, n + 1)] for costs in by_block.values()],
+                   eps, directed=False)
 
 
 def build_adversary_instance(spec: ChainSpec, mode: str) -> tuple[Instance, BlockIndexing]:
-    if mode == MODE_PATH:
-        return expand_chain(gen_chain(spec), spec.eps_for(MODE_PATH))
-    if mode == MODE_DMST:
-        return gen_dmst_chain(spec)
-    raise ValueError(f"unknown mode {mode!r}")
+    """The spec's chain for `mode`: undirected from 0 to l (path), or
+    directed and rooted at 0 (dmst); see `_routes`."""
+    eps = spec.eps_for(mode)
+    bases = [[spec.base_cost] * spec.agents] * spec.blocks
+    return _routes(bases, eps, directed=mode == MODE_DMST)
 
 
-def chain_exact_allocator(indexing: BlockIndexing) -> AllocationAlgorithm:
+def chain_exact_allocator(chain: tuple[Instance, BlockIndexing]) -> AllocationAlgorithm:
     """Wrap the exact block-structured min-max solver as an allocation rule.
 
-    Works for any cost assignment on the topology `indexing` was built with,
-    and assumes that every instance it is given lists that topology's edges
-    in one order, as the built instance and its `with_costs` copies do. The
-    first call reads each route's (edge position, owner) columns off its
-    instance; every call sums the instance's integer costs over L
-    (`Instance.scaled_costs`) along them into per-route load vectors, and
-    the integer makespan DP (`scaled_chain_minmax`) picks one route per
-    block. An adversary step's copy takes its integers from its parent's,
-    computing only the perturbed agent's, over a common denominator that
-    need not be the least. Scaling every cost alike changes no comparison,
-    so the witness is the one the rational costs give, whatever L is.
+    Works for any cost assignment on the topology of `chain`, which
+    `build_adversary_instance` or `expand_chain` built, and assumes that
+    every instance it is given lists that topology's edges in one order, as
+    the built instance and its `with_costs` copies do. Each route's (edge
+    position, owner) columns are read off the chain once, here; every call
+    sums the instance's integer costs over L (`Instance.scaled_costs`) along
+    them into per-route load vectors, and the integer makespan DP
+    (`scaled_chain_minmax`) picks one route per block. An adversary step's
+    copy takes its integers from its parent's, computing only the perturbed
+    agent's, over a common denominator that need not be the least. Scaling
+    every cost alike changes no comparison, so the witness is the one the
+    rational costs give, whatever L is.
     """
+    start, indexing = chain
+    column = {e.id: (i, e.owner - 1) for i, e in enumerate(start.edges)}
+    columns = [[[column[eid] for eid in route.edge_ids] for route in routes]
+               for routes in indexing.blocks]
     edge_lists = [[route.edge_ids for route in routes] for routes in indexing.blocks]
-    columns: list[list[list[tuple[int, int]]]] = []  # per block and route
 
     def allocate(inst: Instance) -> Solution:
-        if not columns:
-            position = {e.id: i for i, e in enumerate(inst.edges)}
-            columns.extend([[(position[eid], inst.edge_by_id(eid).owner - 1)
-                              for eid in route.edge_ids] for route in routes]
-                            for routes in indexing.blocks)
         n = inst.agent_count
         scale, costs = inst.scaled_costs()
         vectors = []
@@ -301,6 +284,19 @@ def _selected_routes(indexing: BlockIndexing, sol: Solution) -> list[int]:
     return picked
 
 
+def _helper_cost(chain: tuple[Instance, BlockIndexing]) -> tuple[Fraction, bool]:
+    """The helper cost ε of a starting chain, and whether it is its mode's
+    default. Every cost must be 1 or ε: the start has unit base costs."""
+    inst, indexing = chain
+    scale, costs = inst.scaled_costs()
+    low, *high = sorted(set(costs))
+    if high != [scale] or low == 0:
+        raise ValueError("the lower-bound argument starts from unit base costs")
+    eps = Fraction(low, scale)
+    mode = MODE_DMST if inst.mode == ARBORESCENCE else MODE_PATH
+    return eps, eps == ChainSpec(inst.agent_count, len(indexing.blocks)).eps_for(mode)
+
+
 def run_adversary(alg: AllocationAlgorithm,
                   chain: tuple[Instance, BlockIndexing]) -> AdversaryReport:
     """Execute the lower-bound argument against `alg` on `chain`, which
@@ -314,13 +310,8 @@ def run_adversary(alg: AllocationAlgorithm,
     """
     inst, indexing = chain
     n, l = inst.agent_count, len(indexing.blocks)
-    mode = MODE_DMST if inst.mode == ARBORESCENCE else MODE_PATH
-    scale, costs = inst.scaled_costs()
-    low, *high = sorted(set(costs))
-    if high != [scale] or low == 0:
-        raise ValueError("the lower-bound argument starts from unit base costs")
-    eps = Fraction(low, scale)
-    default_eps = eps == ChainSpec(n, l).eps_for(mode)
+    dmst = inst.mode == ARBORESCENCE
+    eps, default_eps = _helper_cost(chain)
 
     sol = alg(inst)
     if not validate_solution(inst, sol):
@@ -331,13 +322,13 @@ def run_adversary(alg: AllocationAlgorithm,
     assert counts[heavy - 1] * n >= l, "pigeonhole bound violated"
     heavy_blocks = [k for k, agent in enumerate(picked) if agent == heavy]
 
-    if mode == MODE_PATH:
-        order = [a for a in range(1, n + 1) if a != heavy]
-    else:
+    if dmst:
         # the owners of the heavy route's edges, last to second: after step
         # k the route's first n-k edges must stay (`_dmst_stable`)
         heavy_route = indexing.route(heavy_blocks[0], heavy)
         order = [inst.edge_by_id(eid).owner for eid in reversed(heavy_route.edge_ids[1:])]
+    else:
+        order = [a for a in range(1, n + 1) if a != heavy]
 
     trace: list[AdversaryStep] = []
     cur_inst, cur_sol = inst, sol
@@ -349,11 +340,10 @@ def run_adversary(alg: AllocationAlgorithm,
         new_sol = alg(new_inst)
         if not validate_solution(new_inst, new_sol):
             raise InfeasibleAllocationError(f"allocation infeasible after step {step}")
-        if mode == MODE_PATH:
-            stable = new_sol.edge_ids == cur_sol.edge_ids
+        if dmst:
+            stable = _dmst_stable(indexing, heavy, heavy_blocks, new_sol, prefix=n - step)
         else:
-            stable = _dmst_stable(indexing, heavy, heavy_blocks, new_sol,
-                                  prefix=n - step)
+            stable = new_sol.edge_ids == cur_sol.edge_ids
         trace.append(AdversaryStep(agent, new_sol, stable))
         if not stable:
             witness = edge_stability_witness(cur_inst, new_inst, pert, cur_sol, new_sol)
@@ -362,8 +352,7 @@ def run_adversary(alg: AllocationAlgorithm,
 
     alg_cost = cost_summary(cur_inst, cur_sol).max_cost
     assert alg_cost >= counts[heavy - 1]
-    ub_sol, ub_value = opt_upper_bound(cur_inst, indexing, heavy, picked, eps,
-                                       default_eps=default_eps)
+    ub_sol, ub_value = opt_upper_bound(chain, cur_inst, heavy, picked)
     ratio = alg_cost / ub_value
     guaranteed_bound = None
     if default_eps:
@@ -391,9 +380,10 @@ def _dmst_stable(indexing: BlockIndexing, heavy: int, heavy_blocks: list[int],
     return True
 
 
-def opt_upper_bound(inst: Instance, indexing: BlockIndexing, heavy: int, picked: list[int],
-                    eps: Fraction, default_eps: bool) -> tuple[Solution, Fraction]:
-    """Explicit cheap solution under the final costs t*.
+def opt_upper_bound(chain: tuple[Instance, BlockIndexing], inst: Instance, heavy: int,
+                    picked: list[int]) -> tuple[Solution, Fraction]:
+    """Explicit cheap solution under the final costs t* of `inst`, a cost
+    copy of the starting `chain`, off which ε and the mode are read.
 
     `picked` holds, per block, the agent whose route the initial allocation
     selected. The heavy agent's blocks are redistributed round-robin over all
@@ -401,9 +391,11 @@ def opt_upper_bound(inst: Instance, indexing: BlockIndexing, heavy: int, picked:
     helper scale.
     Returns the solution and its exact max agent cost, checked against the
     closed-form bound ceil(l1/n)(1+eps) + 2*eps*l (path) respectively
-    + 4*eps*n*l (`inst` an arborescence), and against l1/n + 4 under the default eps.
+    + 4*eps*n*l (dmst), and against l1/n + 4 under the mode's default eps.
     """
-    n, dmst = inst.agent_count, inst.mode == ARBORESCENCE
+    start, indexing = chain
+    eps, default_eps = _helper_cost(chain)
+    n, dmst = start.agent_count, start.mode == ARBORESCENCE
     l = len(indexing.blocks)
     l1 = picked.count(heavy)
 

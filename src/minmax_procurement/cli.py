@@ -73,13 +73,13 @@ def cmd_gen(args) -> int:
         raise UsageError("gen chain takes no --eps: a plain chain has no helper edges")
     try:
         spec = adv.ChainSpec(args.agents, args.blocks, args.base, args.eps)
+        if args.kind == "chain":
+            inst = adv.gen_chain(spec)
+        else:
+            mode = adv.MODE_PATH if args.kind == "expandedchain" else adv.MODE_DMST
+            inst = adv.build_adversary_instance(spec, mode)[0]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.kind == "chain":
-        inst = adv.gen_chain(spec)
-    else:
-        mode = adv.MODE_PATH if args.kind == "expandedchain" else adv.MODE_DMST
-        inst = adv.build_adversary_instance(spec, mode)[0]
     dump_instance(inst, args.out)
     return 0
 
@@ -199,7 +199,7 @@ def cmd_adversary(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     chain = adv.build_adversary_instance(spec, args.mode)
-    alg = vcg_mod.vcg_allocate if args.alg == "vcg" else adv.chain_exact_allocator(chain[1])
+    alg = vcg_mod.vcg_allocate if args.alg == "vcg" else adv.chain_exact_allocator(chain)
     report = adv.run_adversary(alg, chain)
     doc = {
         "command": "adversary",

@@ -117,7 +117,7 @@ def test_criterion_3_adversary_vs_vcg_directed_arborescence():
 def test_criterion_4_exact_minmax_allocator_violates_monotonicity():
     done = timed(30)
     chain = build_adversary_instance(ChainSpec(2, 40), MODE_PATH)
-    report = run_adversary(chain_exact_allocator(chain[1]), chain)
+    report = run_adversary(chain_exact_allocator(chain), chain)
     ok = report.outcome == "monotonicity-violation"
     strict = False
     if ok:
@@ -252,9 +252,8 @@ def test_criterion_10_chain_solver_agrees_with_bruteforce():
     for n in (2, 3):
         for blocks in range(1, 7):
             spec = ChainSpec(n, blocks)
-            inst, indexing = expand_chain(gen_chain(spec),
-                                          spec.eps_for(MODE_PATH))
-            alg = chain_exact_allocator(indexing)
+            chain = inst, indexing = expand_chain(gen_chain(spec), spec.eps_for(MODE_PATH))
+            alg = chain_exact_allocator(chain)
             # unit pattern plus every post-transformation pattern reached by
             # zeroing the driver's selections agent by agent
             patterns = [inst]

@@ -1,5 +1,6 @@
 """Chain constructions and the adversarial lower-bound driver."""
 
+import inspect
 import math
 import os
 import random
@@ -23,7 +24,6 @@ from minmax_procurement import (
     cost_summary,
     expand_chain,
     gen_chain,
-    gen_dmst_chain,
     run_adversary,
     validate_solution,
     vcg_allocate,
@@ -97,7 +97,7 @@ def test_every_chain_gen_can_write_fits_the_instance_file_limits():
     for agents, blocks in ((2, 1), (2, 3), (3, 2), (4, 2)):
         spec = ChainSpec(agents, blocks)
         built = [gen_chain(spec), expand_chain(gen_chain(spec), F(1, 8))[0],
-                 gen_dmst_chain(spec)[0]]
+                 build_adversary_instance(spec, MODE_DMST)[0]]
         assert [(i.node_count, len(i.edges)) for i in built] == chain_sizes(agents, blocks)
     for agents in range(2, 725):  # 725 agents are refused at one block
         blocks = MAX_CHAIN_EDGES // (agents * (2 * agents - 1))
@@ -142,6 +142,27 @@ def test_default_helper_costs():
     assert ChainSpec(2, 10).eps_for(MODE_PATH) == F(1, 20)
     assert ChainSpec(3, 10).eps_for(MODE_DMST) == F(1, 120)
     assert ChainSpec(2, 10, helper_eps=F(1, 7)).eps_for(MODE_PATH) == F(1, 7)
+    assert ChainSpec(2, 1, base_cost=F(3, 4)).eps_for(MODE_PATH) == F(1, 2)
+    with pytest.raises(ValueError, match="^unknown mode 'tree'$"):
+        ChainSpec(2, 10, helper_eps=F(1, 7)).eps_for("tree")
+
+
+@pytest.mark.parametrize("base, blocks, mode", [
+    (F(1, 100), 2, MODE_DMST),  # default 1/16
+    (F(1, 4), 1, MODE_PATH),  # default 1/2
+    (F(1, 2), 1, MODE_PATH),  # default equal to the base
+])
+def test_a_default_helper_cost_not_below_the_base_is_refused(base, blocks, mode):
+    # as the same helper cost given explicitly is, with the same message
+    message = "^helper cost must lie strictly between 0 and the base cost$"
+    spec = ChainSpec(2, blocks, base_cost=base)
+    with pytest.raises(ValueError, match=message):
+        spec.eps_for(mode)
+    with pytest.raises(ValueError, match=message):
+        build_adversary_instance(spec, mode)
+    default = F(1, 2 * blocks) if mode == MODE_PATH else F(1, 8 * blocks)
+    with pytest.raises(ValueError, match=message):
+        ChainSpec(2, blocks, base_cost=base, helper_eps=default)
 
 
 def test_expanded_chain_shape():
@@ -167,7 +188,7 @@ def test_expanded_route_costs():
 
 
 def test_dmst_chain_shape_and_cyclic_ownership():
-    inst, indexing = gen_dmst_chain(ChainSpec(3, 1))
+    inst, indexing = build_adversary_instance(ChainSpec(3, 1), MODE_DMST)
     assert len(inst.edges) == 15  # 3 routes x (3 rightward + 2 leftward)
     r1, r2, r3 = indexing.blocks[0]
     owners = lambda r: [inst.edge_by_id(i).owner for i in r.edge_ids]
@@ -183,14 +204,14 @@ def test_dmst_chain_shape_and_cyclic_ownership():
 
 
 def test_dmst_two_agent_route_owners():
-    inst, indexing = gen_dmst_chain(ChainSpec(2, 1))
+    inst, indexing = build_adversary_instance(ChainSpec(2, 1), MODE_DMST)
     owners = lambda r: [inst.edge_by_id(i).owner for i in r.edge_ids]
     assert owners(indexing.route(0, 1)) == [1, 2]
     assert owners(indexing.route(0, 2)) == [2, 1]
 
 
 def test_dmst_single_route_per_block_solution_is_feasible():
-    inst, indexing = gen_dmst_chain(ChainSpec(2, 3))
+    inst, indexing = build_adversary_instance(ChainSpec(2, 3), MODE_DMST)
     ids = []
     for k in range(3):
         ids.extend(indexing.route(k, 1).edge_ids)
@@ -305,7 +326,7 @@ def test_driver_rejects_infeasible_algorithms():
 
 def test_exact_minmax_allocator_yields_strict_violation():
     chain = build_adversary_instance(ChainSpec(2, 12), MODE_PATH)
-    report = run_adversary(chain_exact_allocator(chain[1]), chain)
+    report = run_adversary(chain_exact_allocator(chain), chain)
     assert report.outcome == "monotonicity-violation"
     witness = report.violation
     assert witness.reverify()
@@ -313,13 +334,23 @@ def test_exact_minmax_allocator_yields_strict_violation():
     assert a + b > c + d
 
 
+def test_chain_exact_allocator_takes_the_chain():
+    chain = build_adversary_instance(ChainSpec(2, 4), MODE_PATH)
+    with pytest.raises(TypeError):
+        chain_exact_allocator(chain[1])
+    # agent 2's edges cost nothing, so every block takes agent 2's route
+    free = chain[0].with_costs({chain[0].edges[i].id: F(0) for i in chain[0].owned(2)})
+    assert chain_exact_allocator(chain)(free) == Solution(
+        [eid for routes in chain[1].blocks for eid in routes[1].edge_ids])
+
+
 @pytest.mark.parametrize("agents,blocks", [(2, 6), (3, 4), (4, 2)])
 def test_chain_exact_allocator_is_the_dp_on_any_costs_of_its_topology(agents, blocks):
-    # the allocator reads its route columns off the first instance and only
-    # costs off later ones; the Fraction entry prices each route afresh
+    # the allocator reads its route columns off the chain and only costs off
+    # the instances it is given; the Fraction entry prices each route afresh
     rng = random.Random(f"allocator/{agents}x{blocks}")
-    inst, indexing = build_adversary_instance(ChainSpec(agents, blocks), MODE_PATH)
-    alg = chain_exact_allocator(indexing)
+    chain = inst, indexing = build_adversary_instance(ChainSpec(agents, blocks), MODE_PATH)
+    alg = chain_exact_allocator(chain)
     edges = [[route.edge_ids for route in routes] for routes in indexing.blocks]
     for _ in range(30):
         costs = inst.with_costs({e.id: F(rng.randint(0, 6), rng.choice((1, 2, 3)))
@@ -337,9 +368,9 @@ def test_chain_exact_allocator_is_the_dp_on_any_costs_of_its_topology(agents, bl
 
 
 def test_violation_witness_replays_against_the_algorithm():
-    inst, indexing = build_adversary_instance(ChainSpec(2, 12), MODE_PATH)
-    alg = chain_exact_allocator(indexing)
-    report = run_adversary(alg, (inst, indexing))
+    chain = inst, _ = build_adversary_instance(ChainSpec(2, 12), MODE_PATH)
+    alg = chain_exact_allocator(chain)
+    report = run_adversary(alg, chain)
     witness = report.violation
     base = inst.with_costs({eid: c for eid, c in witness.base_costs})
     # the recorded base profile must reproduce the recorded allocation
@@ -366,6 +397,32 @@ def test_upper_bound_dominates_true_optimum_at_small_scale(mode, agents, blocks)
     assert report.ratio.opt_upper_bound >= true_opt
     exact_ratio = report.ratio.algorithm_cost / true_opt
     assert report.ratio.certified_ratio <= exact_ratio
+
+
+@pytest.mark.parametrize("spec, mode", [
+    (ChainSpec(2, 16), MODE_PATH), (ChainSpec(3, 30), MODE_PATH),
+    (ChainSpec(2, 6, helper_eps=F(1, 50)), MODE_DMST),
+])
+def test_opt_upper_bound_reads_the_helper_cost_off_the_starting_chain(spec, mode):
+    # given the starting chain and the final costs, it returns the driver's
+    # certificate; the final costs alone no longer show ε
+    chain = inst, indexing = build_adversary_instance(spec, mode)
+    report = run_adversary(vcg_allocate, chain)
+    final = inst.with_costs(dict(report.ratio.final_costs))
+    picked = _selected_routes(indexing, vcg_allocate(inst))
+    assert opt_upper_bound(chain, final, report.heavy_agent, picked) == (
+        report.ratio.upper_bound_solution, report.ratio.opt_upper_bound)
+    with pytest.raises(ValueError, match="unit base costs"):
+        opt_upper_bound((final, indexing), final, report.heavy_agent, picked)
+
+
+def test_opt_upper_bound_takes_no_helper_cost():
+    assert list(inspect.signature(opt_upper_bound).parameters) == [
+        "chain", "inst", "heavy", "picked"]
+    chain = build_adversary_instance(ChainSpec(2, 16), MODE_PATH)
+    for eps in (F(1, 2), F(1, 1000)):
+        with pytest.raises(TypeError):
+            opt_upper_bound(chain, chain[0], 1, [1] * 16, eps, default_eps=False)
 
 
 def test_upper_bound_matches_closed_form_slack():

@@ -463,9 +463,9 @@ def test_edge_stability_witness_is_the_probe_and_adversary_witness():
     assert witness.base_costs == ((0, F(1)),) and witness.perturbed_costs == ((0, F(1, 2)),)
 
     # with two agents the adversary's one step perturbs its starting instance
-    start, indexing = build_adversary_instance(ChainSpec(2, 12), MODE_PATH)
-    alg = chain_exact_allocator(indexing)
-    violation = run_adversary(alg, (start, indexing)).violation
+    chain = start, _ = build_adversary_instance(ChainSpec(2, 12), MODE_PATH)
+    alg = chain_exact_allocator(chain)
+    violation = run_adversary(alg, chain).violation
     pert = Perturbation(violation.agent, dict(violation.perturbed_costs))
     perturbed = pert.apply(start)
     assert violation == edge_stability_witness(start, perturbed, pert, alg(start), alg(perturbed))

@@ -354,7 +354,7 @@ def differential_allocator(monkeypatch):
 
 def run_chain_exact(agents, blocks, eps=None):
     chain = build_adversary_instance(ChainSpec(agents, blocks, helper_eps=eps), MODE_PATH)
-    return run_adversary(adversary.chain_exact_allocator(chain[1]), chain)
+    return run_adversary(adversary.chain_exact_allocator(chain), chain)
 
 
 FORMER_OUTPUTS = Path(__file__).with_name("former_chain_dp_outputs.json")

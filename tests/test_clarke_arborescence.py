@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from minmax_procurement import Instance, min_sum_optimum
-from minmax_procurement.adversary import ChainSpec, gen_dmst_chain
+from minmax_procurement.adversary import ChainSpec, build_adversary_instance
 from minmax_procurement.audit import random_arborescence_instance
 from minmax_procurement.solvers import NoFeasibleSolutionError, scaled_min_sum_value
 
@@ -87,7 +87,7 @@ def test_random_arborescences_without_each_agent_match_the_oracles():
 @pytest.mark.parametrize("agents,blocks", [(2, 1), (2, 5), (3, 4), (4, 3), (2, 64), (3, 20)])
 def test_randomly_costed_dmst_chains_without_each_agent_match_the_oracles(agents, blocks):
     rng = random.Random(agents * 1000 + blocks)
-    chain = gen_dmst_chain(ChainSpec(agents, blocks))[0]
+    chain = build_adversary_instance(ChainSpec(agents, blocks), "dmst")[0]
     for inst in (chain, random_costs(chain, rng), random_costs(chain, rng, zero_share=0.4)):
         # every agent owns a helper edge into each other agent's route, so
         # the remainder is infeasible; a cycle of the route's far end and an
@@ -102,7 +102,7 @@ def test_a_dmst_chain_with_a_spare_route_prices_every_agent():
     # a second copy of every edge, owned by another agent, keeps each
     # remainder feasible, so the Clarke values are real solves
     rng = random.Random(7)
-    chain = gen_dmst_chain(ChainSpec(3, 6))[0]
+    chain = build_adversary_instance(ChainSpec(3, 6), "dmst")[0]
     n, edges = chain.agent_count, list(chain.edges)
     spare = [e._replace(id=e.id + len(edges), owner=e.owner % n + 1) for e in edges]
     doubled = Instance(True, chain.node_count, tuple(edges + spare), n, chain.mode,

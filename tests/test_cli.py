@@ -85,6 +85,27 @@ def test_gen_zero_denominator_base_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, blocks, base, eps", [
+    ("dmst-chain", "2", "1/100", "1/16"),  # the dmst default 1/(4nl)
+    ("expandedchain", "1", "1/4", "1/2"),  # the path default 1/(2l)
+    ("expandedchain", "1", "1/2", "1/2"),  # equal to the base
+])
+def test_gen_refuses_a_default_helper_cost_not_below_the_base(tmp_path, capsys, kind, blocks,
+                                                               base, eps):
+    # the mode's default helper cost is refused as the same cost given by --eps is
+    out = tmp_path / "x.json"
+    refusals = []
+    for extra in ([], ["--eps", eps]):
+        argv = ["gen", kind, "--agents", "2", "--blocks", blocks, "--base", base, *extra]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert not out.exists()
+        refusals.append(captured.err)
+    assert refusals[0] == refusals[1]
+    assert "helper cost must lie strictly between 0 and the base cost" in refusals[0]
+
+
 def test_gen_base_is_read_as_a_rational(tmp_path):
     from minmax_procurement import ChainSpec, dump_instance, gen_chain
     cli_out, lib_out = tmp_path / "cli.json", tmp_path / "lib.json"

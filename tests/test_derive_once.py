@@ -19,7 +19,8 @@ from fractions import Fraction
 import pytest
 
 from minmax_procurement import adversary, audit, cli, pareto, solvers
-from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
+from minmax_procurement.adversary import (
+    ChainSpec, build_adversary_instance, expand_chain, gen_chain)
 from minmax_procurement.audit import (
     Perturbation,
     random_arborescence_instance,
@@ -143,7 +144,7 @@ def owner_cases():
         chain = gen_chain(ChainSpec(agents, blocks))
         yield rng, chain
         yield rng, expand_chain(chain, F(1, 8))[0]
-        yield rng, gen_dmst_chain(ChainSpec(agents, blocks))[0]
+        yield rng, build_adversary_instance(ChainSpec(agents, blocks), "dmst")[0]
         # one more agent, who owns no edge
         yield rng, Instance(chain.directed, chain.node_count, chain.edges, agents + 1,
                             chain.mode, chain.source, chain.target_or_root)

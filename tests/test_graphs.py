@@ -21,7 +21,8 @@ from minmax_procurement import (
     load_instance,
     validate_solution,
 )
-from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
+from minmax_procurement.adversary import (
+    ChainSpec, build_adversary_instance, expand_chain, gen_chain)
 from minmax_procurement.graphs import (
     InstanceFormatError,
     MalformedSolutionError,
@@ -133,7 +134,7 @@ def test_directed_path_respects_orientation():
 
 
 def test_full_route_plus_other_routes_leftward_edges_is_an_arborescence():
-    inst, indexing = gen_dmst_chain(ChainSpec(2, 1))
+    inst, indexing = build_adversary_instance(ChainSpec(2, 1), "dmst")
     r1, r2 = indexing.blocks[0]
     sol = Solution(r1.edge_ids + r2.leftward_ids)
     assert validate_solution(inst, sol)
@@ -142,7 +143,7 @@ def test_full_route_plus_other_routes_leftward_edges_is_an_arborescence():
 
 
 def test_arborescence_indegree_violations_are_rejected():
-    inst, indexing = gen_dmst_chain(ChainSpec(2, 1))
+    inst, indexing = build_adversary_instance(ChainSpec(2, 1), "dmst")
     r1, r2 = indexing.blocks[0]
     # both full routes: the right endpoint gets in-degree 2
     assert not validate_solution(inst, Solution(r1.edge_ids + r2.edge_ids))
@@ -164,7 +165,7 @@ def test_arborescence_rejects_unreached_nodes():
 
 def test_validate_agrees_with_exhaustive_subset_checker():
     """Cross-check against independent brute-force feasibility on all subsets."""
-    inst, indexing = gen_dmst_chain(ChainSpec(2, 1))
+    inst, indexing = build_adversary_instance(ChainSpec(2, 1), "dmst")
     ids = [e.id for e in inst.edges]
 
     def brute_ok(subset):
@@ -338,7 +339,7 @@ def test_edges_are_equal_and_hashed_by_their_fields():
 
 @pytest.mark.parametrize("inst", [
     parallel_instance([F(1, 3), 2, 0]),
-    gen_dmst_chain(ChainSpec(2, 2))[0],
+    build_adversary_instance(ChainSpec(2, 2), "dmst")[0],
     expand_chain(gen_chain(ChainSpec(3, 2)), F(1, 12))[0],
 ], ids=["parallel", "dmst", "expanded"])
 def test_instance_to_dict_round_trips_unchanged(inst):

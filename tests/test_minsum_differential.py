@@ -28,7 +28,8 @@ from minmax_procurement import (
     validate_solution,
     vcg_allocate,
 )
-from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
+from minmax_procurement.adversary import (
+    ChainSpec, build_adversary_instance, expand_chain, gen_chain)
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
 from minmax_procurement.graphs import PATH, Edge, Solution, cost_summary
 from minmax_procurement.solvers import (
@@ -317,7 +318,7 @@ def chain_family(agents, blocks):
     yield random_costs(plain, rng, zero_share=0.4)
     yield expand_chain(plain, F(1, 8))[0]
     if agents == 2 or blocks <= 64:  # the recursive oracle is slow beyond
-        dmst = gen_dmst_chain(ChainSpec(agents, blocks))[0]
+        dmst = build_adversary_instance(ChainSpec(agents, blocks), "dmst")[0]
         yield dmst
         yield with_zero_costs(dmst, rng)
 
@@ -330,7 +331,7 @@ def adversary_trace_family():
             seen.append(inst)
             return vcg_allocate(inst)
 
-        run_adversary(alg, gen_dmst_chain(ChainSpec(agents, blocks)))
+        run_adversary(alg, build_adversary_instance(ChainSpec(agents, blocks), "dmst"))
         yield from seen
 
 
@@ -457,7 +458,7 @@ def test_infeasible_arborescence_names_the_same_super_node(node_count, arcs, unr
 
 
 def test_min_arborescence_on_a_700_block_dmst_chain_needs_no_recursion():
-    inst = gen_dmst_chain(ChainSpec(2, 700))[0]
+    inst = build_adversary_instance(ChainSpec(2, 700), "dmst")[0]
     report = min_arborescence(inst)
     assert validate_solution(inst, report.witness)
     assert report.value == cost_summary(inst, report.witness).sum_cost

@@ -288,3 +288,35 @@ def test_the_traced_name_check_sees_both_forms():
     assert not _resolves("graphs", "CHUNK")  # not callable
     assert not _resolves("graphs", "Instance.no_such_method")
     assert not _resolves("graphs", "NoSuchClass.derive")
+
+
+def _edge_builders(source: str) -> list[str]:
+    """The functions of `source` that construct an `Edge`, by bare name or
+    as an attribute, one entry per construction."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "Edge":
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_plain_chain_and_the_route_builder_make_edges_in_the_adversary():
+    # both lower-bound chains, and `expand_chain`, are built by `_routes`
+    source = (Path(minmax_procurement.__file__).parent / "adversary.py").read_text()
+    assert sorted(set(_edge_builders(source))) == ["_routes", "gen_chain"]
+
+
+def test_the_edge_builder_check_sees_both_forms():
+    assert _edge_builders("def f(k):\n    return Edge(0, k, k + 1, 1, 1)") == ["f"]
+    assert _edge_builders("def g():\n    graphs.Edge(0, 0, 1, 1, 1)") == ["g"]
+    assert _edge_builders("from .graphs import Edge\nEdge(0, 0, 1, 1, 1)") == ["<module>"]
+    assert _edge_builders("def f(inst):\n    return [e for e in inst.edges if Edge]") == []

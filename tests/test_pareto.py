@@ -265,8 +265,7 @@ def test_simplify_drops_cycles_without_raising_cost():
 
 
 def test_ptas_requires_path_mode():
-    from minmax_procurement.adversary import gen_dmst_chain
-    inst, _ = gen_dmst_chain(ChainSpec(2, 1))
+    inst, _ = build_adversary_instance(ChainSpec(2, 1), "dmst")
     with pytest.raises(ValueError):
         minmax_ptas(inst, F(1, 4))
 
@@ -288,8 +287,8 @@ def test_ptas_bound_on_expanded_chain():
 def test_ptas_bound_on_long_expanded_chains(blocks):
     # paths of 2 * blocks edges: past n^2 / eps of them, so the floor must
     # shrink with the path length to stay within eps * OPT
-    inst, indexing = build_adversary_instance(ChainSpec(2, blocks), "path")
-    opt = cost_summary(inst, chain_exact_allocator(indexing)(inst)).max_cost
+    chain = inst, _ = build_adversary_instance(ChainSpec(2, blocks), "path")
+    opt = cost_summary(inst, chain_exact_allocator(chain)(inst)).max_cost
     eps = F(1, 4)
     assert minmax_ptas(inst, eps).value <= (1 + eps) ** 2 * opt
 
@@ -348,12 +347,11 @@ def test_the_scheme_makes_no_derived_copy(monkeypatch):
 
 def test_preprocess_refuses_an_arborescence_instance_before_solving_it(monkeypatch):
     from minmax_procurement import solvers
-    from minmax_procurement.adversary import gen_dmst_chain
 
     def no_solve(inst):
         raise AssertionError("the instance was solved")
 
     monkeypatch.setattr(solvers, "min_arborescence", no_solve)
-    inst, _ = gen_dmst_chain(ChainSpec(2, 1))
+    inst, _ = build_adversary_instance(ChainSpec(2, 1), "dmst")
     with pytest.raises(ValueError, match="^the approximation scheme handles path instances only$"):
         preprocess(inst, F(1, 4))

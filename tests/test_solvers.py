@@ -20,7 +20,8 @@ from minmax_procurement import (
     validate_solution,
 )
 from minmax_procurement import solvers
-from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
+from minmax_procurement.adversary import (
+    ChainSpec, build_adversary_instance, expand_chain, gen_chain)
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
 from minmax_procurement.graphs import ARBORESCENCE
 from minmax_procurement.solvers import (
@@ -101,7 +102,7 @@ def test_arborescence_picks_cheaper_parallel_edge():
 
 
 def test_arborescence_on_directed_chain_block():
-    inst, indexing = gen_dmst_chain(ChainSpec(2, 1, helper_eps=F(1, 8)))
+    inst, indexing = build_adversary_instance(ChainSpec(2, 1, helper_eps=F(1, 8)), "dmst")
     report = min_arborescence(inst)
     # cheaper full route (1 + 1/8) plus the other route's leftward edge (1/8)
     assert report.value == F(5, 4)

@@ -20,7 +20,8 @@ from fractions import Fraction
 import pytest
 
 from minmax_procurement import Edge, Instance, Perturbation, Solution, audit, graphs, vcg_allocate
-from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
+from minmax_procurement.adversary import (
+    ChainSpec, build_adversary_instance, expand_chain, gen_chain)
 from minmax_procurement.audit import (
     edge_stability_perturbation,
     is_strict_edge_stability,
@@ -143,7 +144,7 @@ def instances():
         chain = gen_chain(ChainSpec(agents, blocks))
         yield rng, chain
         yield rng, expand_chain(chain, F(1, 8))[0]
-        dmst = gen_dmst_chain(ChainSpec(agents, blocks))[0]
+        dmst = build_adversary_instance(ChainSpec(agents, blocks), "dmst")[0]
         yield rng, dmst
         yield rng, dmst.with_costs({e.id: F(rng.randint(0, 3), rng.randint(1, 3))
                                     for e in dmst.edges})
@@ -255,7 +256,7 @@ def step_instances():
     for agents, blocks in ((2, 3), (3, 2)):
         rng = random.Random(f"step-costs/chain/{agents}")
         yield rng, expand_chain(gen_chain(ChainSpec(agents, blocks)), F(1, 8))[0]
-        yield rng, gen_dmst_chain(ChainSpec(agents, blocks))[0]
+        yield rng, build_adversary_instance(ChainSpec(agents, blocks), "dmst")[0]
 
 
 def test_validate_and_with_costs_match_the_former_code():

@@ -25,7 +25,8 @@ from minmax_procurement import (
     vcg_allocate,
     vcg_mechanism,
 )
-from minmax_procurement.adversary import ChainSpec, expand_chain, gen_chain, gen_dmst_chain
+from minmax_procurement.adversary import (
+    ChainSpec, build_adversary_instance, expand_chain, gen_chain)
 from minmax_procurement.audit import random_arborescence_instance, random_path_instance
 from minmax_procurement import vcg
 from minmax_procurement.graphs import agent_cost, dump_instance
@@ -281,7 +282,7 @@ def test_one_agents_payment_is_its_entry_in_every_agents_payments():
 
 def test_pivotal_agents_on_a_dmst_chain_raise_for_their_own_payments():
     # on a dmst chain no arborescence avoids any one agent's edges
-    inst, _ = gen_dmst_chain(ChainSpec(3, 2))
+    inst, _ = build_adversary_instance(ChainSpec(3, 2), "dmst")
     alloc = vcg_allocate(inst)
     with pytest.raises(PivotalInfeasibleError) as err:
         clarke_payments(inst, alloc)
